@@ -48,9 +48,10 @@ for h in (1, 2, 4):
 
 # ---------------------------------------------------------------------------
 # Every temporal query is, by definition, exact inference on the unrolled
-# flat model; nothing is approximated.
-flat = ir.unroll(tm, now + 1)
-direct = ir.eliminate_marginal(flat, ir.slice_id("wifi_gateway", now),
-                               obs.unrolled_evidence())
-assert direct.probabilities == filtered["wifi_gateway"].probabilities
-print("\nunrolled-model cross-check: exact match")
+# flat model; nothing is approximated.  The queries pass messages slice by
+# slice instead of unrolling, so the two agree to rounding (ORACLE_TOL).
+direct = ir.unrolled_marginals(tm, obs, now, now + 1)
+gap = max(abs(a - b) for nid in direct for a, b in zip(direct[nid].probabilities,
+                                                      filtered[nid].probabilities))
+assert gap <= ir.ORACLE_TOL, gap
+print(f"\nunrolled-model cross-check: match within {ir.ORACLE_TOL:g}")

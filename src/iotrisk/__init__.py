@@ -73,6 +73,7 @@ from .temporal import (
     slice_id,
     smooth_marginals,
     unroll,
+    unrolled_marginals,
 )
 from .cascade import (
     CriticalityEntry,

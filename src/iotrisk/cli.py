@@ -13,6 +13,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,7 +35,7 @@ from .cvss import (
     score_to_prior,
 )
 from .documents import ingest_evidence, parse_model, read_evidence
-from .errors import IotRiskError, ValidationFailed
+from .errors import IotRiskError, ModelSyntaxError, ValidationFailed
 from .graph import validate as validate_graph
 from .inference import eliminate_marginal, posterior_update
 from .reporting import emit_report, export_dot, input_digest, to_jsonable
@@ -58,6 +59,16 @@ def _parse_observation(text: str) -> tuple[str, str]:
         raise argparse.ArgumentTypeError(
             f"expected NODE=STATE, got {text!r}")
     return node, state
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser, model: bool = True) -> None:
@@ -98,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--evidence", metavar="PATH",
                    help="newline-delimited JSON evidence records")
-    p.add_argument("--bucket-ms", type=int, default=1000, metavar="N",
+    p.add_argument("--bucket-ms", type=_positive_int, default=1000, metavar="N",
                    help="bucket width for timestamp -> slice mapping (default 1000)")
     p.add_argument("--mode", choices=("filter", "smooth", "predict"), default="filter")
     p.add_argument("--at", type=int, metavar="T",
@@ -138,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="seeded Monte Carlo forward sampling")
     _add_common(p)
-    p.add_argument("--n", type=int, default=1_000_000, metavar="N",
+    p.add_argument("--n", type=_positive_int, default=1_000_000, metavar="N",
                    help="sample count (default 1e6)")
     p.add_argument("--seed", type=int, default=0, metavar="N", help="RNG seed (default 0)")
 
@@ -323,8 +334,19 @@ def _cmd_cvss(args) -> int:
     return 0
 
 
+def _read_tiers(path: str) -> dict:
+    """A JSON file holding one object: control element id -> tier label."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ModelSyntaxError(f"{path}: not valid JSON: {exc.msg} (line {exc.lineno}, "
+                               f"column {exc.colno})", exc.lineno, exc.colno) from None
+    if not isinstance(value, dict):
+        raise ModelSyntaxError(f"{path}: expected an object mapping element ids to tiers")
+    return value
+
+
 def _cmd_roadmap(args) -> int:
-    import json as _json
     if bool(args.model) == bool(args.roadmap):
         raise UsageError("give exactly one of --model or --roadmap")
     if args.model:
@@ -337,8 +359,8 @@ def _cmd_roadmap(args) -> int:
         digest = input_digest(raw)
         section = None if args.section == "all" else args.section
         roadmap = parse_roadmap_document(raw.decode("utf-8"), section)
-    current = _json.loads(Path(args.current).read_text(encoding="utf-8"))
-    target = _json.loads(Path(args.target).read_text(encoding="utf-8"))
+    current = _read_tiers(args.current)
+    target = _read_tiers(args.target)
     scale = tuple(s.strip() for s in args.scale.split(",") if s.strip())
     gaps = gap_report(roadmap, current, target, scale)
     result = {"scale": list(scale),

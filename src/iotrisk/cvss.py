@@ -227,7 +227,8 @@ def environmental_score(vector: CvssVector) -> float:
     AdjustedImpact caps at 10; AdjustedBase and AdjustedTemporal re-run the
     base/temporal equations on it; the result blends in collateral damage and
     scales by target distribution.  TD None or ND-with-zero-CDP semantics are
-    exactly the reference's.
+    exactly the reference's.  The score is floored at 0.0: with a low adjusted
+    impact the equation's -1.5 term can push it below zero.
     """
     adjusted_impact = min(10.0, _impact(
         vector.confidentiality.weight * vector.confidentiality_requirement.weight,
@@ -237,7 +238,7 @@ def environmental_score(vector: CvssVector) -> float:
     adjusted_temporal = _temporal_from_base(vector, adjusted_base)
     cdp = vector.collateral_damage_potential.weight
     td = vector.target_distribution.weight
-    return _round1((adjusted_temporal + (10.0 - adjusted_temporal) * cdp) * td)
+    return max(0.0, _round1((adjusted_temporal + (10.0 - adjusted_temporal) * cdp) * td))
 
 
 def score_summary(vector: CvssVector) -> dict:

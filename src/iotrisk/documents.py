@@ -297,19 +297,23 @@ def parse_model(text: str) -> ModelDocument:
     raw_temporal = _take(raw, "temporal", dict, "$", issues, default=None)
     if raw_temporal is not None:
         tedges = []
-        for i, e in enumerate(raw_temporal.get("edges", [])):
+        for i, e in enumerate(_take(raw_temporal, "edges", list, "$.temporal", issues,
+                                    default=[])):
             path = f"$.temporal.edges[{i}]"
-            if not isinstance(e, dict) or "from" not in e or "to" not in e:
+            if not isinstance(e, dict) or not isinstance(e.get("from"), str) \
+                    or not isinstance(e.get("to"), str):
                 issues.append((path, 'expected {"from": ..., "to": ...}'))
                 continue
             tedges.append((e["from"], e["to"]))
         transition_cpts = {}
-        for node_id, raw_cpt in sorted(raw_temporal.get("transition_cpts", {}).items()):
+        for node_id, raw_cpt in sorted(_take(raw_temporal, "transition_cpts", dict,
+                                             "$.temporal", issues, default={}).items()):
             cpt = _parse_cpt(node_id, raw_cpt, f"$.temporal.transition_cpts.{node_id}", issues)
             if cpt is not None:
                 transition_cpts[node_id] = cpt
         initial_cpts = {}
-        for node_id, raw_cpt in sorted(raw_temporal.get("initial_cpts", {}).items()):
+        for node_id, raw_cpt in sorted(_take(raw_temporal, "initial_cpts", dict,
+                                             "$.temporal", issues, default={}).items()):
             cpt = _parse_cpt(node_id, raw_cpt, f"$.temporal.initial_cpts.{node_id}", issues)
             if cpt is not None:
                 initial_cpts[node_id] = cpt
@@ -317,8 +321,15 @@ def parse_model(text: str) -> ModelDocument:
         for tgt in sorted(set(missing)):
             issues.append((f"$.temporal.transition_cpts.{tgt}",
                            f"temporal target {tgt!r} has no transition table"))
+        max_horizon = raw_temporal.get("max_horizon", DEFAULT_MAX_HORIZON)
+        try:
+            max_horizon = int(max_horizon)
+        except (TypeError, ValueError, OverflowError):
+            issues.append(("$.temporal.max_horizon",
+                           f"expected an integer, got {max_horizon!r}"))
+            max_horizon = DEFAULT_MAX_HORIZON
         temporal = TemporalSpec(tuple(sorted(set(tedges))), transition_cpts, initial_cpts,
-                                int(raw_temporal.get("max_horizon", DEFAULT_MAX_HORIZON)))
+                                max_horizon)
 
     # ---- roadmap & bindings
     roadmap = None
@@ -442,11 +453,20 @@ def read_evidence(text: str, model: BayesianModel) -> tuple[EvidenceRecord, ...]
             raise ModelSyntaxError(
                 f'evidence line {lineno}: expected {{"ts", "node", "state"}}', lineno)
         node_id, state = raw["node"], raw["state"]
+        try:
+            ts = int(raw["ts"])
+        except (TypeError, ValueError, OverflowError):
+            raise ModelSyntaxError(
+                f"evidence line {lineno}: ts must be an integer (epoch ms), "
+                f"got {raw['ts']!r}", lineno) from None
+        if not isinstance(node_id, str) or not isinstance(state, str):
+            raise ModelSyntaxError(
+                f"evidence line {lineno}: node and state must be strings", lineno)
         node = model.graph.node(node_id)  # raises UnknownNode
         if state not in node.domain:
             raise UnknownState(
                 f"evidence line {lineno}: node {node_id!r} has no state {state!r}")
-        records.append(EvidenceRecord(int(raw["ts"]), node_id, state))
+        records.append(EvidenceRecord(ts, node_id, state))
     return tuple(records)
 
 

@@ -54,8 +54,8 @@ class ImpossibleEvidence(IotRiskError):
 # ------------------------------------------------------------- temporal layer
 
 class InvalidHorizon(IotRiskError):
-    """A time-slice horizon is out of range (< 1, beyond the unroll guard,
-    or a query index is inconsistent)."""
+    """A time-slice horizon is out of range (< 1, beyond the model's
+    ``max_horizon``, or a query index is inconsistent)."""
 
 
 class ObservationBeyondHorizon(IotRiskError):

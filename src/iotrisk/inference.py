@@ -50,10 +50,14 @@ def joint_probability(model: BayesianModel, assignment) -> float:
 
 def _cpt_as_array(model: BayesianModel, node_id: str) -> np.ndarray:
     """CPT as an ndarray with one axis per parent (in parent_order) + the node."""
-    node = model.graph.node(node_id)
-    cpt = model.cpt(node_id)
-    parent_domains = [tuple(model.domain(p)) for p in cpt.parent_order]
-    shape = tuple(len(d) for d in parent_domains) + (len(node.domain),)
+    return _table_array(model.cpt(node_id), model.domain)
+
+
+def _table_array(cpt, domain) -> np.ndarray:
+    """``cpt`` as an ndarray with one axis per parent + the node; ``domain``
+    maps a node id to its state domain."""
+    parent_domains = [tuple(domain(p)) for p in cpt.parent_order]
+    shape = tuple(len(d) for d in parent_domains) + (len(domain(cpt.node)),)
     arr = np.empty(shape, dtype=np.float64)
     if not parent_domains:
         arr[...] = np.asarray(cpt.rows[()])
@@ -133,6 +137,8 @@ def enumerate_marginal(model: BayesianModel, query: str, evidence=None) -> Margi
 
 @dataclass(frozen=True, eq=False)
 class _Factor:
+    """A table over ``vars``, one axis each; ``vars`` is always ascending."""
+
     vars: tuple[str, ...]
     values: np.ndarray
 
@@ -145,16 +151,9 @@ def _factor_product(a: _Factor, b: _Factor) -> _Factor:
     out_vars = tuple(sorted(set(a.vars) | set(b.vars)))
 
     def aligned(f: _Factor) -> np.ndarray:
-        missing = [v for v in out_vars if v not in f.vars]
-        arr = f.values
-        # put existing axes in out_vars order, then append broadcast axes
-        perm = sorted(range(len(f.vars)), key=lambda k: out_vars.index(f.vars[k]))
-        arr = np.transpose(arr, perm)
-        shape = []
-        it = iter(arr.shape)
-        for v in out_vars:
-            shape.append(next(it) if v in f.vars else 1)
-        return arr.reshape(shape)
+        # f's axes are already in out_vars order; insert broadcast axes
+        sizes = dict(zip(f.vars, np.shape(f.values)))
+        return np.reshape(f.values, [sizes.get(v, 1) for v in out_vars])
 
     return _Factor(out_vars, aligned(a) * aligned(b))
 
@@ -169,6 +168,36 @@ def _reduce_factor(f: _Factor, evidence: dict, state_index) -> _Factor:
             index.append(slice(None))
             keep_vars.append(v)
     return _Factor(tuple(keep_vars), f.values[tuple(index)])
+
+
+def _sorted_factor(vars_: tuple[str, ...], values: np.ndarray) -> _Factor:
+    """A factor with its axes permuted into ascending variable order."""
+    order = tuple(sorted(vars_))
+    perm = [vars_.index(v) for v in order]
+    return _Factor(order, np.transpose(values, perm))
+
+
+def _eliminate(factors: list, order) -> _Factor:
+    """Sum the variables in ``order`` out of the factor product, one at a time.
+
+    The factor-level core of variable elimination, shared by
+    :func:`eliminate_marginal` and the temporal interface passes.  Returns the
+    product of what is left, over every variable not in ``order``.
+    """
+    for var in order:
+        related = [f for f in factors if var in f.vars]
+        if not related:
+            continue
+        rest = [f for f in factors if var not in f.vars]
+        product = related[0]
+        for f in related[1:]:
+            product = _factor_product(product, f)
+        factors = rest + [product.sum_out(var)]
+
+    result = _Factor((), np.float64(1.0))
+    for f in factors:
+        result = _factor_product(result, f)
+    return result
 
 
 def eliminate_marginal(model: BayesianModel, query: str, evidence=None) -> Marginal:
@@ -188,32 +217,24 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None) -> Margi
     factors = []
     for n in model.graph.nodes:
         cpt = model.cpt(n.id)
-        f = _Factor(cpt.parent_order + (n.id,), _cpt_as_array(model, n.id))
         # CPT axes must be sorted for _Factor ops; parent_order is sorted but
         # the node's own axis may not land last alphabetically.
-        order = tuple(sorted(f.vars))
-        perm = [f.vars.index(v) for v in order]
-        f = _Factor(order, np.transpose(f.values, perm))
-        f = _reduce_factor(f, evidence, state_index)
-        factors.append(f)
+        f = _sorted_factor(cpt.parent_order + (n.id,), _cpt_as_array(model, n.id))
+        factors.append(_reduce_factor(f, evidence, state_index))
 
     to_eliminate = [v for v in reversed(topological_order(model.graph))
                     if v != query and v not in evidence]
-    for var in to_eliminate:
-        related = [f for f in factors if var in f.vars]
-        if not related:
-            continue
-        rest = [f for f in factors if var not in f.vars]
-        product = related[0]
-        for f in related[1:]:
-            product = _factor_product(product, f)
-        factors = rest + [product.sum_out(var)]
+    result = _eliminate(factors, to_eliminate)
+    return _normalized_marginal(query, tuple(node.domain), result, evidence)
 
-    result = _Factor((), np.float64(1.0))
-    for f in factors:
-        result = _factor_product(result, f)
 
-    states = tuple(node.domain)
+def _normalized_marginal(query: str, states: tuple, result: _Factor,
+                         evidence: dict) -> Marginal:
+    """Turn the unnormalized factor left after elimination into a Marginal.
+
+    ``result`` is over ``(query,)``, or over no variable when the query is in
+    ``evidence``; a zero total means the evidence is impossible.
+    """
     if query in evidence:
         z = float(result.values)
         if z <= 0.0:

@@ -194,17 +194,28 @@ def _check_cpts(graph: DependencyGraph, cpts: dict):
                            f"parent order {cpt.parent_order!r} != graph parents "
                            f"{expected_parents!r} (sorted ascending)"))
             continue
-        domains = [tuple(graph.node(p).domain) for p in expected_parents]
-        node_card = len(graph.node(node_id).domain)
-        expected_rows = set(itertools.product(*domains))
-        got_rows = set(cpt.rows)
-        for combo in sorted(expected_rows - got_rows):
-            issues.append((path, f"missing row for parent states {combo!r}"))
-        for combo in sorted(got_rows - expected_rows):
-            issues.append((path, f"unexpected row key {combo!r}"))
-        for combo in sorted(got_rows & expected_rows):
-            if len(cpt.rows[combo]) != node_card:
-                issues.append((f"{path}.rows{list(combo)!r}",
-                               f"distribution has {len(cpt.rows[combo])} entries, "
-                               f"domain has {node_card}"))
+        issues.extend(check_cpt_rows(graph, cpt, path))
+    return issues
+
+
+def check_cpt_rows(graph: DependencyGraph, cpt: Cpt, path: str):
+    """(path, message) issues for a CPT whose rows do not cover its parents'
+    state combinations exactly, or whose distributions have the wrong length.
+
+    Parents are taken from ``cpt.parent_order`` and must be nodes of ``graph``.
+    """
+    issues = []
+    domains = [tuple(graph.node(p).domain) for p in cpt.parent_order]
+    node_card = len(graph.node(cpt.node).domain)
+    expected_rows = set(itertools.product(*domains))
+    got_rows = set(cpt.rows)
+    for combo in sorted(expected_rows - got_rows):
+        issues.append((path, f"missing row for parent states {combo!r}"))
+    for combo in sorted(got_rows - expected_rows):
+        issues.append((path, f"unexpected row key {combo!r}"))
+    for combo in sorted(got_rows & expected_rows):
+        if len(cpt.rows[combo]) != node_card:
+            issues.append((f"{path}.rows{list(combo)!r}",
+                           f"distribution has {len(cpt.rows[combo])} entries, "
+                           f"domain has {node_card}"))
     return issues

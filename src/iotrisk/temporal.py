@@ -5,12 +5,22 @@ first-order dynamics (slice t feeds slice t+1, never further).  All temporal
 queries are *defined* by unrolling: :func:`unroll` produces a flat model with
 one copy of the template per slice (ids suffixed ``@0``, ``@1``, ...), and
 :func:`filter_marginals` / :func:`smooth_marginals` / :func:`predict_marginals`
-are exact inference on that flat model.  The three differ only in which slices
-carry evidence relative to the queried slice:
+mean exact inference on that flat model.  The three differ only in which
+slices carry evidence relative to the queried slice:
 
 * filter  -- estimate *now* from everything observed so far,
 * smooth  -- re-estimate a *past* slice using later observations too,
 * predict -- extrapolate an unobserved *future* slice.
+
+The queries do not unroll, though.  They pass messages over the *interface*,
+the sources of temporal edges, which d-separates the past from the future
+(the interface algorithm; Murphy 2002, ch. 3).  A forward message carries the
+interface distribution given the evidence so far from slice to slice; a
+backward message carries the likelihood of later evidence back to the
+queried slice.  Each step is variable elimination on one slice's tables, so a
+query costs O(t) small factor operations.  :func:`unroll` and
+:func:`unrolled_marginals` are kept as the oracle these passes are tested
+against.
 
 Slice parameters are shared across time (slice >= 1 all use the transition
 tables), so the dynamics are time-homogeneous by construction.
@@ -18,28 +28,52 @@ tables), so the dynamics are time-homogeneous by construction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
+    ImpossibleEvidence,
     InvalidHorizon,
     ObservationBeyondHorizon,
     UnknownState,
     ValidationFailed,
 )
-from .graph import ComponentNode, DependencyGraph, InfluenceEdge
-from .inference import eliminate_marginal
-from .model import BayesianModel, Cpt, Marginal
+from .graph import ComponentNode, DependencyGraph, InfluenceEdge, topological_order
+from .inference import (
+    eliminate_marginal,
+    _eliminate,
+    _Factor,
+    _normalized_marginal,
+    _reduce_factor,
+    _sorted_factor,
+    _table_array,
+)
+from .model import BayesianModel, Cpt, Marginal, check_cpt_rows
 
 SLICE_SEP = "@"
 
-# Unrolling is exponential in memory with slice count; keep a guard rail.
+# Longest time axis a query may span (slices 0 .. max_horizon - 1).  Queries
+# cost O(t) by interface passes; the guard still bounds every query and the
+# :func:`unroll` oracle, whose VE cost can grow exponentially with slice count.
 DEFAULT_MAX_HORIZON = 64
 
 
 def slice_id(node_id: str, t: int) -> str:
     """Unrolled id of a template node at slice ``t``."""
     return f"{node_id}{SLICE_SEP}{t}"
+
+
+_PREV = f"{SLICE_SEP}-1"
+
+
+def _prev(node_id: str) -> str:
+    """Name of ``node_id`` one slice back, inside one slice's factors."""
+    return node_id + _PREV
+
+
+def _current(var: str) -> str:
+    return var[:-len(_PREV)]
 
 
 @dataclass(frozen=True)
@@ -79,6 +113,10 @@ class TemporalModel:
     temporal_edges: tuple[TemporalEdge, ...]
     initial_cpts: dict = field(default_factory=dict)
     max_horizon: int = DEFAULT_MAX_HORIZON
+    # Compiled once at construction for the interface passes (see _compile).
+    _tables: tuple = field(init=False, repr=False, compare=False)
+    _interface: tuple = field(init=False, repr=False, compare=False)
+    _reverse_topo: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, template, temporal_edges, initial_cpts=None,
                  max_horizon: int = DEFAULT_MAX_HORIZON):
@@ -89,6 +127,35 @@ class TemporalModel:
         object.__setattr__(self, "initial_cpts", dict(initial_cpts or {}))
         object.__setattr__(self, "max_horizon", int(max_horizon))
         self._check()
+        self._compile()
+
+    def _compile(self) -> None:
+        """Slice tables as sorted-axis factors, plus the elimination inputs.
+
+        ``_tables[0]`` holds slice 0's tables, ``_tables[1]`` those of every
+        later slice, where a temporal parent is named ``_prev(source)``.
+        ``_interface`` lists the temporal sources; ``_reverse_topo`` is the
+        template's elimination order, as in :func:`eliminate_marginal`.
+        """
+        model = self.template.model
+        transitions = self.transition_cpts
+
+        def factor(cpt: Cpt, sources=frozenset()) -> _Factor:
+            parents = tuple(_prev(p) if p in sources else p for p in cpt.parent_order)
+            return _sorted_factor(parents + (cpt.node,), _table_array(cpt, model.domain))
+
+        initial, later = [], []
+        for node in model.graph.nodes:
+            table = factor(model.cpts[node.id])
+            initial.append(factor(self.initial_cpts[node.id])
+                           if node.id in self.initial_cpts else table)
+            later.append(factor(transitions[node.id], set(self.temporal_sources(node.id)))
+                         if node.id in transitions else table)
+        object.__setattr__(self, "_tables", (tuple(initial), tuple(later)))
+        object.__setattr__(self, "_interface",
+                           tuple(sorted({e.source for e in self.temporal_edges})))
+        object.__setattr__(self, "_reverse_topo",
+                           tuple(reversed(topological_order(model.graph))))
 
     def _check(self) -> None:
         issues: list[tuple[str, str]] = []
@@ -126,7 +193,7 @@ class TemporalModel:
                                    f"{expected!r}, got node {cpt.node!r} parents "
                                    f"{cpt.parent_order!r}"))
                     continue
-                issues.extend(_check_rows(model, cpt, path))
+                issues.extend(check_cpt_rows(graph, cpt, path))
 
             for node_id, cpt in sorted(self.initial_cpts.items()):
                 path = f"$.temporal.initial_cpts.{node_id}"
@@ -141,7 +208,7 @@ class TemporalModel:
                                    f"slice-0 table must be for {node_id!r} with parents "
                                    f"{intra!r}"))
                     continue
-                issues.extend(_check_rows(model, cpt, path))
+                issues.extend(check_cpt_rows(graph, cpt, path))
 
         if issues:
             raise ValidationFailed(issues)
@@ -158,24 +225,6 @@ class TemporalModel:
     def temporal_sources(self, target: str) -> tuple[str, ...]:
         return tuple(sorted({e.source for e in self.temporal_edges
                              if e.target == target}))
-
-
-def _check_rows(model: BayesianModel, cpt: Cpt, path: str):
-    graph = model.graph
-    issues = []
-    domains = [tuple(graph.node(p).domain) for p in cpt.parent_order]
-    node_card = len(graph.node(cpt.node).domain)
-    expected = set(itertools.product(*domains))
-    got = set(cpt.rows)
-    for combo in sorted(expected - got):
-        issues.append((path, f"missing row for parent states {combo!r}"))
-    for combo in sorted(got - expected):
-        issues.append((path, f"unexpected row key {combo!r}"))
-    for combo in sorted(got & expected):
-        if len(cpt.rows[combo]) != node_card:
-            issues.append((path, f"row {combo!r} has {len(cpt.rows[combo])} entries, "
-                                 f"domain has {node_card}"))
-    return issues
 
 
 @dataclass(frozen=True)
@@ -229,9 +278,7 @@ def unroll(model: TemporalModel, horizon: int) -> BayesianModel:
     horizon = int(horizon)
     if horizon < 1:
         raise InvalidHorizon(f"horizon must be >= 1, got {horizon}")
-    if horizon > model.max_horizon:
-        raise InvalidHorizon(
-            f"horizon {horizon} exceeds the configured limit {model.max_horizon}")
+    _check_horizon(model, horizon)
 
     template_model = model.template.model
     graph = template_model.graph
@@ -267,6 +314,22 @@ def unroll(model: TemporalModel, horizon: int) -> BayesianModel:
     return BayesianModel(DependencyGraph(nodes, edges), cpts)
 
 
+def unrolled_marginals(model: TemporalModel, obs: ObservationSeries,
+                       k: int, horizon: int) -> dict:
+    """Oracle: P(node@k | obs) per template node, by VE on ``unroll(model, horizon)``.
+
+    The definition the fast queries are checked against; its cost grows
+    exponentially with ``horizon``, so use it on short horizons only.
+    """
+    flat = unroll(model, horizon)
+    evidence = obs.unrolled_evidence()
+    out = {}
+    for node in model.template.model.graph.nodes:
+        marg = eliminate_marginal(flat, slice_id(node.id, k), evidence)
+        out[node.id] = Marginal(node.id, marg.states, marg.probabilities)
+    return out
+
+
 def _rename_parents(cpt: Cpt, new_node: str, rename: dict) -> Cpt:
     """Rebuild a CPT under a parent renaming, keeping parent_order sorted."""
     renamed = [rename[p] for p in cpt.parent_order]
@@ -276,8 +339,16 @@ def _rename_parents(cpt: Cpt, new_node: str, rename: dict) -> Cpt:
     return Cpt(new_node, new_parents, new_rows)
 
 
-def _prepare(model: TemporalModel, obs: ObservationSeries, last_obs_time: int):
+def _check_horizon(model: TemporalModel, horizon: int) -> None:
+    if horizon > model.max_horizon:
+        raise InvalidHorizon(
+            f"horizon {horizon} exceeds the configured limit {model.max_horizon}")
+
+
+def _prepare(model: TemporalModel, obs: ObservationSeries, last_obs_time: int) -> dict:
+    """Validate ``obs``; return slice -> {node: state index}."""
     graph = model.template.model.graph
+    by_slice: dict[int, dict[str, int]] = {}
     for t, node_id, state in obs:
         node = graph.node(node_id)  # raises UnknownNode for foreign ids
         if state not in node.domain:
@@ -286,15 +357,70 @@ def _prepare(model: TemporalModel, obs: ObservationSeries, last_obs_time: int):
         if t > last_obs_time:
             raise ObservationBeyondHorizon(
                 f"observation at time {t} is beyond the query time {last_obs_time}")
-    return obs.unrolled_evidence()
+        by_slice.setdefault(t, {})[node_id] = node.domain.index(state)
+    return by_slice
 
 
-def _slice_marginals(unrolled: BayesianModel, template_model: BayesianModel,
-                     evidence: dict, t: int) -> dict:
+def _given(var: str, index: int) -> int:
+    return index
+
+
+def _slice_factors(model: TemporalModel, evidence: dict, s: int, messages) -> list:
+    """Slice ``s``'s tables reduced by its evidence, plus ``messages``.
+
+    A temporal source observed at slice s-1 is reduced on its ``_prev`` axis
+    too, since that evidence already removed it from the forward message.
+    """
+    observed = dict(evidence.get(s, {}))
+    observed.update((_prev(n), i) for n, i in evidence.get(s - 1, {}).items())
+    factors = [_reduce_factor(f, observed, _given) for f in model._tables[min(s, 1)]]
+    return factors + [m for m in messages if m is not None]
+
+
+def _message(result: _Factor, rename, obs: ObservationSeries) -> _Factor:
+    """``result`` normalized to sum 1, its variables renamed by ``rename``."""
+    z = float(np.sum(result.values))
+    if z <= 0.0:
+        raise _impossible(obs)
+    return _sorted_factor(tuple(rename(v) for v in result.vars), result.values / z)
+
+
+def _impossible(obs: ObservationSeries) -> ImpossibleEvidence:
+    return ImpossibleEvidence(f"evidence {obs.unrolled_evidence()!r} has probability 0")
+
+
+def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
+                k: int, last: int) -> dict:
+    """P(node@k | evidence in slices 0..last) for every template node.
+
+    The forward message alpha runs over slices 0..k-1 and holds the
+    interface at k-1; the backward message beta runs from ``last`` back to
+    k+1 and holds the likelihood of that evidence given the interface at k.
+    Slice k's tables between the two are then eliminated once per node.
+    """
+    previous = [_prev(n) for n in model._interface]
+    template = list(model._reverse_topo)
+    # Forward steps keep the interface; backward steps keep the previous one.
+    forward = previous + [v for v in template if v not in model._interface]
+    alpha = None
+    for s in range(k):
+        result = _eliminate(_slice_factors(model, evidence, s, [alpha]), forward)
+        alpha = _message(result, _prev, obs)
+    beta = None
+    for s in range(last, k, -1):
+        result = _eliminate(_slice_factors(model, evidence, s, [beta]), template)
+        beta = _message(result, _current, obs)
+
+    factors = _slice_factors(model, evidence, k, [alpha, beta])
+    observed = evidence.get(k, {})
     out = {}
-    for node in template_model.graph.nodes:
-        marg = eliminate_marginal(unrolled, slice_id(node.id, t), evidence)
-        out[node.id] = Marginal(node.id, marg.states, marg.probabilities)
+    for node in model.template.model.graph.nodes:
+        result = _eliminate(factors, [v for v in previous + template if v != node.id])
+        if float(np.sum(result.values)) <= 0.0:
+            raise _impossible(obs)
+        states = tuple(node.domain)
+        here = {node.id: states[observed[node.id]]} if node.id in observed else {}
+        out[node.id] = _normalized_marginal(node.id, states, result, here)
     return out
 
 
@@ -304,8 +430,8 @@ def filter_marginals(model: TemporalModel, obs: ObservationSeries, t: int) -> di
     if t < 0:
         raise InvalidHorizon(f"time index must be >= 0, got {t}")
     evidence = _prepare(model, obs, t)
-    unrolled = unroll(model, t + 1)
-    return _slice_marginals(unrolled, model.template.model, evidence, t)
+    _check_horizon(model, t + 1)
+    return _posteriors(model, obs, evidence, t, t)
 
 
 def smooth_marginals(model: TemporalModel, obs: ObservationSeries,
@@ -315,8 +441,8 @@ def smooth_marginals(model: TemporalModel, obs: ObservationSeries,
     if k < 0 or k > t:
         raise InvalidHorizon(f"smoothing requires 0 <= k <= t, got k={k}, t={t}")
     evidence = _prepare(model, obs, t)
-    unrolled = unroll(model, t + 1)
-    return _slice_marginals(unrolled, model.template.model, evidence, k)
+    _check_horizon(model, t + 1)
+    return _posteriors(model, obs, evidence, k, t)
 
 
 def predict_marginals(model: TemporalModel, obs: ObservationSeries,
@@ -328,5 +454,6 @@ def predict_marginals(model: TemporalModel, obs: ObservationSeries,
     if h < 1:
         raise InvalidHorizon(f"prediction horizon must be >= 1, got {h}")
     evidence = _prepare(model, obs, t)
-    unrolled = unroll(model, t + h + 1)
-    return _slice_marginals(unrolled, model.template.model, evidence, t + h)
+    _check_horizon(model, t + h + 1)
+    # No evidence after t: the forward pass simply runs on through t+h-1.
+    return _posteriors(model, obs, evidence, t + h, t + h)

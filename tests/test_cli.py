@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,8 @@ import pytest
 from iotrisk.bundled import load_bundled_model
 from iotrisk.cli import main
 from iotrisk.documents import serialize_model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 pytestmark = pytest.mark.usefixtures("model_files")
 
@@ -140,6 +145,12 @@ class TestDbn:
                       "--mode", "smooth", "--at", "1")
         assert code == 2
 
+    def test_filter_at_last_slice_within_max_horizon(self, capsys, model_files):
+        code, out = run(capsys, "dbn", "--model", model_files["smart_home"], "--at", "63")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["at"] == 63 and "wifi_gateway" in result["marginals"]
+
     def test_model_without_temporal_section_exits_one(self, capsys, model_files):
         code, _ = run(capsys, "dbn", "--model", model_files["layered_iot"])
         assert code == 1
@@ -235,3 +246,71 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["infer", "--model", model_files["layered_iot"], "--observe", "nope"])
         assert err.value.code == 2
+
+
+def run_process(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "iotrisk.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestBoundary:
+    """Bad arguments and malformed input exit 2 or 1 without a traceback."""
+
+    def test_zero_bucket_width_is_usage_error(self, model_files):
+        proc = run_process("dbn", "--model", model_files["smart_home"],
+                           "--evidence", model_files["evidence"], "--bucket-ms", "0")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_zero_sample_count_is_usage_error(self, model_files):
+        proc = run_process("sample", "--model", model_files["layered_iot"], "--n", "0")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_non_integer_evidence_timestamp_exits_one(self, tmp_path, model_files):
+        stream = tmp_path / "e.ndjson"
+        stream.write_text('{"ts": "x", "node": "monitoring_app", "state": "stale"}\n',
+                          encoding="utf-8")
+        proc = run_process("dbn", "--model", model_files["smart_home"],
+                           "--evidence", str(stream))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "evidence line 1" in proc.stderr
+
+    def test_non_integer_max_horizon_exits_one(self, tmp_path, model_files):
+        raw = json.loads(Path(model_files["smart_home"]).read_text())
+        raw["temporal"]["max_horizon"] = "abc"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        proc = run_process("dbn", "--model", str(bad))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "$.temporal.max_horizon" in proc.stderr
+
+    @pytest.mark.parametrize("temporal_patch", [
+        {"edges": [{"from": ["wifi_gateway"], "to": "wifi_gateway"}]},
+        {"transition_cpts": []},
+    ])
+    def test_mistyped_temporal_section_exits_one(self, tmp_path, model_files,
+                                                 temporal_patch):
+        raw = json.loads(Path(model_files["smart_home"]).read_text())
+        raw["temporal"].update(temporal_patch)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        proc = run_process("dbn", "--model", str(bad))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "$.temporal." in proc.stderr
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]"])
+    def test_malformed_tier_file_exits_one(self, tmp_path, model_files, text):
+        current = tmp_path / "current.json"
+        current.write_text(text, encoding="utf-8")
+        proc = run_process("roadmap", "--roadmap", model_files["roadmap"],
+                           "--current", str(current), "--target", model_files["target"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert str(current) in proc.stderr

@@ -160,6 +160,12 @@ class TestEnvironmentalProperties:
             assert 0.0 <= score <= 10.0
             assert round(score, 1) == score  # one-decimal contract
 
+    def test_low_adjusted_impact_floors_at_zero(self):
+        # The unfloored equation gives -0.1 here: adjusted base -0.2, TD:L.
+        vector = CvssVector.from_string(
+            "AV:L/AC:H/Au:M/C:N/I:P/A:N/E:H/RL:ND/CDP:N/TD:L/CR:L/IR:L/AR:L")
+        assert environmental_score(vector) == 0.0
+
     def test_deterministic(self):
         vector = CvssVector.from_string("AV:A/AC:M/Au:S/C:P/I:P/A:P/CDP:LM/TD:M")
         assert environmental_score(vector) == environmental_score(vector)

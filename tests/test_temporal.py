@@ -11,14 +11,16 @@ import random
 
 import pytest
 
+from iotrisk.bundled import load_bundled_model
 from iotrisk.errors import (
+    ImpossibleEvidence,
     InvalidHorizon,
     ObservationBeyondHorizon,
     UnknownNode,
     UnknownState,
     ValidationFailed,
 )
-from iotrisk.graph import ComponentNode, DependencyGraph, StateDomain, validate
+from iotrisk.graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain, validate
 from iotrisk.inference import eliminate_marginal, enumerate_posteriors
 from iotrisk.model import BayesianModel, Cpt
 from iotrisk.temporal import (
@@ -31,6 +33,7 @@ from iotrisk.temporal import (
     slice_id,
     smooth_marginals,
     unroll,
+    unrolled_marginals,
 )
 
 from conftest import random_temporal_model
@@ -246,6 +249,99 @@ class TestUnrolledEquivalence:
         direct = eliminate_marginal(big, "X@1", obs.unrolled_evidence())
         filtered = filter_marginals(sensor_dbn, obs, 1)["X"]
         assert direct.probabilities == pytest.approx(filtered.probabilities, abs=1e-12)
+
+
+def cross_source_dbn() -> TemporalModel:
+    """A feeds B across slices (A@t-1 -> B@t) and both feed C within a slice."""
+    states = StateDomain(["up", "down"])
+    graph = DependencyGraph(
+        [ComponentNode(nid, "network", states) for nid in ("A", "B", "C")],
+        [InfluenceEdge("A", "C"), InfluenceEdge("B", "C")])
+    template = BayesianModel(graph, {
+        "A": Cpt.prior("A", (0.7, 0.3)),
+        "B": Cpt.prior("B", (0.6, 0.4)),
+        "C": Cpt("C", ("A", "B"), {("up", "up"): (0.95, 0.05), ("up", "down"): (0.4, 0.6),
+                                   ("down", "up"): (0.3, 0.7),
+                                   ("down", "down"): (0.1, 0.9)}),
+    })
+    transition = Cpt("B", ("A", "B"), {("up", "up"): (0.9, 0.1), ("up", "down"): (0.5, 0.5),
+                                       ("down", "up"): (0.2, 0.8),
+                                       ("down", "down"): (0.05, 0.95)})
+    return TemporalModel(SliceTemplate(template),
+                         [TemporalEdge("A", "B", transition),
+                          TemporalEdge("B", "B", transition)])
+
+
+def _assert_matches_unrolled(tm, obs, marginals, k, horizon):
+    """``marginals`` (slice k) against VE on the unrolled oracle model."""
+    expected = unrolled_marginals(tm, obs, k, horizon)
+    assert set(marginals) == set(expected)
+    for nid, marginal in marginals.items():
+        assert marginal.probabilities == pytest.approx(
+            expected[nid].probabilities, abs=1e-9), nid
+
+
+class TestInterfacePasses:
+    """Forward/backward messages over the interface, checked against unroll."""
+
+    @pytest.mark.parametrize("observed", [{"A": "down"}, {"B": "down"},
+                                          {"A": "down", "B": "up"}, {"C": "down"}])
+    def test_source_observed_at_previous_slice(self, observed):
+        # A source observed at t-1 is gone from the forward message, so the
+        # next slice's transition table must be reduced on its previous axis.
+        tm = cross_source_dbn()
+        obs = ObservationSeries([(1, observed)])
+        _assert_matches_unrolled(tm, obs, filter_marginals(tm, obs, 2), 2, 3)
+        _assert_matches_unrolled(tm, obs, smooth_marginals(tm, obs, 0, 2), 0, 3)
+        _assert_matches_unrolled(tm, obs, smooth_marginals(tm, obs, 2, 2), 2, 3)
+        _assert_matches_unrolled(tm, obs, predict_marginals(tm, obs, 1, 1), 2, 3)
+
+    def test_smart_home_source_observed_at_previous_slice(self):
+        tm = load_bundled_model("smart_home").temporal_model()
+        obs = ObservationSeries([(0, {"monitoring_app": "stale"}),
+                                 (2, {"wifi_gateway": "down", "motion_sensor": "faulty"}),
+                                 (3, {"alarm_service": "degraded"})])
+        _assert_matches_unrolled(tm, obs, filter_marginals(tm, obs, 3), 3, 4)
+        for k in range(4):
+            _assert_matches_unrolled(tm, obs, smooth_marginals(tm, obs, k, 3), k, 4)
+        _assert_matches_unrolled(tm, obs, predict_marginals(tm, obs, 3, 2), 5, 6)
+
+    def test_smart_home_at_max_horizon(self):
+        tm = load_bundled_model("smart_home").temporal_model()
+        t = tm.max_horizon - 1
+        obs = ObservationSeries([(s, {"monitoring_app": "stale" if s % 3 else "live"})
+                                 for s in range(0, t + 1, 2)])
+        filtered = filter_marginals(tm, obs, t)
+        results = [filtered, smooth_marginals(tm, obs, t, t),
+                   smooth_marginals(tm, obs, t // 2, t),
+                   predict_marginals(tm, obs, t - 1, 1)]
+        for marginals in results:
+            assert set(marginals) == set(tm.template.model.graph.node_ids)
+            for marginal in marginals.values():
+                assert sum(marginal.probabilities) == pytest.approx(1.0, abs=1e-12)
+        for nid, marginal in results[1].items():
+            assert filtered[nid].probabilities == pytest.approx(
+                marginal.probabilities, abs=1e-12)
+
+    def test_max_horizon_bounds_every_query(self, sensor_dbn):
+        t = sensor_dbn.max_horizon
+        with pytest.raises(InvalidHorizon):
+            filter_marginals(sensor_dbn, ObservationSeries(), t)
+        with pytest.raises(InvalidHorizon):
+            smooth_marginals(sensor_dbn, ObservationSeries(), 0, t)
+        with pytest.raises(InvalidHorizon):
+            predict_marginals(sensor_dbn, ObservationSeries(), t - 1, 1)
+
+    def test_impossible_evidence_raises_in_each_pass(self):
+        identity = Cpt("X", ("X",), {("ok",): (1.0, 0.0), ("fail",): (0.0, 1.0)})
+        tm = single_node_dbn(transition=identity)
+        obs = ObservationSeries([(0, {"X": "ok"}), (2, {"X": "fail"})])
+        with pytest.raises(ImpossibleEvidence):
+            filter_marginals(tm, obs, 2)       # final slice
+        with pytest.raises(ImpossibleEvidence):
+            filter_marginals(tm, obs, 3)       # forward message
+        with pytest.raises(ImpossibleEvidence):
+            smooth_marginals(tm, obs, 0, 2)    # backward message
 
 
 def _random_observations(rng: random.Random, tm: TemporalModel, t: int) -> ObservationSeries:
