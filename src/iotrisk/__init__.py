@@ -17,6 +17,7 @@ from .errors import (
     EmptyGoal,
     ImpossibleEvidence,
     IncompleteAssignment,
+    InvalidArgument,
     InvalidDistribution,
     InvalidHorizon,
     InvalidMetricValue,

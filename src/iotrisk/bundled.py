@@ -57,13 +57,20 @@ def parse_roadmap_document(text: str, section: str | None = DEFAULT_ROADMAP_SECT
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(f"not valid JSON: {exc.msg} (line {exc.lineno}, "
                                f"column {exc.colno})", exc.lineno, exc.colno) from None
+    if not isinstance(raw, dict):
+        raise ModelSyntaxError(f"document root must be an object, got "
+                               f"{type(raw).__name__}")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"schema_version {raw.get('schema_version')!r} is not supported")
     sections = raw.get("sections")
     if not isinstance(sections, list):
         raise ValidationFailed([("$.sections", "expected a list of sections")])
-    by_key = {s.get("key"): s for s in sections if isinstance(s, dict)}
+    malformed = [(f"$.sections[{i}]", "expected an object")
+                 for i, s in enumerate(sections) if not isinstance(s, dict)]
+    if malformed:
+        raise ValidationFailed(malformed)
+    by_key = {s["key"]: s for s in sections if isinstance(s.get("key"), str)}
     if section is not None:
         if section not in by_key:
             raise ValidationFailed(

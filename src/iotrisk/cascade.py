@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import ImpossibleEvidence, UnknownNode, UnknownState
-from .graph import DependencyGraph, ancestors, dependency_order, descendants
+from .graph import DependencyGraph, ancestors, dependency_distances, descendants
 from .inference import eliminate_marginal, posterior_update
 from .model import BayesianModel, Marginal
 
@@ -165,6 +165,7 @@ def impact_probabilities(model: BayesianModel, scenario: IncidentScenario) -> Im
     for origin in scenario.origins:
         upstream |= ancestors(graph, origin)
     upstream -= set(scenario.origins)
+    distances = dependency_distances(graph, scenario.origins)
 
     per_node = {}
     for node in graph.nodes:
@@ -173,9 +174,7 @@ def impact_probabilities(model: BayesianModel, scenario: IncidentScenario) -> Im
             order: int | None = 0
             relation = NodeRelation.ORIGIN
         else:
-            orders = [dependency_order(graph, origin, nid) for origin in scenario.origins]
-            orders = [o for o in orders if o is not None]
-            order = min(orders) if orders else None
+            order = distances.get(nid)
             if nid in affected:
                 relation = NodeRelation.IMPACTED
             elif nid in upstream:

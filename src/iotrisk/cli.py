@@ -35,7 +35,7 @@ from .cvss import (
     score_to_prior,
 )
 from .documents import ingest_evidence, parse_model, read_evidence
-from .errors import IotRiskError, ModelSyntaxError, ValidationFailed
+from .errors import DocumentError, IotRiskError, ModelSyntaxError, ValidationFailed
 from .graph import validate as validate_graph
 from .inference import eliminate_marginal, posterior_update
 from .reporting import emit_report, export_dot, input_digest, to_jsonable
@@ -205,9 +205,18 @@ def _emit(args, kind: str, result, digest: str | None) -> None:
         _write(args, emit_report(kind, result, digest))
 
 
+def _decode(raw: bytes, path: str) -> str:
+    """``raw`` as UTF-8 text; bytes that are not UTF-8 are a located input error."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text: {exc.reason} at byte offset "
+                            f"{exc.start}") from None
+
+
 def _load_document(args):
     raw = Path(args.model).read_bytes()
-    return parse_model(raw.decode("utf-8")), input_digest(raw)
+    return parse_model(_decode(raw, args.model)), input_digest(raw)
 
 
 # ------------------------------------------------------------------- commands
@@ -216,7 +225,7 @@ def _cmd_validate(args) -> int:
     raw = Path(args.model).read_bytes()
     digest = input_digest(raw)
     try:
-        doc = parse_model(raw.decode("utf-8"))
+        doc = parse_model(_decode(raw, args.model))
     except ValidationFailed as exc:
         result = {"ok": False,
                   "issues": [{"path": path, "message": msg} for path, msg in exc.issues]}
@@ -240,7 +249,7 @@ def _cmd_infer(args) -> int:
     if args.evidence:
         raw = Path(args.evidence).read_bytes()
         digest = input_digest(Path(args.model).read_bytes(), raw)
-        for record in sorted(read_evidence(raw.decode("utf-8"), model),
+        for record in sorted(read_evidence(_decode(raw, args.evidence), model),
                              key=lambda r: r.timestamp_ms):
             evidence[record.node] = record.state
     evidence.update(dict(args.observe))
@@ -276,7 +285,7 @@ def _cmd_dbn(args) -> int:
     if args.evidence:
         raw = Path(args.evidence).read_bytes()
         digest = input_digest(Path(args.model).read_bytes(), raw)
-        records = read_evidence(raw.decode("utf-8"), tm.template.model)
+        records = read_evidence(_decode(raw, args.evidence), tm.template.model)
         obs = ingest_evidence(records, args.bucket_ms)
     else:
         obs = ObservationSeries()
@@ -337,7 +346,7 @@ def _cmd_cvss(args) -> int:
 def _read_tiers(path: str) -> dict:
     """A JSON file holding one object: control element id -> tier label."""
     try:
-        value = json.loads(Path(path).read_text(encoding="utf-8"))
+        value = json.loads(_decode(Path(path).read_bytes(), path))
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(f"{path}: not valid JSON: {exc.msg} (line {exc.lineno}, "
                                f"column {exc.colno})", exc.lineno, exc.colno) from None
@@ -358,7 +367,7 @@ def _cmd_roadmap(args) -> int:
         raw = Path(args.roadmap).read_bytes()
         digest = input_digest(raw)
         section = None if args.section == "all" else args.section
-        roadmap = parse_roadmap_document(raw.decode("utf-8"), section)
+        roadmap = parse_roadmap_document(_decode(raw, args.roadmap), section)
     current = _read_tiers(args.current)
     target = _read_tiers(args.target)
     scale = tuple(s.strip() for s in args.scale.split(",") if s.strip())

@@ -24,6 +24,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .errors import (
+    InvalidArgument,
     InvalidDistribution,
     ModelSyntaxError,
     SchemaVersionMismatch,
@@ -226,12 +227,16 @@ def parse_model(text: str) -> ModelDocument:
                 or not all(isinstance(s, str) for s in states)):
             issues.append((f"{path}.states", "expected a non-empty list of state labels"))
             continue
+        layer, description = n.get("layer", "custom"), n.get("description", "")
+        if not isinstance(layer, str) or not isinstance(description, str):
+            issues.append((path, "layer and description must be strings"))
+            continue
         try:
             nodes.append(ComponentNode(
-                id=nid, layer=n.get("layer", "custom"),
+                id=nid, layer=layer,
                 domain=StateDomain(states),
                 is_service_goal=bool(n.get("service_goal", False)),
-                description=n.get("description", "")))
+                description=description))
         except ValueError as exc:
             issues.append((path, str(exc)))
 
@@ -240,6 +245,9 @@ def parse_model(text: str) -> ModelDocument:
         path = f"$.edges[{i}]"
         if not isinstance(e, dict) or "from" not in e or "to" not in e:
             issues.append((path, 'expected {"from": ..., "to": ...}'))
+            continue
+        if not isinstance(e["from"], str) or not isinstance(e["to"], str):
+            issues.append((path, "edge endpoints must be node id strings"))
             continue
         try:
             edges.append(InfluenceEdge(e["from"], e["to"]))
@@ -478,7 +486,7 @@ def ingest_evidence(records, bucket_ms: int, t0: int | None = None) -> Observati
     once the latest timestamp wins and a warning is logged.
     """
     if bucket_ms <= 0:
-        raise ValueError(f"bucket_ms must be positive, got {bucket_ms}")
+        raise InvalidArgument(f"bucket_ms must be positive, got {bucket_ms}")
     records = sorted(records, key=lambda r: (r.timestamp_ms, r.node))
     if not records:
         return ObservationSeries()
@@ -489,7 +497,7 @@ def ingest_evidence(records, bucket_ms: int, t0: int | None = None) -> Observati
     for record in records:
         slot = (record.timestamp_ms - t0) // bucket_ms
         if slot < 0:
-            raise ValueError(
+            raise InvalidArgument(
                 f"record at {record.timestamp_ms} predates the bucket origin {t0}")
         key = (record.node, slot)
         if key in chosen:

@@ -13,6 +13,12 @@ class IotRiskError(Exception):
     """Base class for all iotrisk errors."""
 
 
+class InvalidArgument(IotRiskError, ValueError):
+    """A library call got an argument outside its documented range, such as
+    a sample count below 1.  It is also a :class:`ValueError`, so callers
+    that catch the built-in keep working."""
+
+
 # ---------------------------------------------------------------- graph layer
 
 class UnknownNode(IotRiskError):

@@ -116,6 +116,11 @@ class DependencyGraph:
     nodes: tuple[ComponentNode, ...]
     edges: tuple[InfluenceEdge, ...]
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False)
+    # The adjacency index: node id -> ascending ids of its edge sources
+    # (_parents) or targets (_children).  Dangling endpoints are indexed too,
+    # so an invalid graph still answers for what its edges say.
+    _parents: dict = field(init=False, repr=False, compare=False, hash=False)
+    _children: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __init__(self, nodes, edges=()):
         object.__setattr__(self, "nodes", tuple(sorted(nodes, key=lambda n: n.id)))
@@ -125,6 +130,13 @@ class DependencyGraph:
         for node in self.nodes:
             by_id.setdefault(node.id, node)
         object.__setattr__(self, "_by_id", by_id)
+        parents: dict[str, list[str]] = {}
+        children: dict[str, list[str]] = {}
+        for e in self.edges:  # sorted by (source, target)
+            children.setdefault(e.source, []).append(e.target)
+            parents.setdefault(e.target, []).append(e.source)
+        object.__setattr__(self, "_parents", {k: tuple(v) for k, v in parents.items()})
+        object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
 
     # ------------------------------------------------------------- accessors
 
@@ -144,12 +156,12 @@ class DependencyGraph:
     def parents(self, node_id: str) -> tuple[str, ...]:
         """Direct providers of ``node_id``, ascending by id."""
         self.node(node_id)
-        return tuple(sorted(e.source for e in self.edges if e.target == node_id))
+        return self._parents.get(node_id, ())
 
     def children(self, node_id: str) -> tuple[str, ...]:
         """Direct dependents of ``node_id``, ascending by id."""
         self.node(node_id)
-        return tuple(sorted(e.target for e in self.edges if e.source == node_id))
+        return self._children.get(node_id, ())
 
     def layers(self) -> tuple[str, ...]:
         return tuple(sorted({n.layer for n in self.nodes}))
@@ -158,8 +170,7 @@ class DependencyGraph:
         return tuple(n.id for n in self.nodes if n.is_service_goal)
 
     def sinks(self) -> tuple[str, ...]:
-        sources = {e.source for e in self.edges}
-        return tuple(n.id for n in self.nodes if n.id not in sources)
+        return tuple(n.id for n in self.nodes if n.id not in self._children)
 
 
 # ---------------------------------------------------------------- operations
@@ -208,12 +219,8 @@ def validate(graph: DependencyGraph) -> ValidationReport:
 
 def _find_cycle(graph: DependencyGraph) -> tuple[str, ...] | None:
     """Return one directed cycle as a node tuple, deterministically, or None."""
-    succ: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    for e in graph.edges:
-        if e.source in succ and e.target in succ:
-            succ[e.source].append(e.target)
-    for k in succ:
-        succ[k].sort()
+    succ = {nid: [c for c in graph._children.get(nid, ()) if c in graph]
+            for nid in graph._by_id}
 
     WHITE, GREY, BLACK = 0, 1, 2
     color = {n: WHITE for n in succ}
@@ -251,22 +258,18 @@ def topological_order(graph: DependencyGraph) -> tuple[str, ...]:
     Raises :class:`CyclicGraph` on cycles and :class:`UnknownNode` on edges
     whose endpoints are not in the graph.
     """
-    indegree = {n.id: 0 for n in graph.nodes}
-    succ: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
     for e in graph.edges:
-        if e.source not in indegree or e.target not in indegree:
+        if e.source not in graph or e.target not in graph:
             raise UnknownNode(
                 f"edge {e.source!r}->{e.target!r} references a node not in the graph")
-        indegree[e.target] += 1
-        succ[e.source].append(e.target)
-
+    indegree = {nid: len(graph._parents.get(nid, ())) for nid in graph._by_id}
     ready = [nid for nid, deg in indegree.items() if deg == 0]
     heapq.heapify(ready)
     order: list[str] = []
     while ready:
         nid = heapq.heappop(ready)
         order.append(nid)
-        for nxt in succ[nid]:
+        for nxt in graph._children.get(nid, ()):
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 heapq.heappush(ready, nxt)
@@ -277,40 +280,47 @@ def topological_order(graph: DependencyGraph) -> tuple[str, ...]:
     return tuple(order)
 
 
-def descendants(graph: DependencyGraph, origin: str) -> frozenset[str]:
-    """All nodes reachable from ``origin`` by one or more edges (origin excluded)."""
-    graph.node(origin)
-    succ: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    for e in graph.edges:
-        succ[e.source].append(e.target)
+def _reach(index: dict, start: str) -> frozenset[str]:
+    """Every id reachable from ``start`` through one or more ``index`` hops."""
     reached: set[str] = set()
-    queue = deque(succ[origin])
+    queue = deque(index.get(start, ()))
     while queue:
         nid = queue.popleft()
         if nid in reached:
             continue
         reached.add(nid)
-        queue.extend(succ[nid])
-    reached.discard(origin)
+        queue.extend(index.get(nid, ()))
+    reached.discard(start)
     return frozenset(reached)
+
+
+def descendants(graph: DependencyGraph, origin: str) -> frozenset[str]:
+    """All nodes reachable from ``origin`` by one or more edges (origin excluded)."""
+    graph.node(origin)
+    return _reach(graph._children, origin)
 
 
 def ancestors(graph: DependencyGraph, node_id: str) -> frozenset[str]:
     """All nodes from which ``node_id`` is reachable (node itself excluded)."""
     graph.node(node_id)
-    pred: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    for e in graph.edges:
-        pred[e.target].append(e.source)
-    reached: set[str] = set()
-    queue = deque(pred[node_id])
+    return _reach(graph._parents, node_id)
+
+
+def dependency_distances(graph: DependencyGraph, origins) -> dict[str, int]:
+    """Shortest directed-path length from the nearest of ``origins`` to every
+    node reachable from them, by one breadth-first search; origins map to 0."""
+    dist: dict[str, int] = {}
+    for origin in origins:
+        graph.node(origin)
+        dist[origin] = 0
+    queue = deque(dist)
     while queue:
         nid = queue.popleft()
-        if nid in reached:
-            continue
-        reached.add(nid)
-        queue.extend(pred[nid])
-    reached.discard(node_id)
-    return frozenset(reached)
+        for nxt in graph._children.get(nid, ()):
+            if nxt not in dist:
+                dist[nxt] = dist[nid] + 1
+                queue.append(nxt)
+    return dist
 
 
 def dependency_order(graph: DependencyGraph, provider: str, dependent: str) -> int | None:
@@ -322,18 +332,4 @@ def dependency_order(graph: DependencyGraph, provider: str, dependent: str) -> i
     """
     graph.node(provider)
     graph.node(dependent)
-    succ: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    for e in graph.edges:
-        succ[e.source].append(e.target)
-    dist = {provider: 0}
-    queue = deque([provider])
-    while queue:
-        nid = queue.popleft()
-        for nxt in succ[nid]:
-            if nxt not in dist:
-                dist[nxt] = dist[nid] + 1
-                if nxt == dependent:
-                    return dist[nxt]
-                queue.append(nxt)
-    distance = dist.get(dependent)
-    return distance if distance else None
+    return dependency_distances(graph, (provider,)).get(dependent) or None

@@ -52,8 +52,8 @@ class ControlElement:
     notes: str = ""
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("element id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError("element id must be a non-empty string")
         if self.epistemic is Epistemic.EVIDENTIAL and not self.measurable:
             raise NotMeasurable(
                 f"element {self.id!r}: evidential status requires measurability")
@@ -73,8 +73,8 @@ class ControlObjective:
         object.__setattr__(self, "title", title)
         object.__setattr__(self, "elements",
                            tuple(sorted(elements, key=lambda e: e.id)))
-        if not self.id:
-            raise ValueError("objective id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError("objective id must be a non-empty string")
         if not self.elements:
             raise EmptyGoal(f"objective {id!r} has no control elements")
 
@@ -90,8 +90,8 @@ class ControlGoal:
         object.__setattr__(self, "title", title)
         object.__setattr__(self, "objectives",
                            tuple(sorted(objectives, key=lambda o: o.id)))
-        if not self.id:
-            raise ValueError("goal id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError("goal id must be a non-empty string")
         if not self.objectives:
             raise EmptyGoal(f"control goal {id!r} has no objectives")
 

@@ -6,57 +6,76 @@ stream is specified and stable across platforms for a given seed, so the same
 (model, n, seed) triple always yields bitwise-identical frequencies.  With
 n = 10^6 the empirical marginals sit within ~0.0015 (3 sigma) of the exact
 values, which is why the agreement tolerance used by the test suite is 0.002.
+
+Memory is bounded by n bytes per live node plus O(BLOCK x card) scratch.  A
+node's sampled states are kept, one byte each (the smallest unsigned dtype
+that holds its state index), only while a child of it is still to be drawn;
+everything else is worked in blocks of ``BLOCK`` samples.
+Node by node the generator still hands out n uniforms in topological order,
+and drawing them block by block consumes the same stream, so the
+frequencies are the same as drawing all n at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .graph import topological_order
+from .inference import _table_array
 from .model import BayesianModel, Marginal
+
+# Samples per block: the uniforms, row indices and thresholds of one block
+# of one node are the only float/index arrays alive at a time.
+BLOCK = 1 << 18
 
 
 def monte_carlo_sample(model: BayesianModel, n: int, seed: int) -> dict:
     """Empirical per-node state frequencies from ``n`` forward samples."""
     if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+        raise InvalidArgument(f"sample count must be >= 1, got {n}")
     model.require_fully_specified()
     rng = np.random.default_rng(seed)
     order = topological_order(model.graph)
+    last_child = {p: k for k, nid in enumerate(order) for p in model.cpt(nid).parent_order}
 
     samples: dict[str, np.ndarray] = {}
-    for node_id in order:
-        node = model.graph.node(node_id)
+    counts: dict[str, np.ndarray] = {}
+    for k, node_id in enumerate(order):
         cpt = model.cpt(node_id)
-        card = len(node.domain)
-        parent_cards = [len(model.domain(p)) for p in cpt.parent_order]
-
-        # Row index per sample: mixed-radix over the parents' sampled states.
-        row_index = np.zeros(n, dtype=np.int64)
-        for p, pcard in zip(cpt.parent_order, parent_cards):
-            row_index = row_index * pcard + samples[p]
-
-        # CPT rows as a (n_rows, card) matrix in the same mixed-radix order.
-        parent_domains = [tuple(model.domain(p)) for p in cpt.parent_order]
-        n_rows = int(np.prod(parent_cards)) if parent_cards else 1
-        matrix = np.empty((n_rows, card), dtype=np.float64)
-        for r in range(n_rows):
-            key = []
-            rem = r
-            for pcard, pdomain in zip(reversed(parent_cards), reversed(parent_domains)):
-                key.append(pdomain[rem % pcard])
-                rem //= pcard
-            matrix[r] = cpt.rows[tuple(reversed(key))]
-
-        cumulative = np.cumsum(matrix, axis=1)
-        cumulative[:, -1] = 1.0  # guard against float drift at the top end
-        u = rng.random(n)
-        samples[node_id] = (u[:, None] > cumulative[row_index]).sum(axis=1)
+        card = len(model.domain(node_id))
+        # The last cumulative column is pinned to 1.0 and u < 1, so it never
+        # counts; only the first card - 1 thresholds are compared.
+        cumulative = np.cumsum(_table_array(cpt, model.domain).reshape(-1, card), axis=1)
+        parents = [(samples[p], len(model.domain(p))) for p in cpt.parent_order]
+        dtype = np.min_scalar_type(card - 1)
+        drawn = np.empty(n, dtype=dtype) if node_id in last_child else None
+        tally = np.zeros(card, dtype=np.int64)
+        for lo in range(0, n, BLOCK):
+            hi = min(lo + BLOCK, n)
+            u = rng.random(hi - lo)
+            # Row index per sample: mixed-radix over the parents' states, the
+            # row order of the CPT table.
+            row = np.zeros(hi - lo, dtype=np.intp)
+            for states, pcard in parents:
+                row *= pcard
+                row += states[lo:hi]
+            state = np.zeros(hi - lo, dtype=dtype)
+            for col in range(card - 1):
+                state += u > cumulative[row, col]
+            tally += np.bincount(state, minlength=card)
+            if drawn is not None:
+                drawn[lo:hi] = state
+        counts[node_id] = tally
+        if drawn is not None:
+            samples[node_id] = drawn
+        for p in cpt.parent_order:
+            if last_child[p] == k:
+                del samples[p]
 
     out = {}
     for node in model.graph.nodes:
-        counts = np.bincount(samples[node.id], minlength=len(node.domain))
-        freq = counts / float(n)
+        freq = counts[node.id] / float(n)
         out[node.id] = Marginal(node.id, tuple(node.domain),
                                 tuple(float(x) for x in freq))
     return out

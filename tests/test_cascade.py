@@ -17,7 +17,14 @@ from iotrisk.cascade import (
     rank_criticality,
 )
 from iotrisk.errors import UnknownNode, UnknownState
-from iotrisk.graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain, descendants
+from iotrisk.graph import (
+    ComponentNode,
+    DependencyGraph,
+    InfluenceEdge,
+    StateDomain,
+    dependency_order,
+    descendants,
+)
 from iotrisk.inference import enumerate_marginal
 from iotrisk.model import BayesianModel, Cpt
 
@@ -110,6 +117,20 @@ class TestImpactProbabilities:
         assert report.per_node["B"].dependency_order == 1
         assert report.per_node["A"].relation is NodeRelation.ORIGIN
         assert report.per_node["B"].relation is NodeRelation.IMPACTED
+
+    def test_dependency_order_is_nearest_origin(self):
+        rng = random.Random(5)
+        for _ in range(6):
+            model = random_model(rng, max_nodes=8, max_joint=2 ** 10)
+            ids = model.graph.node_ids
+            origins = {nid: tuple(model.domain(nid))[-1]
+                       for nid in rng.sample(ids, rng.randint(1, 3))}
+            report = impact_probabilities(model, IncidentScenario(origins))
+            for nid in ids:
+                orders = [dependency_order(model.graph, o, nid) for o in origins]
+                orders = [o for o in orders if o is not None]
+                want = 0 if nid in origins else (min(orders) if orders else None)
+                assert report.per_node[nid].dependency_order == want
 
     def test_d_separated_nodes_keep_priors(self):
         # With evidence only on the origin, a node is independent of it

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from iotrisk.bundled import load_bundled_model
 from iotrisk.cli import main
@@ -256,6 +261,12 @@ def run_process(*argv) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
+def with_paths(argv, paths) -> list[str]:
+    """``argv`` with every argument after the verb that names a key of
+    ``paths`` replaced by that path."""
+    return [argv[0], *(paths.get(a, a) for a in argv[1:])]
+
+
 class TestBoundary:
     """Bad arguments and malformed input exit 2 or 1 without a traceback."""
 
@@ -314,3 +325,83 @@ class TestBoundary:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert str(current) in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--model", "BAD"),
+        ("infer", "--model", "BAD"),
+        ("dbn", "--model", "BAD"),
+        ("infer", "--model", "smart_home", "--evidence", "BAD"),
+        ("dbn", "--model", "smart_home", "--evidence", "BAD"),
+        ("roadmap", "--model", "BAD", "--current", "current", "--target", "target"),
+        ("roadmap", "--roadmap", "BAD", "--current", "current", "--target", "target"),
+        ("roadmap", "--roadmap", "roadmap", "--current", "BAD", "--target", "target"),
+        ("roadmap", "--roadmap", "roadmap", "--current", "current", "--target", "BAD"),
+    ], ids=lambda argv: argv[0] + argv[argv.index("BAD") - 1])
+    def test_non_utf8_input_exits_one(self, tmp_path, model_files, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"a": "\xff\xfe"}')
+        paths = dict(model_files, BAD=str(bad))
+        proc = run_process(*with_paths(argv, paths))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"{bad}: not UTF-8 text" in proc.stderr
+        assert "byte offset 7" in proc.stderr
+
+
+# Each target: the file whose bytes are mutated, and the argv that reads it.
+MUTATION_TARGETS = [
+    ("layered_iot", ("validate", "--model", "X")),
+    ("layered_iot", ("infer", "--model", "X")),
+    ("layered_iot", ("cascade", "--model", "X", "--origin", "a14=impaired", "--rank")),
+    ("layered_iot", ("sample", "--model", "X", "--n", "100")),
+    ("smart_home", ("dbn", "--model", "X", "--evidence", "evidence")),
+    ("uncontrolled_sensor", ("iotmm", "--model", "X")),
+    ("evidence", ("dbn", "--model", "smart_home", "--evidence", "X", "--mode", "smooth",
+                  "--slice", "0")),
+    ("evidence", ("infer", "--model", "smart_home", "--evidence", "X")),
+    ("roadmap", ("roadmap", "--roadmap", "X", "--current", "current", "--target", "target")),
+    ("current", ("roadmap", "--roadmap", "roadmap", "--current", "X", "--target", "target")),
+]
+
+# (position, byte, how): position is taken modulo the file length.
+mutations = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2 ** 20), st.integers(0, 255),
+              st.sampled_from(("replace", "insert", "delete"))),
+    min_size=1, max_size=4)
+
+
+def mutate(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for pos, byte, how in edits:
+        k = pos % (len(buf) + 1)
+        if how == "insert":
+            buf[k:k] = bytes([byte])
+        elif k < len(buf):
+            if how == "replace":
+                buf[k] = byte
+            else:
+                del buf[k]
+    return bytes(buf)
+
+
+class TestMutatedInputs:
+    """Mutated documents and evidence, non-UTF-8 bytes included, never escape
+    ``main`` as an exception: every run ends in exit code 0, 1 or 2."""
+
+    @given(target=st.sampled_from(MUTATION_TARGETS), edits=mutations)
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_code_is_0_1_or_2(self, model_files, target, edits):
+        source, argv = target
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated"
+            path.write_bytes(mutate(Path(model_files[source]).read_bytes(), edits))
+            paths = dict(model_files, X=str(path))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(with_paths(argv, paths))
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

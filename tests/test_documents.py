@@ -19,6 +19,7 @@ from iotrisk.documents import (
     serialize_model,
 )
 from iotrisk.errors import (
+    InvalidArgument,
     ModelSyntaxError,
     SchemaVersionMismatch,
     UnknownNode,
@@ -108,6 +109,21 @@ class TestParseModel:
             parse_model(json.dumps(raw))
         assert any("not measurable" in msg for _, msg in err.value.issues)
 
+    @pytest.mark.parametrize("patch,where", [
+        (lambda raw: raw["edges"][0].update({"from": ["A"]}), "$.edges[0]"),
+        (lambda raw: raw["edges"][0].update({"to": True}), "$.edges[0]"),
+        (lambda raw: raw["nodes"][0].update({"layer": 3}), "$.nodes[0]"),
+        (lambda raw: raw["nodes"][1].update({"description": []}), "$.nodes[1]"),
+        (lambda raw: raw.update({"roadmap": {"goals": [{"id": 7, "objectives": [
+            {"id": "o1", "elements": [{"id": "e1"}]}]}]}}), "$.roadmap"),
+    ])
+    def test_mistyped_ids_and_labels_are_located_issues(self, patch, where):
+        raw = json.loads(doc_text())
+        patch(raw)
+        with pytest.raises(ValidationFailed) as err:
+            parse_model(json.dumps(raw))
+        assert [path for path, _ in err.value.issues] == [where]
+
     def test_temporal_target_without_transition_table_rejected(self):
         raw = json.loads(doc_text())
         raw["temporal"] = {"edges": [{"from": "A", "to": "A"}], "transition_cpts": {}}
@@ -187,3 +203,8 @@ class TestEvidence:
     def test_zero_bucket_rejected(self):
         with pytest.raises(ValueError):
             ingest_evidence([], bucket_ms=0)
+
+    @pytest.mark.parametrize("bucket_ms,t0", [(0, None), (-1, None), (100, 2000)])
+    def test_bad_arguments_are_package_errors(self, bucket_ms, t0):
+        with pytest.raises(InvalidArgument):
+            ingest_evidence([EvidenceRecord(1000, "A", "T")], bucket_ms=bucket_ms, t0=t0)

@@ -15,6 +15,7 @@ from iotrisk.graph import (
     InfluenceEdge,
     StateDomain,
     ancestors,
+    dependency_distances,
     dependency_order,
     descendants,
     topological_order,
@@ -204,3 +205,48 @@ class TestDeterminism:
     def test_parents_sorted(self):
         graph = graph_of("ABC", [("C", "A"), ("B", "A")])
         assert graph.parents("A") == ("B", "C")
+
+
+def _scan_reach(edges, start, forward=True):
+    """Reachability by rescanning every edge: the reference for the index."""
+    reached, frontier = set(), {start}
+    while frontier:
+        step = {b if forward else a for a, b in edges
+                if (a if forward else b) in frontier} - reached
+        reached |= step
+        frontier = step
+    return reached - {start}
+
+
+class TestAdjacencyIndex:
+    """The index built at construction answers as a scan of the edge list does,
+    also on graphs with cycles and dangling endpoints."""
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_edge_scan(self, seed):
+        rng = random.Random(seed)
+        ids = sorted({f"n{rng.randint(0, 20)}" for _ in range(rng.randint(1, 10))})
+        pool = ids + ["ghost"] * (seed % 2)
+        edges = {tuple(rng.sample(pool, 2)) for _ in range(rng.randint(0, 15))
+                 if len(pool) > 1}
+        graph = graph_of(ids, edges)
+        assert graph.sinks() == tuple(i for i in ids if all(a != i for a, _ in edges))
+        for nid in ids:
+            assert graph.parents(nid) == tuple(sorted(a for a, b in edges if b == nid))
+            assert graph.children(nid) == tuple(sorted(b for a, b in edges if a == nid))
+            assert descendants(graph, nid) == _scan_reach(edges, nid)
+            assert ancestors(graph, nid) == _scan_reach(edges, nid, forward=False)
+            dist = dependency_distances(graph, [nid])
+            assert set(dist) == _scan_reach(edges, nid) | {nid}
+            for other in ids:
+                assert dependency_order(graph, nid, other) == (dist.get(other) or None)
+
+    def test_multi_source_distance_is_nearest_origin(self):
+        graph = graph_of("ABCDE", [("A", "B"), ("B", "C"), ("C", "D"), ("E", "D")])
+        assert dependency_distances(graph, ["A", "E"]) == {
+            "A": 0, "E": 0, "B": 1, "D": 1, "C": 2}
+
+    def test_unknown_origin_raises(self):
+        with pytest.raises(UnknownNode):
+            dependency_distances(graph_of("A", []), ["nope"])

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from iotrisk.bundled import load_bundled_model, load_bundled_roadmap, roadmap_section_keys
+from iotrisk.bundled import (
+    load_bundled_model,
+    load_bundled_roadmap,
+    parse_roadmap_document,
+    roadmap_section_keys,
+)
 from iotrisk.errors import (
+    DocumentError,
     DuplicateId,
     EmptyGoal,
     MissingAssignment,
@@ -53,6 +59,16 @@ class TestBuildRoadmap:
         assert set(roadmap_section_keys()) == {
             "training-and-awareness", "cyber-threat-intelligence",
             "security-event-monitoring"}
+
+    @pytest.mark.parametrize("text", [
+        '[1]',
+        '{"schema_version": 1, "sections": [1]}',
+        '{"schema_version": 1, "sections": [{"goals": []}, {"key": "a", "goals": []}]}',
+        '{"schema_version": 1, "sections": [{"key": ["x"], "goals": []}]}',
+    ])
+    def test_malformed_dataset_is_document_error(self, text):
+        with pytest.raises(DocumentError):
+            parse_roadmap_document(text)
 
     def test_goal_without_objectives_rejected(self):
         with pytest.raises(EmptyGoal):

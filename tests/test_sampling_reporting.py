@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from iotrisk.bundled import load_bundled_model
 from iotrisk.cascade import IncidentScenario, impact_probabilities
-from iotrisk.errors import MissingCpt
+from iotrisk.errors import InvalidArgument, IotRiskError, MissingCpt
 from iotrisk.graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain
 from iotrisk.inference import enumerate_posteriors
 from iotrisk.model import BayesianModel, Cpt
@@ -74,6 +75,67 @@ class TestSampler:
         model = make_chain2()
         for marginal in monte_carlo_sample(model, 999, seed=5).values():
             assert math.fsum(marginal.probabilities) == pytest.approx(1.0, abs=1e-12)
+
+
+# State counts of monte_carlo_sample(model, n, seed=0), recorded from the
+# sampler that drew every node's n uniforms in one call and gathered whole
+# (n, card) threshold matrices.  Frequencies are these counts over n.
+GOLDEN_COUNTS = {
+    ("layered_iot", 1): {nid: (1, 0) for nid in
+                         ("a1", "a10", "a12", "a14", "a2", "a3", "a4", "a6", "a7")},
+    ("layered_iot", 2 ** 18 + 1): {
+        "a1": (219489, 42656), "a10": (241878, 20267), "a12": (245305, 16840),
+        "a14": (249052, 13093), "a2": (223040, 39105), "a3": (227170, 34975),
+        "a4": (231569, 30576), "a6": (236689, 25456), "a7": (239044, 23101)},
+    ("layered_iot", 10 ** 6): {
+        "a1": (838183, 161817), "a10": (923864, 76136), "a12": (935985, 64015),
+        "a14": (949828, 50172), "a2": (851764, 148236), "a3": (866993, 133007),
+        "a4": (884477, 115523), "a6": (903349, 96651), "a7": (912943, 87057)},
+    # smart_home's wifi_gateway is ternary and a parent of alarm_service.
+    ("smart_home", 1): {
+        "alarm_service": (1, 0), "door_sensor": (1, 0), "monitoring_app": (1, 0),
+        "motion_sensor": (1, 0), "wifi_gateway": (1, 0, 0)},
+    ("smart_home", 2 ** 18 + 1): {
+        "alarm_service": (230988, 31157), "door_sensor": (249052, 13093),
+        "monitoring_app": (232065, 30080), "motion_sensor": (235790, 26355),
+        "wifi_gateway": (222644, 26199, 13302)},
+    ("smart_home", 10 ** 6): {
+        "alarm_service": (883073, 116927), "door_sensor": (949828, 50172),
+        "monitoring_app": (885585, 114415), "motion_sensor": (900100, 99900),
+        "wifi_gateway": (850377, 99643, 49980)},
+}
+
+
+class TestSamplerBlocks:
+    """Block-wise drawing keeps the stream, the frequencies and a memory bound."""
+
+    @pytest.mark.parametrize("name,n", sorted(GOLDEN_COUNTS))
+    def test_golden_frequencies(self, name, n):
+        model = load_bundled_model(name).completed_model()
+        freqs = monte_carlo_sample(model, n, seed=0)
+        assert {nid: m.probabilities for nid, m in freqs.items()} == \
+               {nid: tuple(c / n for c in counts)
+                for nid, counts in GOLDEN_COUNTS[name, n].items()}
+
+    def test_peak_memory_bounded_at_one_million(self):
+        model = load_bundled_model("layered_iot").completed_model()
+        tracemalloc.start()
+        try:
+            monte_carlo_sample(model, 10 ** 6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One byte per sample per live node plus a few block-sized arrays
+        # comes to ~9.4 MiB.  Int64 states reach ~31 MiB, and a float64
+        # array of n samples per node ~94 MiB.
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_nonpositive_count_is_invalid_argument(self, n):
+        with pytest.raises(InvalidArgument) as err:
+            monte_carlo_sample(make_chain2(), n, seed=0)
+        assert isinstance(err.value, IotRiskError)
+        assert isinstance(err.value, ValueError)
 
 
 class TestReports:
