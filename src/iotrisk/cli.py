@@ -61,14 +61,17 @@ def _parse_observation(text: str) -> tuple[str, str]:
     return node, state
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _add_common(parser: argparse.ArgumentParser, model: bool = True) -> None:
@@ -109,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--evidence", metavar="PATH",
                    help="newline-delimited JSON evidence records")
-    p.add_argument("--bucket-ms", type=_positive_int, default=1000, metavar="N",
+    p.add_argument("--bucket-ms", type=_int_at_least(1), default=1000, metavar="N",
                    help="bucket width for timestamp -> slice mapping (default 1000)")
     p.add_argument("--mode", choices=("filter", "smooth", "predict"), default="filter")
     p.add_argument("--at", type=int, metavar="T",
@@ -149,9 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="seeded Monte Carlo forward sampling")
     _add_common(p)
-    p.add_argument("--n", type=_positive_int, default=1_000_000, metavar="N",
+    p.add_argument("--n", type=_int_at_least(1), default=1_000_000, metavar="N",
                    help="sample count (default 1e6)")
-    p.add_argument("--seed", type=int, default=0, metavar="N", help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, metavar="N",
+                   help="RNG seed (default 0)")
 
     p = sub.add_parser("export-dot", help="Graphviz export, optionally impact-annotated")
     _add_common(p)

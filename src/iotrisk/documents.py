@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     InvalidArgument,
@@ -68,7 +69,11 @@ class TemporalSpec:
 
 @dataclass(frozen=True)
 class ModelDocument:
-    """Everything a model file carries, validated and ready to query."""
+    """Everything a model file carries, validated and ready to query.
+
+    The models built from it (:attr:`model`, :meth:`completed_model`,
+    :meth:`temporal_model`) are built once and kept on the document.
+    """
 
     graph: DependencyGraph
     cpts: dict
@@ -78,20 +83,28 @@ class ModelDocument:
     bindings: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
-    @property
+    @cached_property
     def model(self) -> BayesianModel:
         return BayesianModel(self.graph, self.cpts)
 
     def completed_model(self) -> BayesianModel:
         """The model with catalogue-backed CPTs substituted for gaps."""
-        return complete_model(self.model, self.catalogues)
+        return self._completed_model
 
     def temporal_model(self) -> TemporalModel:
-        """Build the unrollable temporal model from the raw spec.
+        """The unrollable temporal model built from the raw spec.
 
         The slice template must be fully specified; declared catalogues fill
         uncontrollable nodes first.
         """
+        return self._temporal_model
+
+    @cached_property
+    def _completed_model(self) -> BayesianModel:
+        return complete_model(self.model, self.catalogues)
+
+    @cached_property
+    def _temporal_model(self) -> TemporalModel:
         if self.temporal is None:
             raise ValidationFailed([("$.temporal", "document has no temporal section")])
         missing = [tgt for _, tgt in self.temporal.edges
@@ -371,13 +384,15 @@ def parse_model(text: str) -> ModelDocument:
 
     doc = ModelDocument(graph=graph, cpts=cpts, catalogues=catalogues,
                         temporal=temporal, roadmap=roadmap, bindings=bindings)
+    # The model built above for validation becomes the document's cached one.
+    assert model is not None  # issues were empty, so construction succeeded
+    doc.__dict__["model"] = model
     # Cross-section checks that need the whole document assembled.
     if temporal is not None:
         try:
             doc.temporal_model()
         except ValidationFailed as exc:
             raise ValidationFailed(exc.issues) from None
-    assert model is not None  # issues were empty, so construction succeeded
     return doc
 
 

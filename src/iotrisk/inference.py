@@ -20,12 +20,14 @@ All functions are pure and models are immutable, so concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ImpossibleEvidence, IncompleteAssignment
 from .graph import topological_order
 from .model import BayesianModel, Marginal
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Agreement tolerance between the two exact query paths.
 ORACLE_TOL = 1e-9
@@ -56,6 +58,8 @@ def _cpt_as_array(model: BayesianModel, node_id: str) -> np.ndarray:
 def _table_array(cpt, domain) -> np.ndarray:
     """``cpt`` as an ndarray with one axis per parent + the node; ``domain``
     maps a node id to its state domain."""
+    import numpy as np
+
     parent_domains = [tuple(domain(p)) for p in cpt.parent_order]
     shape = tuple(len(d) for d in parent_domains) + (len(domain(cpt.node)),)
     arr = np.empty(shape, dtype=np.float64)
@@ -71,6 +75,8 @@ def _table_array(cpt, domain) -> np.ndarray:
 
 def _full_joint(model: BayesianModel, var_order: tuple[str, ...]) -> np.ndarray:
     """The complete joint table with one axis per node, in ``var_order``."""
+    import numpy as np
+
     axis = {v: k for k, v in enumerate(var_order)}
     cards = tuple(len(model.domain(v)) for v in var_order)
     joint = np.ones(cards, dtype=np.float64)
@@ -95,6 +101,8 @@ def enumerate_posteriors(model: BayesianModel, evidence=None) -> dict:
     all completions consistent with the evidence.  Cost is the product of all
     domain sizes; use only on small models.
     """
+    import numpy as np
+
     model.require_fully_specified()
     evidence = model.validate_evidence(evidence or {})
     var_order = tuple(n.id for n in model.graph.nodes)
@@ -114,7 +122,7 @@ def enumerate_posteriors(model: BayesianModel, evidence=None) -> dict:
     free_vars = [v for v in var_order if v not in evidence]
     out = {}
     for node in model.graph.nodes:
-        states = tuple(node.domain)
+        states = node.domain.states
         if node.id in evidence:
             out[node.id] = Marginal.indicator(node.id, states, evidence[node.id])
             continue
@@ -152,8 +160,8 @@ def _factor_product(a: _Factor, b: _Factor) -> _Factor:
 
     def aligned(f: _Factor) -> np.ndarray:
         # f's axes are already in out_vars order; insert broadcast axes
-        sizes = dict(zip(f.vars, np.shape(f.values)))
-        return np.reshape(f.values, [sizes.get(v, 1) for v in out_vars])
+        sizes = dict(zip(f.vars, f.values.shape))
+        return f.values.reshape([sizes.get(v, 1) for v in out_vars])
 
     return _Factor(out_vars, aligned(a) * aligned(b))
 
@@ -174,7 +182,7 @@ def _sorted_factor(vars_: tuple[str, ...], values: np.ndarray) -> _Factor:
     """A factor with its axes permuted into ascending variable order."""
     order = tuple(sorted(vars_))
     perm = [vars_.index(v) for v in order]
-    return _Factor(order, np.transpose(values, perm))
+    return _Factor(order, values.transpose(perm))
 
 
 def _eliminate(factors: list, order) -> _Factor:
@@ -184,6 +192,8 @@ def _eliminate(factors: list, order) -> _Factor:
     :func:`eliminate_marginal` and the temporal interface passes.  Returns the
     product of what is left, over every variable not in ``order``.
     """
+    import numpy as np
+
     for var in order:
         related = [f for f in factors if var in f.vars]
         if not related:
@@ -225,7 +235,7 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None) -> Margi
     to_eliminate = [v for v in reversed(topological_order(model.graph))
                     if v != query and v not in evidence]
     result = _eliminate(factors, to_eliminate)
-    return _normalized_marginal(query, tuple(node.domain), result, evidence)
+    return _normalized_marginal(query, node.domain.states, result, evidence)
 
 
 def _normalized_marginal(query: str, states: tuple, result: _Factor,
@@ -235,6 +245,8 @@ def _normalized_marginal(query: str, states: tuple, result: _Factor,
     ``result`` is over ``(query,)``, or over no variable when the query is in
     ``evidence``; a zero total means the evidence is impossible.
     """
+    import numpy as np
+
     if query in evidence:
         z = float(result.values)
         if z <= 0.0:

@@ -18,8 +18,6 @@ frequencies are the same as drawing all n at once.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import InvalidArgument
 from .graph import topological_order
 from .inference import _table_array
@@ -31,9 +29,21 @@ BLOCK = 1 << 18
 
 
 def monte_carlo_sample(model: BayesianModel, n: int, seed: int) -> dict:
-    """Empirical per-node state frequencies from ``n`` forward samples."""
+    """Empirical per-node state frequencies from ``n`` forward samples.
+
+    ``n`` must be at least 1 and at most the largest array index; ``seed``
+    must be non-negative.  Either fault raises :class:`InvalidArgument`
+    before anything is allocated.
+    """
+    import numpy as np
+
     if n < 1:
         raise InvalidArgument(f"sample count must be >= 1, got {n}")
+    largest = np.iinfo(np.intp).max
+    if n > largest:
+        raise InvalidArgument(f"sample count must be <= {largest}, got {n}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     model.require_fully_specified()
     rng = np.random.default_rng(seed)
     order = topological_order(model.graph)
@@ -76,6 +86,6 @@ def monte_carlo_sample(model: BayesianModel, n: int, seed: int) -> dict:
     out = {}
     for node in model.graph.nodes:
         freq = counts[node.id] / float(n)
-        out[node.id] = Marginal(node.id, tuple(node.domain),
+        out[node.id] = Marginal(node.id, node.domain.states,
                                 tuple(float(x) for x in freq))
     return out

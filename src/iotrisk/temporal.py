@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     ImpossibleEvidence,
     InvalidHorizon,
@@ -379,7 +377,7 @@ def _slice_factors(model: TemporalModel, evidence: dict, s: int, messages) -> li
 
 def _message(result: _Factor, rename, obs: ObservationSeries) -> _Factor:
     """``result`` normalized to sum 1, its variables renamed by ``rename``."""
-    z = float(np.sum(result.values))
+    z = float(result.values.sum())
     if z <= 0.0:
         raise _impossible(obs)
     return _sorted_factor(tuple(rename(v) for v in result.vars), result.values / z)
@@ -416,9 +414,9 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
     out = {}
     for node in model.template.model.graph.nodes:
         result = _eliminate(factors, [v for v in previous + template if v != node.id])
-        if float(np.sum(result.values)) <= 0.0:
+        if float(result.values.sum()) <= 0.0:
             raise _impossible(obs)
-        states = tuple(node.domain)
+        states = node.domain.states
         here = {node.id: states[observed[node.id]]} if node.id in observed else {}
         out[node.id] = _normalized_marginal(node.id, states, result, here)
     return out

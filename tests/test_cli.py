@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from iotrisk.bundled import load_bundled_model
 from iotrisk.cli import main
 from iotrisk.documents import serialize_model
+from iotrisk.temporal import TemporalModel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -160,6 +162,19 @@ class TestDbn:
         code, _ = run(capsys, "dbn", "--model", model_files["layered_iot"])
         assert code == 1
 
+    def test_temporal_model_compiled_once(self, capsys, monkeypatch, model_files):
+        compiled = []
+        compile_ = TemporalModel._compile
+
+        def counted(self):
+            compiled.append(self)
+            compile_(self)
+
+        monkeypatch.setattr(TemporalModel, "_compile", counted)
+        code, _ = run(capsys, "dbn", "--model", model_files["smart_home"])
+        assert code == 0
+        assert len(compiled) == 1
+
 
 class TestIotmm:
     def test_detect_lists_gaps_and_catalogues(self, capsys, model_files):
@@ -281,6 +296,18 @@ class TestBoundary:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
+    def test_negative_seed_is_usage_error(self, model_files):
+        proc = run_process("sample", "--model", model_files["layered_iot"], "--seed", "-1")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_sample_count_beyond_array_index_exits_one(self, model_files):
+        proc = run_process("sample", "--model", model_files["layered_iot"],
+                           "--n", "99999999999999999999")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "sample count" in proc.stderr
+
     def test_non_integer_evidence_timestamp_exits_one(self, tmp_path, model_files):
         stream = tmp_path / "e.ndjson"
         stream.write_text('{"ts": "x", "node": "monitoring_app", "state": "stale"}\n',
@@ -346,6 +373,62 @@ class TestBoundary:
         assert "Traceback" not in proc.stderr
         assert f"{bad}: not UTF-8 text" in proc.stderr
         assert "byte offset 7" in proc.stderr
+
+
+def run_in_fresh_interpreter(argvs) -> dict:
+    """Each argv through ``cli.main`` in one fresh interpreter.
+
+    Returns ``{"runs": [[exit code, stdout], ...], "numpy": <imported?>}``.
+    """
+    script = ("import contextlib, io, json, sys\n"
+              "from iotrisk.cli import main\n"
+              "runs = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out):\n"
+              "        runs.append([main(argv), out.getvalue()])\n"
+              "print(json.dumps({'runs': runs, 'numpy': 'numpy' in sys.modules}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+# Verbs that never build an array, with the SHA-256 of each report; the
+# reports are byte-identical to those of the build that imported numpy eagerly.
+NUMPY_FREE_REPORTS = [
+    (("validate", "--model", "layered_iot"),
+     "403e43d9326aabf94e0800357fb4e362a23c1d6815216240bfaa009def61f43d"),
+    (("export-dot", "--model", "layered_iot"),
+     "3b3a54f81cd5757f101b83dbab8b4898c967b7f5480dc4c2c680f4c9e5575351"),
+    (("cvss", "--vector", "AV:N/AC:L/Au:N/C:P/I:P/A:C/E:F/RL:OF/RC:C/CDP:LM/TD:H"),
+     "17d9e5a778e163e442fc44aea0c85b3fa2d6d05427b8a78a46f17e1e94ebd543"),
+    (("roadmap", "--roadmap", "roadmap", "--current", "current", "--target", "target"),
+     "c1af265c67eefba05906d475419b283e15ec3be26da735ae4d6b52eb3b4a9e35"),
+]
+
+
+class TestNumpyOnDemand:
+    """numpy is imported by the first query that builds an array, not by
+    ``import iotrisk``."""
+
+    def test_non_numeric_verbs_never_import_numpy(self, model_files):
+        argvs = [with_paths(argv, model_files) for argv, _ in NUMPY_FREE_REPORTS]
+        got = run_in_fresh_interpreter(argvs)
+        assert [code for code, _ in got["runs"]] == [0] * len(argvs)
+        assert [hashlib.sha256(out.encode("utf-8")).hexdigest()
+                for _, out in got["runs"]] == [sha for _, sha in NUMPY_FREE_REPORTS]
+        assert got["numpy"] is False
+
+    def test_numeric_verb_imports_numpy_and_answers(self, model_files):
+        got = run_in_fresh_interpreter(
+            [["infer", "--model", model_files["layered_iot"], "--query", "a14"]])
+        (code, out), = got["runs"]
+        assert code == 0
+        assert sum(json.loads(out)["result"]["marginal"]["distribution"].values()) \
+            == pytest.approx(1.0, abs=1e-12)
+        assert got["numpy"] is True
 
 
 # Each target: the file whose bytes are mutated, and the argv that reads it.

@@ -26,6 +26,7 @@ from iotrisk.errors import (
     UnknownState,
     ValidationFailed,
 )
+from iotrisk.model import BayesianModel
 
 from conftest import make_chain2, random_model
 
@@ -157,6 +158,29 @@ class TestRoundTrip:
         text = serialize_model(doc)
         again = parse_model(text)
         assert tuple(again.graph.node("A").domain) == ("T", "F")
+
+
+class TestBuiltModels:
+    """A document builds each of its models once and keeps it."""
+
+    def test_models_are_kept_on_the_document(self):
+        doc = load_bundled_model("smart_home")
+        assert doc.model is doc.model
+        assert doc.completed_model() is doc.completed_model()
+        assert doc.temporal_model() is doc.temporal_model()
+
+    def test_parse_model_hands_over_its_validated_model(self, monkeypatch):
+        built = []
+        init = BayesianModel.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BayesianModel, "__init__", counted)
+        doc = parse_model(doc_text())
+        assert doc.model is built[0]
+        assert len(built) == 1
 
 
 class TestEvidence:

@@ -137,6 +137,13 @@ class TestSamplerBlocks:
         assert isinstance(err.value, IotRiskError)
         assert isinstance(err.value, ValueError)
 
+    @pytest.mark.parametrize("n,seed", [(99999999999999999999, 0), (10, -1)])
+    def test_unindexable_count_or_negative_seed_is_invalid_argument(self, n, seed):
+        # Raised before anything is allocated: numpy would raise a bare
+        # ValueError from the array constructor or from the seed sequence.
+        with pytest.raises(InvalidArgument):
+            monte_carlo_sample(make_chain2(), n, seed=seed)
+
 
 class TestReports:
     def test_identical_inputs_byte_identical_reports(self):
