@@ -72,7 +72,7 @@ class LevelClassification:
     unclassified: frozenset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeImpact:
     """One node's entry in an impact report."""
 
@@ -82,7 +82,7 @@ class NodeImpact:
     relation: NodeRelation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriticalityEntry:
     node: str
     impaired_state: str

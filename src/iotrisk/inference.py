@@ -12,6 +12,15 @@ P(node | parents), and every query here evaluates that product exactly:
   Must agree with enumeration to 1e-9; the test suite holds it to that.
 * :func:`posterior_update` -- eliminates for every node under one evidence set.
 
+The numeric queries, and the Monte Carlo sampler, read one
+:class:`CompiledModel`: integer node ids, one read-only table per CPT and the
+topological order.  :func:`compile_model` builds it from the CPT rows on a
+model's first numeric query, and the model keeps it
+(:attr:`BayesianModel.compiled <iotrisk.model.BayesianModel.compiled>`), so
+later queries on the same model build no table.  Integer ids follow the
+ascending node ids, so every factor's axes, and with them the results, are
+those of elimination over the string ids.
+
 Evidence with zero probability raises :class:`ImpossibleEvidence` rather than
 returning NaNs: it means the model and the observation contradict each other.
 All functions are pure and models are immutable, so concurrent use is safe.
@@ -19,6 +28,7 @@ All functions are pure and models are immutable, so concurrent use is safe.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -48,49 +58,68 @@ def joint_probability(model: BayesianModel, assignment) -> float:
     return prob
 
 
-# --------------------------------------------------------------- enumeration
-
-def _cpt_as_array(model: BayesianModel, node_id: str) -> np.ndarray:
-    """CPT as an ndarray with one axis per parent (in parent_order) + the node."""
-    return _table_array(model.cpt(node_id), model.domain)
-
+# ------------------------------------------------------------- compiled form
 
 def _table_array(cpt, domain) -> np.ndarray:
-    """``cpt`` as an ndarray with one axis per parent + the node; ``domain``
-    maps a node id to its state domain."""
+    """``cpt`` as an ndarray with one axis per parent (in parent_order) + the
+    node; ``domain`` maps a node id to its state domain."""
     import numpy as np
 
-    parent_domains = [tuple(domain(p)) for p in cpt.parent_order]
-    shape = tuple(len(d) for d in parent_domains) + (len(domain(cpt.node)),)
-    arr = np.empty(shape, dtype=np.float64)
-    if not parent_domains:
-        arr[...] = np.asarray(cpt.rows[()])
-        return arr
-    index_iter = np.ndindex(*shape[:-1])
-    for idx in index_iter:
-        key = tuple(parent_domains[k][i] for k, i in enumerate(idx))
-        arr[idx] = np.asarray(cpt.rows[key])
-    return arr
+    parent_domains = [domain(p).states for p in cpt.parent_order]
+    rows = [cpt.rows[key] for key in itertools.product(*parent_domains)]
+    shape = [len(d) for d in parent_domains] + [len(domain(cpt.node))]
+    return np.array(rows, dtype=np.float64).reshape(shape)
 
 
-def _full_joint(model: BayesianModel, var_order: tuple[str, ...]) -> np.ndarray:
-    """The complete joint table with one axis per node, in ``var_order``."""
+@dataclass(frozen=True, slots=True, eq=False)
+class CompiledModel:
+    """A model's numeric form, shared by every numeric query on it.
+
+    Node ``i`` is ``ids[i]``: integer ids follow the ascending string ids, as
+    ``graph.nodes`` does.  ``factors[i]`` is node ``i``'s CPT over its
+    parents' and its own id, axes ascending, its values read-only.
+    ``topological`` is :func:`~iotrisk.graph.topological_order` in ids.
+    """
+
+    ids: tuple[str, ...]
+    index: dict          # node id -> integer id
+    factors: tuple       # of _Factor, one per node
+    topological: tuple[int, ...]
+
+
+def compile_model(model: BayesianModel) -> CompiledModel:
+    """Build ``model``'s :class:`CompiledModel` from its CPT rows.
+
+    Queries read it through ``model.compiled``, which calls this once per
+    model; every node needs a CPT.
+    """
+    ids = model.graph.node_ids
+    index = {nid: i for i, nid in enumerate(ids)}
+    factors = []
+    for node in model.graph.nodes:
+        cpt = model.cpt(node.id)
+        values = _table_array(cpt, model.domain)
+        values.flags.writeable = False
+        factors.append(_sorted_factor(
+            tuple(index[p] for p in cpt.parent_order) + (index[node.id],), values))
+    topological = tuple(index[nid] for nid in topological_order(model.graph))
+    return CompiledModel(ids, index, tuple(factors), topological)
+
+
+# --------------------------------------------------------------- enumeration
+
+def _full_joint(model: BayesianModel) -> np.ndarray:
+    """The complete joint table with one axis per node, in integer-id order."""
     import numpy as np
 
-    axis = {v: k for k, v in enumerate(var_order)}
-    cards = tuple(len(model.domain(v)) for v in var_order)
+    cards = tuple(len(n.domain) for n in model.graph.nodes)
     joint = np.ones(cards, dtype=np.float64)
-    for node_id in var_order:
-        cpt = model.cpt(node_id)
-        local_vars = cpt.parent_order + (node_id,)
-        table = _cpt_as_array(model, node_id)
-        # Reorder local axes by global axis position, then broadcast-reshape.
-        perm = sorted(range(len(local_vars)), key=lambda k: axis[local_vars[k]])
-        table = np.transpose(table, perm)
-        shape = [1] * len(var_order)
-        for var in local_vars:
-            shape[axis[var]] = len(model.domain(var))
-        joint *= table.reshape(shape)
+    for f in model.compiled.factors:
+        # The factor's axes are ascending ids; insert broadcast axes.
+        shape = [1] * len(cards)
+        for v in f.vars:
+            shape[v] = cards[v]
+        joint *= f.values.reshape(shape)
     return joint
 
 
@@ -105,8 +134,8 @@ def enumerate_posteriors(model: BayesianModel, evidence=None) -> dict:
 
     model.require_fully_specified()
     evidence = model.validate_evidence(evidence or {})
-    var_order = tuple(n.id for n in model.graph.nodes)
-    joint = _full_joint(model, var_order)
+    var_order = model.graph.node_ids
+    joint = _full_joint(model)
 
     index = []
     for v in var_order:
@@ -145,7 +174,11 @@ def enumerate_marginal(model: BayesianModel, query: str, evidence=None) -> Margi
 
 @dataclass(frozen=True, eq=False)
 class _Factor:
-    """A table over ``vars``, one axis each; ``vars`` is always ascending."""
+    """A table over ``vars``, one axis each; ``vars`` is always ascending.
+
+    Static queries name variables by integer id, the temporal passes by
+    string id.
+    """
 
     vars: tuple[str, ...]
     values: np.ndarray
@@ -166,12 +199,16 @@ def _factor_product(a: _Factor, b: _Factor) -> _Factor:
     return _Factor(out_vars, aligned(a) * aligned(b))
 
 
-def _reduce_factor(f: _Factor, evidence: dict, state_index) -> _Factor:
+def _reduce_factor(f: _Factor, evidence: dict) -> _Factor:
+    """``f`` at the observed states; ``evidence`` maps a variable to its
+    state index."""
+    if not any(v in evidence for v in f.vars):
+        return f
     keep_vars = []
     index = []
     for v in f.vars:
         if v in evidence:
-            index.append(state_index(v, evidence[v]))
+            index.append(evidence[v])
         else:
             index.append(slice(None))
             keep_vars.append(v)
@@ -220,30 +257,24 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None) -> Margi
     model.require_fully_specified()
     node = model.graph.node(query)
     evidence = model.validate_evidence(evidence or {})
-
-    def state_index(node_id: str, state: str) -> int:
-        return model.domain(node_id).index(state)
-
-    factors = []
-    for n in model.graph.nodes:
-        cpt = model.cpt(n.id)
-        # CPT axes must be sorted for _Factor ops; parent_order is sorted but
-        # the node's own axis may not land last alphabetically.
-        f = _sorted_factor(cpt.parent_order + (n.id,), _cpt_as_array(model, n.id))
-        factors.append(_reduce_factor(f, evidence, state_index))
-
-    to_eliminate = [v for v in reversed(topological_order(model.graph))
-                    if v != query and v not in evidence]
+    compiled = model.compiled
+    observed = {compiled.index[nid]: model.domain(nid).index(state)
+                for nid, state in evidence.items()}
+    factors = [_reduce_factor(f, observed) for f in compiled.factors]
+    var = compiled.index[query]
+    to_eliminate = [v for v in reversed(compiled.topological)
+                    if v != var and v not in observed]
     result = _eliminate(factors, to_eliminate)
-    return _normalized_marginal(query, node.domain.states, result, evidence)
+    return _normalized_marginal(query, var, node.domain.states, result, evidence)
 
 
-def _normalized_marginal(query: str, states: tuple, result: _Factor,
+def _normalized_marginal(query: str, var, states: tuple, result: _Factor,
                          evidence: dict) -> Marginal:
     """Turn the unnormalized factor left after elimination into a Marginal.
 
-    ``result`` is over ``(query,)``, or over no variable when the query is in
-    ``evidence``; a zero total means the evidence is impossible.
+    ``result`` is over ``(var,)``, the query's variable, or over no variable
+    when the query is in ``evidence``; a zero total means the evidence is
+    impossible.
     """
     import numpy as np
 
@@ -253,7 +284,7 @@ def _normalized_marginal(query: str, states: tuple, result: _Factor,
             raise ImpossibleEvidence(f"evidence {evidence!r} has probability 0")
         return Marginal.indicator(query, states, evidence[query])
 
-    if result.vars != (query,):
+    if result.vars != (var,):
         raise AssertionError(f"elimination left unexpected variables {result.vars!r}")
     dist = np.asarray(result.values, dtype=np.float64)
     z = float(dist.sum())

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     InvalidDistribution,
@@ -88,7 +89,7 @@ def check_distribution(dist, where: str) -> None:
         raise InvalidDistribution(f"{where}: sums to {total!r}, expected 1 within {ROW_SUM_TOL}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Marginal:
     """A distribution over one node's states, in domain order."""
 
@@ -122,7 +123,8 @@ class BayesianModel:
 
     ``cpts`` may be partial: nodes without an entry are uncontrollable.
     Construction validates the graph (raising :class:`ValidationFailed` with
-    every finding) and every declared CPT against the graph.
+    every finding) and every declared CPT against the graph.  The numeric
+    form the queries read, :attr:`compiled`, is built on first use.
     """
 
     graph: DependencyGraph
@@ -138,6 +140,18 @@ class BayesianModel:
             raise ValidationFailed(issues)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "cpts", cpts)
+
+    @cached_property
+    def compiled(self):
+        """This model's :class:`~iotrisk.inference.CompiledModel`, built by
+        the first numeric query and kept; needs every CPT.
+
+        Not a field: equality and hashing ignore it, and a model built by
+        :meth:`with_cpts` or ``dataclasses.replace`` compiles its own.
+        """
+        from .inference import compile_model
+
+        return compile_model(self)
 
     # ------------------------------------------------------------- accessors
 

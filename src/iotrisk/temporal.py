@@ -37,7 +37,7 @@ from .errors import (
     UnknownState,
     ValidationFailed,
 )
-from .graph import ComponentNode, DependencyGraph, InfluenceEdge, topological_order
+from .graph import ComponentNode, DependencyGraph, InfluenceEdge
 from .inference import (
     eliminate_marginal,
     _eliminate,
@@ -111,10 +111,10 @@ class TemporalModel:
     temporal_edges: tuple[TemporalEdge, ...]
     initial_cpts: dict = field(default_factory=dict)
     max_horizon: int = DEFAULT_MAX_HORIZON
-    # Compiled once at construction for the interface passes (see _compile).
-    _tables: tuple = field(init=False, repr=False, compare=False)
-    _interface: tuple = field(init=False, repr=False, compare=False)
-    _reverse_topo: tuple = field(init=False, repr=False, compare=False)
+    # Compiled by the first query for the interface passes (see _compile).
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _interface: tuple = field(default=(), init=False, repr=False, compare=False)
+    _reverse_topo: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __init__(self, template, temporal_edges, initial_cpts=None,
                  max_horizon: int = DEFAULT_MAX_HORIZON):
@@ -125,17 +125,19 @@ class TemporalModel:
         object.__setattr__(self, "initial_cpts", dict(initial_cpts or {}))
         object.__setattr__(self, "max_horizon", int(max_horizon))
         self._check()
-        self._compile()
 
     def _compile(self) -> None:
         """Slice tables as sorted-axis factors, plus the elimination inputs.
 
         ``_tables[0]`` holds slice 0's tables, ``_tables[1]`` those of every
         later slice, where a temporal parent is named ``_prev(source)``.
-        ``_interface`` lists the temporal sources; ``_reverse_topo`` is the
-        template's elimination order, as in :func:`eliminate_marginal`.
+        Template tables are the template model's compiled ones, named by
+        node id.  ``_interface`` lists the temporal sources;
+        ``_reverse_topo`` is the template's elimination order, as in
+        :func:`eliminate_marginal`.
         """
         model = self.template.model
+        compiled = model.compiled
         transitions = self.transition_cpts
 
         def factor(cpt: Cpt, sources=frozenset()) -> _Factor:
@@ -143,8 +145,9 @@ class TemporalModel:
             return _sorted_factor(parents + (cpt.node,), _table_array(cpt, model.domain))
 
         initial, later = [], []
-        for node in model.graph.nodes:
-            table = factor(model.cpts[node.id])
+        for node, compiled_table in zip(model.graph.nodes, compiled.factors):
+            table = _Factor(tuple(compiled.ids[v] for v in compiled_table.vars),
+                            compiled_table.values)
             initial.append(factor(self.initial_cpts[node.id])
                            if node.id in self.initial_cpts else table)
             later.append(factor(transitions[node.id], set(self.temporal_sources(node.id)))
@@ -153,7 +156,7 @@ class TemporalModel:
         object.__setattr__(self, "_interface",
                            tuple(sorted({e.source for e in self.temporal_edges})))
         object.__setattr__(self, "_reverse_topo",
-                           tuple(reversed(topological_order(model.graph))))
+                           tuple(compiled.ids[i] for i in reversed(compiled.topological)))
 
     def _check(self) -> None:
         issues: list[tuple[str, str]] = []
@@ -359,10 +362,6 @@ def _prepare(model: TemporalModel, obs: ObservationSeries, last_obs_time: int) -
     return by_slice
 
 
-def _given(var: str, index: int) -> int:
-    return index
-
-
 def _slice_factors(model: TemporalModel, evidence: dict, s: int, messages) -> list:
     """Slice ``s``'s tables reduced by its evidence, plus ``messages``.
 
@@ -371,7 +370,7 @@ def _slice_factors(model: TemporalModel, evidence: dict, s: int, messages) -> li
     """
     observed = dict(evidence.get(s, {}))
     observed.update((_prev(n), i) for n, i in evidence.get(s - 1, {}).items())
-    factors = [_reduce_factor(f, observed, _given) for f in model._tables[min(s, 1)]]
+    factors = [_reduce_factor(f, observed) for f in model._tables[min(s, 1)]]
     return factors + [m for m in messages if m is not None]
 
 
@@ -396,6 +395,8 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
     k+1 and holds the likelihood of that evidence given the interface at k.
     Slice k's tables between the two are then eliminated once per node.
     """
+    if model._tables is None:
+        model._compile()
     previous = [_prev(n) for n in model._interface]
     template = list(model._reverse_topo)
     # Forward steps keep the interface; backward steps keep the previous one.
@@ -418,7 +419,7 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
             raise _impossible(obs)
         states = node.domain.states
         here = {node.id: states[observed[node.id]]} if node.id in observed else {}
-        out[node.id] = _normalized_marginal(node.id, states, result, here)
+        out[node.id] = _normalized_marginal(node.id, node.id, states, result, here)
     return out
 
 

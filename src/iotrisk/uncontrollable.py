@@ -74,6 +74,7 @@ def complete_model(model: BayesianModel, catalogues=None) -> BayesianModel:
     The substituted table repeats the catalogue prior for every parent-state
     combination: with no data there is no conditional structure to assert, so
     the node is treated as independent of its parents until data exists.
+    A model with no uncontrollable node is returned as it is.
     """
     catalogues = dict(catalogues or {})
     extra = {}
@@ -86,7 +87,7 @@ def complete_model(model: BayesianModel, catalogues=None) -> BayesianModel:
         domains = [tuple(model.domain(p)) for p in parents]
         rows = {combo: cat.prior for combo in itertools.product(*domains)}
         extra[node_id] = Cpt(node_id, parents, rows)
-    return model.with_cpts(extra)
+    return model.with_cpts(extra) if extra else model
 
 
 def resolve_uncontrollable(model: BayesianModel, node_id: str, evidence=None,

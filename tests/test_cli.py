@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from iotrisk.bundled import load_bundled_model
 from iotrisk.cli import main
 from iotrisk.documents import serialize_model
+from iotrisk.model import BayesianModel
 from iotrisk.temporal import TemporalModel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -95,6 +96,21 @@ class TestInfer:
         code, out = run(capsys, "infer", "--model", model_files["layered_iot"])
         assert code == 0
         assert len(json.loads(out)["result"]["posteriors"]) == 9
+
+    def test_model_without_gaps_is_built_once(self, capsys, monkeypatch, model_files):
+        # The completed model of a document with no uncontrollable node is
+        # its model, so the two share one compiled form.
+        built = []
+        init = BayesianModel.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BayesianModel, "__init__", counted)
+        code, _ = run(capsys, "infer", "--model", model_files["layered_iot"])
+        assert code == 0
+        assert len(built) == 1
 
     def test_unknown_state_exits_one(self, capsys, model_files):
         code, _ = run(capsys, "infer", "--model", model_files["layered_iot"],
@@ -400,6 +416,10 @@ def run_in_fresh_interpreter(argvs) -> dict:
 NUMPY_FREE_REPORTS = [
     (("validate", "--model", "layered_iot"),
      "403e43d9326aabf94e0800357fb4e362a23c1d6815216240bfaa009def61f43d"),
+    (("validate", "--model", "smart_home"),
+     "e61e8ea93b4355f22835c74c047ad79e7e8e1df02d476bad87baf86ac49b8d90"),
+    (("validate", "--model", "uncontrolled_sensor"),
+     "53082878a7608292ecf83c269799b90a07d51e2babbe7d8c6e7514290ac9cad0"),
     (("export-dot", "--model", "layered_iot"),
      "3b3a54f81cd5757f101b83dbab8b4898c967b7f5480dc4c2c680f4c9e5575351"),
     (("cvss", "--vector", "AV:N/AC:L/Au:N/C:P/I:P/A:C/E:F/RL:OF/RC:C/CDP:LM/TD:H"),

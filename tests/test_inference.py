@@ -6,6 +6,8 @@ brute-force enumeration before being frozen here (0.03, 0.34, 27/34, 0.404).
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -20,8 +22,17 @@ from iotrisk.errors import (
     UnknownState,
     ValidationFailed,
 )
-from iotrisk.graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain
+from iotrisk import inference
+from iotrisk.bundled import load_bundled_model
+from iotrisk.graph import (
+    ComponentNode,
+    DependencyGraph,
+    InfluenceEdge,
+    StateDomain,
+    topological_order,
+)
 from iotrisk.inference import (
+    compile_model,
     eliminate_marginal,
     enumerate_marginal,
     enumerate_posteriors,
@@ -29,6 +40,7 @@ from iotrisk.inference import (
     posterior_update,
 )
 from iotrisk.model import BayesianModel, Cpt
+from iotrisk.sampling import monte_carlo_sample
 
 from conftest import brute_posteriors, random_evidence, random_model
 
@@ -168,6 +180,90 @@ class TestPosteriorUpdate:
             for marginal in posterior_update(model, evidence).values():
                 assert all(p >= 0.0 for p in marginal.probabilities)
                 assert math.fsum(marginal.probabilities) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestCompiledModel:
+    """Each model compiles once into the tables every numeric query reads."""
+
+    def models(self):
+        rng = random.Random(17)
+        return ([load_bundled_model("layered_iot").model]
+                + [random_model(rng, max_nodes=8) for _ in range(10)])
+
+    def test_every_entry_is_the_cpt_row_entry(self):
+        for model in self.models():
+            compiled = compile_model(model)
+            assert compiled.ids == model.graph.node_ids
+            for i, f in enumerate(compiled.factors):
+                node_id = compiled.ids[i]
+                cpt = model.cpt(node_id)
+                assert f.vars == tuple(sorted(f.vars))
+                assert tuple(compiled.ids[v] for v in f.vars) == tuple(
+                    sorted(cpt.parent_order + (node_id,)))
+                for idx in itertools.product(*(range(k) for k in f.values.shape)):
+                    states = {compiled.ids[v]: model.domain(compiled.ids[v]).states[k]
+                              for v, k in zip(f.vars, idx)}
+                    row = cpt.row(tuple(states[p] for p in cpt.parent_order))
+                    assert f.values[idx] == row[model.domain(node_id).index(states[node_id])]
+
+    def test_topological_order_in_integer_ids(self):
+        for model in self.models():
+            compiled = model.compiled
+            assert tuple(compiled.ids[i] for i in compiled.topological) \
+                == topological_order(model.graph)
+
+    def test_repeated_queries_build_each_table_once(self, monkeypatch):
+        built = []
+        table_array = inference._table_array
+
+        def counted(cpt, domain):
+            built.append(cpt.node)
+            return table_array(cpt, domain)
+
+        monkeypatch.setattr(inference, "_table_array", counted)
+        model = random_model(random.Random(5), min_nodes=6, max_nodes=8)
+        some = model.graph.nodes[0].id
+        for _ in range(3):
+            eliminate_marginal(model, some, {})
+            posterior_update(model, {some: model.domain(some).states[0]})
+            enumerate_posteriors(model)
+            monte_carlo_sample(model, 100, seed=0)
+        assert sorted(built) == sorted(model.graph.node_ids)
+        assert model.compiled is model.compiled
+
+    def test_cached_tables_are_read_only(self):
+        model = load_bundled_model("layered_iot").model
+        for f in model.compiled.factors:
+            with pytest.raises(ValueError):
+                f.values[(0,) * f.values.ndim] = 0.5
+
+    def test_new_models_compile_afresh_and_compare_without_the_cache(self):
+        model = load_bundled_model("layered_iot").model
+        compiled = model.compiled
+        for other in (model.with_cpts({}),
+                      dataclasses.replace(model, cpts=dict(model.cpts))):
+            assert "compiled" not in vars(other)
+            assert other.compiled is not compiled
+            assert other == model
+            # Equal to an uncompiled twin, and as unhashable (a dict field).
+            for m in (model, other):
+                with pytest.raises(TypeError):
+                    hash(m)
+        assert "compiled" not in {f.name for f in dataclasses.fields(BayesianModel)}
+
+    def test_posterior_bits_unchanged(self):
+        # SHA-256 over the float.hex of posterior_update on 150 seeded random
+        # models, taken from the build that rebuilt every table per query.
+        digest = hashlib.sha256()
+        for seed in range(150):
+            rng = random.Random(seed)
+            model = random_model(rng)
+            evidence = random_evidence(rng, model)
+            for nid, m in sorted(posterior_update(model, evidence).items()):
+                digest.update(f"{nid}:{','.join(p.hex() for p in m.probabilities)};"
+                              .encode())
+        assert digest.hexdigest() == \
+            "1627f5c7f5a114df1ff53a283277c2b783e1e4ec4942653810a1469b0541af70"
 
 
 class TestCptValidation:

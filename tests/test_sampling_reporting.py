@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -10,7 +11,7 @@ import tracemalloc
 import pytest
 
 from iotrisk.bundled import load_bundled_model
-from iotrisk.cascade import IncidentScenario, impact_probabilities
+from iotrisk.cascade import IncidentScenario, impact_probabilities, rank_criticality
 from iotrisk.errors import InvalidArgument, IotRiskError, MissingCpt
 from iotrisk.graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain
 from iotrisk.inference import enumerate_posteriors
@@ -171,6 +172,35 @@ class TestReports:
                            "s": frozenset({"b", "a"})})
         assert out == {"m": {"node": "B", "distribution": {"T": 0.34, "F": 0.66}},
                        "s": ["a", "b"]}
+
+
+class TestSlottedAnswers:
+    """The answer types a caller may keep by the thousand carry no
+    per-instance ``__dict__``; their behaviour is unchanged."""
+
+    def answers(self):
+        model = load_bundled_model("layered_iot").model
+        impact = impact_probabilities(model, IncidentScenario({"a14": "impaired"})).per_node
+        entry = rank_criticality(model, [("a14", "impaired")])[0]
+        return [impact["a1"].distribution, impact["a1"], entry]
+
+    def test_no_instance_dict(self):
+        for answer in self.answers():
+            assert not hasattr(answer, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(answer, dataclasses.fields(answer)[0].name, None)
+
+    def test_jsonable_equality_and_replace(self):
+        for answer, again in zip(self.answers(), self.answers()):
+            assert answer == again and hash(answer) == hash(again)
+            assert to_jsonable(answer) == to_jsonable(again)
+            assert json.dumps(to_jsonable(answer))
+            copy = dataclasses.replace(answer)
+            assert copy == answer and copy is not answer
+        marginal, impact, entry = self.answers()
+        assert to_jsonable(marginal)["node"] == "a1"
+        assert dataclasses.replace(impact, dependency_order=7).dependency_order == 7
+        assert dataclasses.replace(entry, score=None).score is None
 
 
 class TestDotExport:

@@ -139,6 +139,10 @@ class TestCompleteModel:
         model = latent_child_model()
         assert detect_uncontrollable(complete_model(model)) == frozenset()
 
+    def test_model_without_gaps_is_returned_as_it_is(self):
+        model = complete_model(latent_child_model())
+        assert complete_model(model) is model
+
     def test_completed_node_independent_of_parents(self):
         # U has a parent but no CPT: the substituted rows repeat the prior,
         # so conditioning the parent must not move U.
