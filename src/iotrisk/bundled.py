@@ -18,8 +18,8 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .errors import ModelSyntaxError, SchemaVersionMismatch, ValidationFailed
-from .documents import SCHEMA_VERSION, ModelDocument, parse_model, _parse_roadmap
+from .errors import SchemaVersionMismatch, ValidationFailed
+from .documents import SCHEMA_VERSION, ModelDocument, parse_model, _json_object, _parse_roadmap
 from .roadmap import RoadmapModel, build_roadmap
 
 BUNDLED_MODELS = ("layered_iot", "smart_home", "uncontrolled_sensor")
@@ -52,14 +52,7 @@ def parse_roadmap_document(text: str, section: str | None = DEFAULT_ROADMAP_SECT
     ``section`` selects one section by key; pass None to combine all sections
     into a single roadmap.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelSyntaxError(f"not valid JSON: {exc.msg} (line {exc.lineno}, "
-                               f"column {exc.colno})", exc.lineno, exc.colno) from None
-    if not isinstance(raw, dict):
-        raise ModelSyntaxError(f"document root must be an object, got "
-                               f"{type(raw).__name__}")
+    raw = _json_object(text)
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"schema_version {raw.get('schema_version')!r} is not supported")

@@ -13,7 +13,6 @@ usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,8 +33,8 @@ from .cvss import (
     score_summary,
     score_to_prior,
 )
-from .documents import ingest_evidence, parse_model, read_evidence
-from .errors import DocumentError, IotRiskError, ModelSyntaxError, ValidationFailed
+from .documents import _json_object, ingest_evidence, parse_model, read_evidence
+from .errors import DocumentError, IotRiskError, ValidationFailed
 from .graph import validate as validate_graph
 from .inference import eliminate_marginal, posterior_update
 from .reporting import emit_report, export_dot, input_digest, to_jsonable
@@ -192,7 +191,7 @@ def _render_text(kind: str, result) -> str:
             lines.append(f"{pad}{value}")
 
     walk(data)
-    return "\n".join(line for line in lines if line is not None) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _write(args, text: str) -> None:
@@ -219,8 +218,9 @@ def _decode(raw: bytes, path: str) -> str:
 
 
 def _load_document(args):
+    """The ``--model`` document, its report digest and its raw bytes."""
     raw = Path(args.model).read_bytes()
-    return parse_model(_decode(raw, args.model)), input_digest(raw)
+    return parse_model(_decode(raw, args.model)), input_digest(raw), raw
 
 
 # ------------------------------------------------------------------- commands
@@ -247,12 +247,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    doc, digest = _load_document(args)
+    doc, digest, model_raw = _load_document(args)
     model = doc.completed_model()
     evidence = {}
     if args.evidence:
         raw = Path(args.evidence).read_bytes()
-        digest = input_digest(Path(args.model).read_bytes(), raw)
+        digest = input_digest(model_raw, raw)
         for record in sorted(read_evidence(_decode(raw, args.evidence), model),
                              key=lambda r: r.timestamp_ms):
             evidence[record.node] = record.state
@@ -272,7 +272,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
-    doc, digest = _load_document(args)
+    doc, digest, _ = _load_document(args)
     model = doc.completed_model()
     scenario = IncidentScenario(dict(args.origin))
     report = impact_probabilities(model, scenario)
@@ -284,11 +284,11 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_dbn(args) -> int:
-    doc, digest = _load_document(args)
+    doc, digest, model_raw = _load_document(args)
     tm = doc.temporal_model()
     if args.evidence:
         raw = Path(args.evidence).read_bytes()
-        digest = input_digest(Path(args.model).read_bytes(), raw)
+        digest = input_digest(model_raw, raw)
         records = read_evidence(_decode(raw, args.evidence), tm.template.model)
         obs = ingest_evidence(records, args.bucket_ms)
     else:
@@ -315,7 +315,7 @@ def _cmd_dbn(args) -> int:
 
 
 def _cmd_iotmm(args) -> int:
-    doc, digest = _load_document(args)
+    doc, digest, _ = _load_document(args)
     model = doc.model
     uncontrollable = sorted(detect_uncontrollable(model))
     if args.resolve:
@@ -349,21 +349,15 @@ def _cmd_cvss(args) -> int:
 
 def _read_tiers(path: str) -> dict:
     """A JSON file holding one object: control element id -> tier label."""
-    try:
-        value = json.loads(_decode(Path(path).read_bytes(), path))
-    except json.JSONDecodeError as exc:
-        raise ModelSyntaxError(f"{path}: not valid JSON: {exc.msg} (line {exc.lineno}, "
-                               f"column {exc.colno})", exc.lineno, exc.colno) from None
-    if not isinstance(value, dict):
-        raise ModelSyntaxError(f"{path}: expected an object mapping element ids to tiers")
-    return value
+    return _json_object(_decode(Path(path).read_bytes(), path), f"{path}: ",
+                        "expected an object mapping element ids to tiers")
 
 
 def _cmd_roadmap(args) -> int:
     if bool(args.model) == bool(args.roadmap):
         raise UsageError("give exactly one of --model or --roadmap")
     if args.model:
-        doc, digest = _load_document(args)
+        doc, digest, _ = _load_document(args)
         if doc.roadmap is None:
             raise ValidationFailed([("$.roadmap", "document has no roadmap section")])
         roadmap = doc.roadmap
@@ -384,7 +378,7 @@ def _cmd_roadmap(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    doc, digest = _load_document(args)
+    doc, digest, _ = _load_document(args)
     model = doc.completed_model()
     freqs = monte_carlo_sample(model, args.n, args.seed)
     result = {"n": args.n, "seed": args.seed, "marginals": freqs}
@@ -393,7 +387,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    doc, digest = _load_document(args)
+    doc, digest, _ = _load_document(args)
     report = None
     if args.origin:
         report = impact_probabilities(doc.completed_model(),

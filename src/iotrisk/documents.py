@@ -200,6 +200,24 @@ def _parse_roadmap(raw, path, issues) -> RoadmapModel | None:
         return None
 
 
+def _json_object(text: str, prefix: str = "", not_object: str | None = None) -> dict:
+    """``text`` parsed as JSON whose root is an object.
+
+    Malformed JSON, or a root of another type, raises
+    :class:`ModelSyntaxError` with a message that starts with ``prefix``;
+    ``not_object`` replaces the message for a root that is not an object.
+    """
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelSyntaxError(f"{prefix}not valid JSON: {exc.msg} (line {exc.lineno}, "
+                               f"column {exc.colno})", exc.lineno, exc.colno) from None
+    if not isinstance(value, dict):
+        what = not_object or f"document root must be an object, got {type(value).__name__}"
+        raise ModelSyntaxError(prefix + what)
+    return value
+
+
 def parse_model(text: str) -> ModelDocument:
     """Parse and fully validate a model document.
 
@@ -207,15 +225,7 @@ def parse_model(text: str) -> ModelDocument:
     :class:`SchemaVersionMismatch` for unknown versions, and
     :class:`ValidationFailed` with every located issue otherwise.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelSyntaxError(f"not valid JSON: {exc.msg} (line {exc.lineno}, "
-                               f"column {exc.colno})", exc.lineno, exc.colno) from None
-    if not isinstance(raw, dict):
-        raise ModelSyntaxError(f"document root must be an object, got "
-                               f"{type(raw).__name__}")
-
+    raw = _json_object(text)
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(

@@ -176,14 +176,15 @@ def enumerate_marginal(model: BayesianModel, query: str, evidence=None) -> Margi
 class _Factor:
     """A table over ``vars``, one axis each; ``vars`` is always ascending.
 
-    Static queries name variables by integer id, the temporal passes by
-    string id.
+    Variables are integer ids: a model's compiled ids, and in the temporal
+    passes the template's, with each previous-slice copy numbered after the
+    template's nodes.
     """
 
-    vars: tuple[str, ...]
+    vars: tuple[int, ...]
     values: np.ndarray
 
-    def sum_out(self, var: str) -> "_Factor":
+    def sum_out(self, var: int) -> "_Factor":
         ax = self.vars.index(var)
         return _Factor(self.vars[:ax] + self.vars[ax + 1:], self.values.sum(axis=ax))
 
@@ -215,7 +216,7 @@ def _reduce_factor(f: _Factor, evidence: dict) -> _Factor:
     return _Factor(tuple(keep_vars), f.values[tuple(index)])
 
 
-def _sorted_factor(vars_: tuple[str, ...], values: np.ndarray) -> _Factor:
+def _sorted_factor(vars_: tuple[int, ...], values: np.ndarray) -> _Factor:
     """A factor with its axes permuted into ascending variable order."""
     order = tuple(sorted(vars_))
     perm = [vars_.index(v) for v in order]

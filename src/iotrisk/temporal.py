@@ -22,6 +22,10 @@ query costs O(t) small factor operations.  :func:`unroll` and
 :func:`unrolled_marginals` are kept as the oracle these passes are tested
 against.
 
+The passes use the template's compiled integer ids: template node ``i`` is
+``i`` and its copy one slice back ``n + i``, for ``n`` template nodes.  A
+message moves a slice by adding or subtracting ``n``; its axes stay ascending.
+
 Slice parameters are shared across time (slice >= 1 all use the transition
 tables), so the dynamics are time-homogeneous by construction.
 """
@@ -29,6 +33,8 @@ tables), so the dynamics are time-homogeneous by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     ImpossibleEvidence,
@@ -62,18 +68,6 @@ def slice_id(node_id: str, t: int) -> str:
     return f"{node_id}{SLICE_SEP}{t}"
 
 
-_PREV = f"{SLICE_SEP}-1"
-
-
-def _prev(node_id: str) -> str:
-    """Name of ``node_id`` one slice back, inside one slice's factors."""
-    return node_id + _PREV
-
-
-def _current(var: str) -> str:
-    return var[:-len(_PREV)]
-
-
 @dataclass(frozen=True)
 class SliceTemplate:
     """One slice's nodes, edges and CPTs (a fully specified static model)."""
@@ -103,18 +97,27 @@ class TemporalEdge:
     cpt: Cpt
 
 
+class _Slices(NamedTuple):
+    """A :class:`TemporalModel`'s slice tables and elimination orders."""
+
+    size: int                  # template nodes; node i one slice back is size + i
+    tables: tuple              # (slice 0's factors, every later slice's factors)
+    previous: tuple[int, ...]  # the temporal sources one slice back
+    template: tuple[int, ...]  # the template's order, as in eliminate_marginal
+    forward: tuple[int, ...]   # eliminates all but the temporal sources
+
+
 @dataclass(frozen=True)
 class TemporalModel:
-    """Slice template + inter-slice edges + optional slice-0 priors."""
+    """Slice template + inter-slice edges + optional slice-0 priors.
+
+    The slice tables the queries read, ``_slices``, are built on first use.
+    """
 
     template: SliceTemplate
     temporal_edges: tuple[TemporalEdge, ...]
     initial_cpts: dict = field(default_factory=dict)
     max_horizon: int = DEFAULT_MAX_HORIZON
-    # Compiled by the first query for the interface passes (see _compile).
-    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _interface: tuple = field(default=(), init=False, repr=False, compare=False)
-    _reverse_topo: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __init__(self, template, temporal_edges, initial_cpts=None,
                  max_horizon: int = DEFAULT_MAX_HORIZON):
@@ -126,37 +129,32 @@ class TemporalModel:
         object.__setattr__(self, "max_horizon", int(max_horizon))
         self._check()
 
-    def _compile(self) -> None:
-        """Slice tables as sorted-axis factors, plus the elimination inputs.
+    @cached_property
+    def _slices(self) -> _Slices:
+        """Built by the first query and kept; not a field, so equality ignores it.
 
-        ``_tables[0]`` holds slice 0's tables, ``_tables[1]`` those of every
-        later slice, where a temporal parent is named ``_prev(source)``.
-        Template tables are the template model's compiled ones, named by
-        node id.  ``_interface`` lists the temporal sources;
-        ``_reverse_topo`` is the template's elimination order, as in
-        :func:`eliminate_marginal`.
+        Template tables are the template model's compiled ones.
         """
         model = self.template.model
         compiled = model.compiled
+        n = len(compiled.ids)
         transitions = self.transition_cpts
 
-        def factor(cpt: Cpt, sources=frozenset()) -> _Factor:
-            parents = tuple(_prev(p) if p in sources else p for p in cpt.parent_order)
-            return _sorted_factor(parents + (cpt.node,), _table_array(cpt, model.domain))
+        def factor(cpt: Cpt, sources=()) -> _Factor:
+            axes = tuple(compiled.index[p] + (n if p in sources else 0) for p in cpt.parent_order)
+            return _sorted_factor(axes + (compiled.index[cpt.node],),
+                                  _table_array(cpt, model.domain))
 
         initial, later = [], []
-        for node, compiled_table in zip(model.graph.nodes, compiled.factors):
-            table = _Factor(tuple(compiled.ids[v] for v in compiled_table.vars),
-                            compiled_table.values)
-            initial.append(factor(self.initial_cpts[node.id])
-                           if node.id in self.initial_cpts else table)
-            later.append(factor(transitions[node.id], set(self.temporal_sources(node.id)))
-                         if node.id in transitions else table)
-        object.__setattr__(self, "_tables", (tuple(initial), tuple(later)))
-        object.__setattr__(self, "_interface",
-                           tuple(sorted({e.source for e in self.temporal_edges})))
-        object.__setattr__(self, "_reverse_topo",
-                           tuple(compiled.ids[i] for i in reversed(compiled.topological)))
+        for nid, table in zip(compiled.ids, compiled.factors):
+            initial.append(factor(self.initial_cpts[nid]) if nid in self.initial_cpts else table)
+            later.append(factor(transitions[nid], self.temporal_sources(nid))
+                         if nid in transitions else table)
+        interface = sorted({compiled.index[e.source] for e in self.temporal_edges})
+        previous = tuple(n + i for i in interface)
+        template = tuple(reversed(compiled.topological))
+        forward = previous + tuple(v for v in template if v not in interface)
+        return _Slices(n, (tuple(initial), tuple(later)), previous, template, forward)
 
     def _check(self) -> None:
         issues: list[tuple[str, str]] = []
@@ -347,39 +345,39 @@ def _check_horizon(model: TemporalModel, horizon: int) -> None:
 
 
 def _prepare(model: TemporalModel, obs: ObservationSeries, last_obs_time: int) -> dict:
-    """Validate ``obs``; return slice -> {node: state index}."""
-    graph = model.template.model.graph
-    by_slice: dict[int, dict[str, int]] = {}
+    """Validate ``obs``; return slice -> {template id: state index}."""
+    template = model.template.model
+    by_slice: dict[int, dict[int, int]] = {}
     for t, node_id, state in obs:
-        node = graph.node(node_id)  # raises UnknownNode for foreign ids
+        node = template.graph.node(node_id)  # raises UnknownNode for foreign ids
         if state not in node.domain:
             raise UnknownState(
                 f"node {node_id!r} has no state {state!r}; domain is {tuple(node.domain)}")
         if t > last_obs_time:
             raise ObservationBeyondHorizon(
                 f"observation at time {t} is beyond the query time {last_obs_time}")
-        by_slice.setdefault(t, {})[node_id] = node.domain.index(state)
+        by_slice.setdefault(t, {})[template.compiled.index[node_id]] = node.domain.index(state)
     return by_slice
 
 
-def _slice_factors(model: TemporalModel, evidence: dict, s: int, messages) -> list:
+def _slice_factors(slices: _Slices, evidence: dict, s: int, messages) -> list:
     """Slice ``s``'s tables reduced by its evidence, plus ``messages``.
 
-    A temporal source observed at slice s-1 is reduced on its ``_prev`` axis
-    too, since that evidence already removed it from the forward message.
+    A temporal source observed at slice s-1 is reduced on its previous-slice
+    axis too, since that evidence already removed it from the forward message.
     """
     observed = dict(evidence.get(s, {}))
-    observed.update((_prev(n), i) for n, i in evidence.get(s - 1, {}).items())
-    factors = [_reduce_factor(f, observed) for f in model._tables[min(s, 1)]]
+    observed.update((slices.size + i, state) for i, state in evidence.get(s - 1, {}).items())
+    factors = [_reduce_factor(f, observed) for f in slices.tables[min(s, 1)]]
     return factors + [m for m in messages if m is not None]
 
 
-def _message(result: _Factor, rename, obs: ObservationSeries) -> _Factor:
-    """``result`` normalized to sum 1, its variables renamed by ``rename``."""
+def _message(result: _Factor, shift: int, obs: ObservationSeries) -> _Factor:
+    """``result`` normalized to sum 1, every id moved by ``shift``."""
     z = float(result.values.sum())
     if z <= 0.0:
         raise _impossible(obs)
-    return _sorted_factor(tuple(rename(v) for v in result.vars), result.values / z)
+    return _Factor(tuple(v + shift for v in result.vars), result.values / z)
 
 
 def _impossible(obs: ObservationSeries) -> ImpossibleEvidence:
@@ -395,31 +393,26 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
     k+1 and holds the likelihood of that evidence given the interface at k.
     Slice k's tables between the two are then eliminated once per node.
     """
-    if model._tables is None:
-        model._compile()
-    previous = [_prev(n) for n in model._interface]
-    template = list(model._reverse_topo)
-    # Forward steps keep the interface; backward steps keep the previous one.
-    forward = previous + [v for v in template if v not in model._interface]
+    slices = model._slices
     alpha = None
     for s in range(k):
-        result = _eliminate(_slice_factors(model, evidence, s, [alpha]), forward)
-        alpha = _message(result, _prev, obs)
+        result = _eliminate(_slice_factors(slices, evidence, s, [alpha]), slices.forward)
+        alpha = _message(result, slices.size, obs)
     beta = None
     for s in range(last, k, -1):
-        result = _eliminate(_slice_factors(model, evidence, s, [beta]), template)
-        beta = _message(result, _current, obs)
+        result = _eliminate(_slice_factors(slices, evidence, s, [beta]), slices.template)
+        beta = _message(result, -slices.size, obs)
 
-    factors = _slice_factors(model, evidence, k, [alpha, beta])
+    factors = _slice_factors(slices, evidence, k, [alpha, beta])
     observed = evidence.get(k, {})
     out = {}
-    for node in model.template.model.graph.nodes:
-        result = _eliminate(factors, [v for v in previous + template if v != node.id])
+    for i, node in enumerate(model.template.model.graph.nodes):
+        result = _eliminate(factors, [v for v in slices.previous + slices.template if v != i])
         if float(result.values.sum()) <= 0.0:
             raise _impossible(obs)
         states = node.domain.states
-        here = {node.id: states[observed[node.id]]} if node.id in observed else {}
-        out[node.id] = _normalized_marginal(node.id, node.id, states, result, here)
+        here = {node.id: states[observed[i]]} if i in observed else {}
+        out[node.id] = _normalized_marginal(node.id, i, states, result, here)
     return out
 
 

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from iotrisk import temporal
 from iotrisk.bundled import load_bundled_model
 from iotrisk.cli import main
 from iotrisk.documents import serialize_model
 from iotrisk.model import BayesianModel
-from iotrisk.temporal import TemporalModel
+from iotrisk.reporting import input_digest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -179,17 +180,43 @@ class TestDbn:
         assert code == 1
 
     def test_temporal_model_compiled_once(self, capsys, monkeypatch, model_files):
-        compiled = []
-        compile_ = TemporalModel._compile
+        # One table build per transition and slice-0 table, however many
+        # slices the query passes through; template tables are the
+        # template model's compiled ones.
+        built = []
+        table_array = temporal._table_array
+
+        def counted(cpt, domain):
+            built.append(cpt)
+            return table_array(cpt, domain)
+
+        monkeypatch.setattr(temporal, "_table_array", counted)
+        code, _ = run(capsys, "dbn", "--model", model_files["smart_home"], "--at", "5")
+        assert code == 0
+        spec = load_bundled_model("smart_home").temporal
+        assert len(built) == len(spec.transition_cpts) + len(spec.initial_cpts) > 0
+
+
+class TestEvidenceDigest:
+    """With ``--evidence``, the report digests the model and the stream."""
+
+    @pytest.mark.parametrize("verb", ["infer", "dbn"])
+    def test_model_file_read_once(self, capsys, monkeypatch, model_files, verb):
+        reads = []
+        read_bytes = Path.read_bytes
 
         def counted(self):
-            compiled.append(self)
-            compile_(self)
+            reads.append(str(self))
+            return read_bytes(self)
 
-        monkeypatch.setattr(TemporalModel, "_compile", counted)
-        code, _ = run(capsys, "dbn", "--model", model_files["smart_home"])
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        code, out = run(capsys, verb, "--model", model_files["smart_home"],
+                        "--evidence", model_files["evidence"])
         assert code == 0
-        assert len(compiled) == 1
+        assert reads.count(model_files["smart_home"]) == 1
+        assert json.loads(out)["input_digest"] == input_digest(
+            read_bytes(Path(model_files["smart_home"])),
+            read_bytes(Path(model_files["evidence"])))
 
 
 class TestIotmm:
@@ -241,6 +268,19 @@ class TestRoadmap:
                         "--target", model_files["target"])
         assert code == 0
         assert json.loads(out)["result"]["gaps"] == []
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"a": ', "not valid JSON: Expecting value (line 1, column 7)"),
+        ("[1, 2]", "expected an object mapping element ids to tiers"),
+    ])
+    def test_malformed_tiers_file_exits_one(self, capsys, tmp_path, model_files,
+                                            text, message):
+        tiers = tmp_path / "tiers.json"
+        tiers.write_text(text, encoding="utf-8")
+        code = main(["roadmap", "--roadmap", model_files["roadmap"],
+                     "--current", str(tiers), "--target", model_files["target"]])
+        assert code == 1
+        assert capsys.readouterr().err == f"iotrisk: error: {tiers}: {message}\n"
 
     def test_model_and_roadmap_together_is_usage_error(self, capsys, model_files):
         code, _ = run(capsys, "roadmap", "--model", model_files["smart_home"],

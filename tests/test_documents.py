@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotrisk.bundled import bundled_model_names, load_bundled_model
+from iotrisk.bundled import bundled_model_names, load_bundled_model, parse_roadmap_document
 from iotrisk.documents import (
     EvidenceRecord,
     ModelDocument,
@@ -70,6 +70,16 @@ class TestParseModel:
     def test_non_object_root_is_a_syntax_error(self):
         with pytest.raises(ModelSyntaxError):
             parse_model("[1, 2]")
+
+    @pytest.mark.parametrize("parse", [parse_model, parse_roadmap_document])
+    @pytest.mark.parametrize("text, message, line", [
+        ('{"a": ', "not valid JSON: Expecting value (line 1, column 7)", 1),
+        ("[1, 2]", "document root must be an object, got list", None),
+    ])
+    def test_json_errors_read_alike(self, parse, text, message, line):
+        with pytest.raises(ModelSyntaxError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line) == (message, line)
 
     def test_unknown_schema_version_rejected(self):
         with pytest.raises(SchemaVersionMismatch):

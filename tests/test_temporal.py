@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from iotrisk import temporal
 from iotrisk.bundled import load_bundled_model
 from iotrisk.errors import (
     ImpossibleEvidence,
@@ -209,6 +210,7 @@ class TestUnrolledEquivalence:
 
     def test_random_models_match_direct_unrolled_queries(self):
         rng = random.Random(4242)
+        horizons = random.Random(4243)
         for _ in range(25):
             tm = random_temporal_model(rng)
             horizon = rng.randint(1, 4)
@@ -227,6 +229,15 @@ class TestUnrolledEquivalence:
             smoothed = smooth_marginals(tm, obs, k, t)
             for nid, marginal in smoothed.items():
                 direct = eliminate_marginal(unrolled, slice_id(nid, k), evidence)
+                assert marginal.probabilities == pytest.approx(
+                    direct.probabilities, abs=1e-9)
+
+            # Drawn apart so the models and evidence above stay as they were.
+            h = horizons.randint(1, 3)
+            predicted = predict_marginals(tm, obs, t, h)
+            ahead = unroll(tm, t + h + 1)
+            for nid, marginal in predicted.items():
+                direct = eliminate_marginal(ahead, slice_id(nid, t + h), evidence)
                 assert marginal.probabilities == pytest.approx(
                     direct.probabilities, abs=1e-9)
 
@@ -322,6 +333,24 @@ class TestInterfacePasses:
         for nid, marginal in results[1].items():
             assert filtered[nid].probabilities == pytest.approx(
                 marginal.probabilities, abs=1e-12)
+
+    def test_slice_tables_built_once_per_model(self, monkeypatch):
+        # Transition and slice-0 tables are built by the first query and
+        # kept; later queries on the same model build none.
+        built = []
+        table_array = temporal._table_array
+
+        def counted(cpt, domain):
+            built.append(cpt.node)
+            return table_array(cpt, domain)
+
+        monkeypatch.setattr(temporal, "_table_array", counted)
+        tm = load_bundled_model("smart_home").temporal_model()
+        obs = ObservationSeries([(1, {"wifi_gateway": "down"})])
+        filter_marginals(tm, obs, 4)
+        smooth_marginals(tm, obs, 0, 4)
+        predict_marginals(tm, obs, 4, 3)
+        assert sorted(built) == sorted(list(tm.transition_cpts) + list(tm.initial_cpts))
 
     def test_max_horizon_bounds_every_query(self, sensor_dbn):
         t = sensor_dbn.max_horizon
