@@ -359,6 +359,11 @@ def parse_model(text: str) -> ModelDocument:
             issues.append(("$.temporal.max_horizon",
                            f"expected an integer, got {max_horizon!r}"))
             max_horizon = DEFAULT_MAX_HORIZON
+        if max_horizon < 1:
+            # No query could run: even slice 0 would be beyond the limit.
+            issues.append(("$.temporal.max_horizon",
+                           f"expected an integer >= 1, got {max_horizon}"))
+            max_horizon = DEFAULT_MAX_HORIZON
         temporal = TemporalSpec(tuple(sorted(set(tedges))), transition_cpts, initial_cpts,
                                 max_horizon)
 

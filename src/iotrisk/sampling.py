@@ -9,13 +9,14 @@ frequencies.  With n = 10^6 the empirical marginals sit within ~0.0015
 (3 sigma) of the exact values, which is why the agreement tolerance used by
 the test suite is 0.002.
 
-Memory is bounded by n bytes per live node plus O(BLOCK x card) scratch.  A
-node's sampled states are kept, one byte each (the smallest unsigned dtype
-that holds its state index), only while a child of it is still to be drawn;
-everything else is worked in blocks of ``BLOCK`` samples.
-Node by node the generator still hands out n uniforms in topological order,
-and drawing them block by block consumes the same stream, so the
-frequencies are the same as drawing all n at once.
+The node at topological position k reads uniforms k*n .. (k+1)*n - 1 of the
+stream of ``default_rng(seed)``, one 64-bit output per uniform.  Each node
+gets its own PCG64 generator jumped ahead to its offset (``advance`` costs
+O(log k*n) steps), so all nodes can be drawn together one block of
+``BLOCK`` samples at a time, and the frequencies equal those of drawing
+every node's n uniforms from one generator in one call.  Within a block a
+node's states are kept only while a child of it is still to be drawn.
+Memory is O(BLOCK x (live nodes + states)) whatever n is.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from __future__ import annotations
 from .errors import InvalidArgument
 from .model import BayesianModel, Marginal
 
-# Samples per block: the uniforms, row indices and thresholds of one block
-# of one node are the only float/index arrays alive at a time.
-BLOCK = 1 << 18
+# Samples per block: the uniforms and row indices of one node's block, and
+# the states of the block's live nodes, are the only arrays whose size does
+# not come from the model's tables.
+BLOCK = 1 << 14
 
 
 def monte_carlo_sample(model: BayesianModel, n: int, seed: int) -> dict:
@@ -45,15 +47,14 @@ def monte_carlo_sample(model: BayesianModel, n: int, seed: int) -> dict:
     if seed < 0:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
     model.require_fully_specified()
-    rng = np.random.default_rng(seed)
     compiled = model.compiled
     order = compiled.topological
     # A node's factor axes are its parents' ids and its own, ascending.
     parent_ids = {i: [v for v in compiled.factors[i].vars if v != i] for i in order}
     last_child = {p: k for k, i in enumerate(order) for p in parent_ids[i]}
 
-    samples: dict[int, np.ndarray] = {}
     counts: dict[int, np.ndarray] = {}
+    draws = []
     for k, i in enumerate(order):
         f = compiled.factors[i]
         # Back to the CPT's layout: parents in order, the node's axis last.
@@ -62,31 +63,34 @@ def monte_carlo_sample(model: BayesianModel, n: int, seed: int) -> dict:
         # The last cumulative column is pinned to 1.0 and u < 1, so it never
         # counts; only the first card - 1 thresholds are compared.
         cumulative = np.cumsum(table.reshape(-1, card), axis=1)
-        parents = [(samples[p], table.shape[a]) for a, p in enumerate(parent_ids[i])]
-        dtype = np.min_scalar_type(card - 1)
-        drawn = np.empty(n, dtype=dtype) if i in last_child else None
-        tally = np.zeros(card, dtype=np.int64)
-        for lo in range(0, n, BLOCK):
-            hi = min(lo + BLOCK, n)
-            u = rng.random(hi - lo)
+        parents = [(p, table.shape[a]) for a, p in enumerate(parent_ids[i])]
+        bits = np.random.PCG64(seed)
+        bits.advance(k * n)
+        draws.append((i, np.random.Generator(bits), cumulative, parents,
+                      np.min_scalar_type(card - 1)))
+        counts[i] = np.zeros(card, dtype=np.int64)
+
+    for lo in range(0, n, BLOCK):
+        size = min(BLOCK, n - lo)
+        states: dict[int, np.ndarray] = {}
+        for k, (i, rng, cumulative, parents, dtype) in enumerate(draws):
+            u = rng.random(size)
             # Row index per sample: mixed-radix over the parents' states, the
             # row order of the CPT table.
-            row = np.zeros(hi - lo, dtype=np.intp)
-            for states, pcard in parents:
+            row = np.zeros(size, dtype=np.intp)
+            for p, pcard in parents:
                 row *= pcard
-                row += states[lo:hi]
-            state = np.zeros(hi - lo, dtype=dtype)
+                row += states[p]
+            card = cumulative.shape[1]
+            state = np.zeros(size, dtype=dtype)
             for col in range(card - 1):
                 state += u > cumulative[row, col]
-            tally += np.bincount(state, minlength=card)
-            if drawn is not None:
-                drawn[lo:hi] = state
-        counts[i] = tally
-        if drawn is not None:
-            samples[i] = drawn
-        for p in parent_ids[i]:
-            if last_child[p] == k:
-                del samples[p]
+            counts[i] += np.bincount(state, minlength=card)
+            if i in last_child:
+                states[i] = state
+            for p, _ in parents:
+                if last_child[p] == k:
+                    del states[p]
 
     out = {}
     for i, node in enumerate(model.graph.nodes):

@@ -277,7 +277,7 @@ def unroll(model: TemporalModel, horizon: int) -> BayesianModel:
     horizon = int(horizon)
     if horizon < 1:
         raise InvalidHorizon(f"horizon must be >= 1, got {horizon}")
-    _check_horizon(model, horizon)
+    _check_horizon(model, horizon - 1, f"horizon {horizon} (slices 0..{horizon - 1})")
 
     template_model = model.template.model
     graph = template_model.graph
@@ -338,10 +338,12 @@ def _rename_parents(cpt: Cpt, new_node: str, rename: dict) -> Cpt:
     return Cpt(new_node, new_parents, new_rows)
 
 
-def _check_horizon(model: TemporalModel, horizon: int) -> None:
-    if horizon > model.max_horizon:
-        raise InvalidHorizon(
-            f"horizon {horizon} exceeds the configured limit {model.max_horizon}")
+def _check_horizon(model: TemporalModel, last: int, requested: str) -> None:
+    """Refuse a query that reaches slice ``last``; ``requested`` names that
+    slice in the caller's own terms."""
+    if last >= model.max_horizon:
+        raise InvalidHorizon(f"{requested} is beyond max_horizon {model.max_horizon} "
+                             f"(slices 0..{model.max_horizon - 1})")
 
 
 def _prepare(model: TemporalModel, obs: ObservationSeries, last_obs_time: int) -> dict:
@@ -422,7 +424,7 @@ def filter_marginals(model: TemporalModel, obs: ObservationSeries, t: int) -> di
     if t < 0:
         raise InvalidHorizon(f"time index must be >= 0, got {t}")
     evidence = _prepare(model, obs, t)
-    _check_horizon(model, t + 1)
+    _check_horizon(model, t, f"time index {t}")
     return _posteriors(model, obs, evidence, t, t)
 
 
@@ -433,7 +435,7 @@ def smooth_marginals(model: TemporalModel, obs: ObservationSeries,
     if k < 0 or k > t:
         raise InvalidHorizon(f"smoothing requires 0 <= k <= t, got k={k}, t={t}")
     evidence = _prepare(model, obs, t)
-    _check_horizon(model, t + 1)
+    _check_horizon(model, t, f"time index {t}")
     return _posteriors(model, obs, evidence, k, t)
 
 
@@ -446,6 +448,6 @@ def predict_marginals(model: TemporalModel, obs: ObservationSeries,
     if h < 1:
         raise InvalidHorizon(f"prediction horizon must be >= 1, got {h}")
     evidence = _prepare(model, obs, t)
-    _check_horizon(model, t + h + 1)
+    _check_horizon(model, t + h, f"predicted slice {t + h} (time index {t} + horizon {h})")
     # No evidence after t: the forward pass simply runs on through t+h-1.
     return _posteriors(model, obs, evidence, t + h, t + h)

@@ -364,6 +364,28 @@ class TestBoundary:
         assert "Traceback" not in proc.stderr
         assert "sample count" in proc.stderr
 
+    @pytest.mark.parametrize("args,message", [
+        (("--at", "64"), "time index 64 is beyond max_horizon 64 (slices 0..63)"),
+        (("--mode", "predict", "--horizon", "100"),
+         "predicted slice 100 (time index 0 + horizon 100) is beyond "
+         "max_horizon 64 (slices 0..63)"),
+    ])
+    def test_slice_beyond_max_horizon_names_the_request(self, model_files, args, message):
+        proc = run_process("dbn", "--model", model_files["smart_home"], *args)
+        assert proc.returncode == 1
+        assert proc.stderr == f"iotrisk: error: {message}\n"
+
+    def test_max_horizon_below_one_exits_one(self, tmp_path, model_files):
+        raw = json.loads(Path(model_files["smart_home"]).read_text())
+        raw["temporal"]["max_horizon"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        proc = run_process("dbn", "--model", str(bad))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "$.temporal.max_horizon" in proc.stderr
+        assert "expected an integer >= 1, got 0" in proc.stderr
+
     def test_non_integer_evidence_timestamp_exits_one(self, tmp_path, model_files):
         stream = tmp_path / "e.ndjson"
         stream.write_text('{"ts": "x", "node": "monitoring_app", "state": "stale"}\n',

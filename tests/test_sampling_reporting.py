@@ -106,6 +106,29 @@ GOLDEN_COUNTS = {
         "wifi_gateway": (850377, 99643, 49980)},
 }
 
+# Same provenance, for a random model whose nodes are mostly ternary and
+# whose children read a ternary parent's states.  n = 2^14 + 1 and 300,007
+# end one sample into a block and part way through one.
+RANDOM_MODEL_COUNTS = {
+    2 ** 14 + 1: {
+        "n00": (2734, 6324, 7327), "n01": (1426, 10878, 4081),
+        "n02": (2768, 3060, 10557), "n03": (3282, 3456, 9647),
+        "n04": (7332, 9053), "n05": (3344, 11277, 1764)},
+    300_007: {
+        "n00": (50601, 117077, 132329), "n01": (25402, 200558, 74047),
+        "n02": (50486, 57057, 192464), "n03": (59783, 62836, 177388),
+        "n04": (133253, 166754), "n05": (61999, 205234, 32774)},
+}
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestSamplerBlocks:
     """Block-wise drawing keeps the stream, the frequencies and a memory bound."""
@@ -118,18 +141,30 @@ class TestSamplerBlocks:
                {nid: tuple(c / n for c in counts)
                 for nid, counts in GOLDEN_COUNTS[name, n].items()}
 
+    @pytest.mark.parametrize("n", sorted(RANDOM_MODEL_COUNTS))
+    def test_golden_frequencies_multi_state(self, n):
+        model = random_model(random.Random(17), max_nodes=6, max_states=3,
+                             max_joint=2 ** 9)
+        freqs = monte_carlo_sample(model, n, seed=0)
+        assert {nid: m.probabilities for nid, m in freqs.items()} == \
+               {nid: tuple(c / n for c in counts)
+                for nid, counts in RANDOM_MODEL_COUNTS[n].items()}
+
     def test_peak_memory_bounded_at_one_million(self):
         model = load_bundled_model("layered_iot").completed_model()
-        tracemalloc.start()
-        try:
-            monte_carlo_sample(model, 10 ** 6, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # One byte per sample per live node plus a few block-sized arrays
-        # comes to ~9.4 MiB.  Int64 states reach ~31 MiB, and a float64
-        # array of n samples per node ~94 MiB.
+        peak = traced_peak(lambda: monte_carlo_sample(model, 10 ** 6, seed=0))
+        # A few block-sized arrays come to under 0.5 MiB.  Keeping a byte per
+        # sample per live node would reach ~8.7 MiB, int64 states ~31 MiB,
+        # and a float64 array of n samples per node ~94 MiB.
         assert peak < 16 * 2 ** 20
+
+    def test_peak_memory_independent_of_n(self):
+        model = load_bundled_model("layered_iot").completed_model()
+        small, large = (traced_peak(lambda: monte_carlo_sample(model, n, seed=0))
+                        for n in (10 ** 6, 4 * 10 ** 6))
+        # Keeping n bytes per live node would reach ~8.7 MiB and ~16 MiB.
+        assert small < 2 ** 20 and large < 2 ** 20
+        assert abs(large - small) < 64 * 2 ** 10
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_nonpositive_count_is_invalid_argument(self, n):
