@@ -10,12 +10,17 @@ P(node | parents), and every query here evaluates that product exactly:
   count; intended for models up to roughly 14 nodes.
 * :func:`eliminate_marginal` -- variable elimination, the production path.
   Must agree with enumeration to 1e-9; the test suite holds it to that.
+  Each variable has a bucket of the factors over it (bucket elimination,
+  Dechter 1999), and a bucket is multiplied in one pass.  The products and
+  sums are those of rescanning one factor list per variable, in the same
+  order, so the answers are bit for bit those of that simpler algorithm.
 * :func:`posterior_update` -- eliminates for every node under one evidence set.
 
 The numeric queries, and the Monte Carlo sampler, read one
-:class:`CompiledModel`: integer node ids, one read-only table per CPT and the
-topological order.  :func:`compile_model` builds it from the CPT rows on a
-model's first numeric query, and the model keeps it
+:class:`CompiledModel`: integer node ids, one read-only table per CPT, the
+topological order and one indicator :class:`Marginal` per node state, which
+every query for an observed node returns.  :func:`compile_model` builds it
+from the CPT rows on a model's first numeric query, and the model keeps it
 (:attr:`BayesianModel.compiled <iotrisk.model.BayesianModel.compiled>`), so
 later queries on the same model build no table.  Integer ids follow the
 ascending node ids, so every factor's axes, and with them the results, are
@@ -78,12 +83,17 @@ class CompiledModel:
     Node ``i`` is ``ids[i]``: integer ids follow the ascending string ids, as
     ``graph.nodes`` does.  ``factors[i]`` is node ``i``'s CPT over its
     parents' and its own id, axes ascending, its values read-only.
+    ``holders[i]`` lists the factors over node ``i``: its own and its
+    children's.  ``indicators[i][k]`` is the :class:`Marginal` of node ``i``
+    observed in its ``k``-th state, one instance every query returns.
     ``topological`` is :func:`~iotrisk.graph.topological_order` in ids.
     """
 
     ids: tuple[str, ...]
     index: dict          # node id -> integer id
     factors: tuple       # of _Factor, one per node
+    holders: tuple       # of tuple[int, ...], one per node
+    indicators: tuple    # of tuple[Marginal, ...], one per node
     topological: tuple[int, ...]
 
 
@@ -102,8 +112,16 @@ def compile_model(model: BayesianModel) -> CompiledModel:
         values.flags.writeable = False
         factors.append(_sorted_factor(
             tuple(index[p] for p in cpt.parent_order) + (index[node.id],), values))
+    holders = [[] for _ in ids]
+    for i, f in enumerate(factors):
+        for v in f.vars:
+            holders[v].append(i)
+    indicators = tuple(tuple(Marginal.indicator(node.id, node.domain.states, state)
+                             for state in node.domain.states)
+                       for node in model.graph.nodes)
     topological = tuple(index[nid] for nid in topological_order(model.graph))
-    return CompiledModel(ids, index, tuple(factors), topological)
+    return CompiledModel(ids, index, tuple(factors), tuple(map(tuple, holders)),
+                         indicators, topological)
 
 
 # --------------------------------------------------------------- enumeration
@@ -185,19 +203,28 @@ class _Factor:
     values: np.ndarray
 
     def sum_out(self, var: int) -> "_Factor":
+        import numpy as np
+
         ax = self.vars.index(var)
-        return _Factor(self.vars[:ax] + self.vars[ax + 1:], self.values.sum(axis=ax))
+        return _Factor(self.vars[:ax] + self.vars[ax + 1:], np.add.reduce(self.values, ax))
 
 
-def _factor_product(a: _Factor, b: _Factor) -> _Factor:
-    out_vars = tuple(sorted(set(a.vars) | set(b.vars)))
+def _product(factors: list, cards: dict) -> _Factor:
+    """The product of ``factors`` over the ascending union of their variables.
 
-    def aligned(f: _Factor) -> np.ndarray:
-        # f's axes are already in out_vars order; insert broadcast axes
-        sizes = dict(zip(f.vars, f.values.shape))
-        return f.values.reshape([sizes.get(v, 1) for v in out_vars])
-
-    return _Factor(out_vars, aligned(a) * aligned(b))
+    Each operand is broadcast to that scope and the operands are multiplied
+    left to right, so every entry is the same left-to-right product, held in
+    the same memory layout, as a chain of pairwise products gives.  ``cards``
+    maps a variable to its axis length.
+    """
+    if len(factors) == 1:
+        return factors[0]
+    scope = tuple(sorted({v for f in factors for v in f.vars}))
+    values = None
+    for f in factors:
+        operand = f.values.reshape([cards[v] if v in f.vars else 1 for v in scope])
+        values = operand if values is None else values * operand
+    return _Factor(scope, values)
 
 
 def _reduce_factor(f: _Factor, evidence: dict) -> _Factor:
@@ -229,23 +256,37 @@ def _eliminate(factors: list, order) -> _Factor:
     The factor-level core of variable elimination, shared by
     :func:`eliminate_marginal` and the temporal interface passes.  Returns the
     product of what is left, over every variable not in ``order``.
+
+    Bucket elimination (Dechter 1999): each factor has a key, its position in
+    ``factors`` and then one more for each factor a step makes, and each
+    variable a bucket, the keys of the factors that hold it in ascending
+    order.  A step takes the live factors in its variable's bucket, multiplies
+    them in key order, sums the variable out and files the result under the
+    next key.  So the products and sums are those of rescanning a factor list
+    that keeps its order and appends each step's result.
     """
     import numpy as np
 
+    live = dict(enumerate(factors))
+    buckets: dict = {}
+    cards = {}
+    for key, f in live.items():
+        for v, card in zip(f.vars, f.values.shape):
+            buckets.setdefault(v, []).append(key)
+            cards[v] = card
+    key = len(live)
     for var in order:
-        related = [f for f in factors if var in f.vars]
-        if not related:
+        # A key whose factor an earlier step consumed is no longer live.
+        bucket = [live.pop(k) for k in buckets.pop(var, ()) if k in live]
+        if not bucket:
             continue
-        rest = [f for f in factors if var not in f.vars]
-        product = related[0]
-        for f in related[1:]:
-            product = _factor_product(product, f)
-        factors = rest + [product.sum_out(var)]
+        summed = _product(bucket, cards).sum_out(var)
+        live[key] = summed
+        for v in summed.vars:
+            buckets[v].append(key)
+        key += 1
 
-    result = _Factor((), np.float64(1.0))
-    for f in factors:
-        result = _factor_product(result, f)
-    return result
+    return _product([_Factor((), np.float64(1.0)), *live.values()], cards)
 
 
 def eliminate_marginal(model: BayesianModel, query: str, evidence=None) -> Marginal:
@@ -253,7 +294,8 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None) -> Margi
 
     The elimination order is fixed for reproducibility: reverse topological
     order restricted to non-query, non-evidence nodes, ties broken by node id.
-    Agrees with :func:`enumerate_marginal` to within ``ORACLE_TOL``.
+    Agrees with :func:`enumerate_marginal` to within ``ORACLE_TOL``.  An
+    observed query returns the model's shared indicator marginal.
     """
     model.require_fully_specified()
     node = model.graph.node(query)
@@ -261,37 +303,29 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None) -> Margi
     compiled = model.compiled
     observed = {compiled.index[nid]: model.domain(nid).index(state)
                 for nid, state in evidence.items()}
-    factors = [_reduce_factor(f, observed) for f in compiled.factors]
+    # Only an observed node's own table and its children's hold it.
+    factors = list(compiled.factors)
+    for i in {c for v in observed for c in compiled.holders[v]}:
+        factors[i] = _reduce_factor(factors[i], observed)
     var = compiled.index[query]
     to_eliminate = [v for v in reversed(compiled.topological)
                     if v != var and v not in observed]
     result = _eliminate(factors, to_eliminate)
-    return _normalized_marginal(query, var, node.domain.states, result, evidence)
+    z = float(result.values.sum())
+    if z <= 0.0:
+        raise ImpossibleEvidence(f"evidence {evidence!r} has probability 0")
+    if var in observed:
+        return compiled.indicators[var][observed[var]]
+    return _normalized_marginal(query, var, node.domain.states, result, z)
 
 
 def _normalized_marginal(query: str, var, states: tuple, result: _Factor,
-                         evidence: dict) -> Marginal:
-    """Turn the unnormalized factor left after elimination into a Marginal.
-
-    ``result`` is over ``(var,)``, the query's variable, or over no variable
-    when the query is in ``evidence``; a zero total means the evidence is
-    impossible.
-    """
-    import numpy as np
-
-    if query in evidence:
-        z = float(result.values)
-        if z <= 0.0:
-            raise ImpossibleEvidence(f"evidence {evidence!r} has probability 0")
-        return Marginal.indicator(query, states, evidence[query])
-
+                         z: float) -> Marginal:
+    """Turn the factor over ``(var,)`` left after elimination, whose total is
+    ``z > 0``, into the unobserved ``query``'s Marginal."""
     if result.vars != (var,):
         raise AssertionError(f"elimination left unexpected variables {result.vars!r}")
-    dist = np.asarray(result.values, dtype=np.float64)
-    z = float(dist.sum())
-    if z <= 0.0:
-        raise ImpossibleEvidence(f"evidence {evidence!r} has probability 0")
-    dist = dist / z
+    dist = result.values / z
     dist = dist / dist.sum()
     return Marginal(query, states, tuple(float(p) for p in dist))
 

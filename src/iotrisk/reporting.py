@@ -12,7 +12,6 @@ probability of its degraded state.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, is_dataclass
 
@@ -27,6 +26,9 @@ REPORT_SCHEMA_VERSION = 1
 
 def input_digest(*chunks: bytes) -> str:
     """A stable fingerprint of the inputs that produced a report."""
+    # Imported here: hashlib loads OpenSSL, which only a digest needs.
+    import hashlib
+
     h = hashlib.sha256()
     for chunk in chunks:
         h.update(chunk)

@@ -163,6 +163,10 @@ class TemporalModel:
         transitions: dict[str, Cpt] = {}
         sources_by_target: dict[str, list[str]] = {}
 
+        if self.max_horizon < 1:
+            # No query could run: even slice 0 would be beyond the limit.
+            issues.append(("$.temporal.max_horizon",
+                           f"expected an integer >= 1, got {self.max_horizon}"))
         for edge in self.temporal_edges:
             path = f"$.temporal.edges[{edge.source}->{edge.target}]"
             for endpoint in (edge.source, edge.target):
@@ -393,7 +397,8 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
     The forward message alpha runs over slices 0..k-1 and holds the
     interface at k-1; the backward message beta runs from ``last`` back to
     k+1 and holds the likelihood of that evidence given the interface at k.
-    Slice k's tables between the two are then eliminated once per node.
+    Slice k's tables between the two are then eliminated once per node; a
+    node observed at slice k gets the template's shared indicator marginal.
     """
     slices = model._slices
     alpha = None
@@ -407,14 +412,15 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
 
     factors = _slice_factors(slices, evidence, k, [alpha, beta])
     observed = evidence.get(k, {})
+    indicators = model.template.model.compiled.indicators
     out = {}
     for i, node in enumerate(model.template.model.graph.nodes):
         result = _eliminate(factors, [v for v in slices.previous + slices.template if v != i])
-        if float(result.values.sum()) <= 0.0:
+        z = float(result.values.sum())
+        if z <= 0.0:
             raise _impossible(obs)
-        states = node.domain.states
-        here = {node.id: states[observed[i]]} if i in observed else {}
-        out[node.id] = _normalized_marginal(node.id, i, states, result, here)
+        out[node.id] = (indicators[i][observed[i]] if i in observed else
+                        _normalized_marginal(node.id, i, node.domain.states, result, z))
     return out
 
 

@@ -24,6 +24,7 @@ from iotrisk.errors import (
 )
 from iotrisk import inference
 from iotrisk.bundled import load_bundled_model
+from iotrisk.cascade import rank_criticality
 from iotrisk.graph import (
     ComponentNode,
     DependencyGraph,
@@ -41,8 +42,14 @@ from iotrisk.inference import (
 )
 from iotrisk.model import BayesianModel, Cpt
 from iotrisk.sampling import monte_carlo_sample
+from iotrisk.temporal import (
+    ObservationSeries,
+    filter_marginals,
+    predict_marginals,
+    smooth_marginals,
+)
 
-from conftest import brute_posteriors, random_evidence, random_model
+from conftest import brute_posteriors, random_evidence, random_model, random_temporal_model
 
 TF = StateDomain(["T", "F"])
 
@@ -172,6 +179,17 @@ class TestPosteriorUpdate:
         posteriors = posterior_update(chain2, {"A": "T"})
         assert posteriors["B"].p("T") == pytest.approx(0.9, abs=1e-12)
 
+    def test_observed_queries_share_one_indicator(self):
+        model = load_bundled_model("layered_iot").model
+        first = eliminate_marginal(model, "a14", {"a14": "impaired"})
+        again = posterior_update(model, {"a14": "impaired", "a1": "operational"})["a14"]
+        assert again is first
+        assert first is model.compiled.indicators[model.compiled.index["a14"]][
+            model.domain("a14").index("impaired")]
+        oracle = enumerate_posteriors(model, {"a14": "impaired"})["a14"]
+        assert oracle is not first
+        assert oracle == first and hash(oracle) == hash(first)
+
     def test_marginals_are_normalized_distributions(self):
         rng = random.Random(99)
         for _ in range(10):
@@ -264,6 +282,44 @@ class TestCompiledModel:
                               .encode())
         assert digest.hexdigest() == \
             "1627f5c7f5a114df1ff53a283277c2b783e1e4ec4942653810a1469b0541af70"
+
+    def test_temporal_bits_unchanged(self):
+        # SHA-256 over the float.hex of filter, smooth and predict on 50
+        # seeded random temporal models, taken from the build whose
+        # elimination multiplied factor pairs over rescanned factor lists.
+        digest = hashlib.sha256()
+        for seed in range(50):
+            rng = random.Random(seed)
+            tm = random_temporal_model(rng)
+            t = rng.randint(0, 6)
+            graph = tm.template.model.graph
+            obs = ObservationSeries(
+                [(s, {n.id: rng.choice(tuple(n.domain)) for n in graph.nodes
+                      if rng.random() < 0.3}) for s in range(t + 1)])
+            k = rng.randint(0, t)
+            h = rng.randint(1, 3)
+            for name, marginals in (("filter", filter_marginals(tm, obs, t)),
+                                    ("smooth", smooth_marginals(tm, obs, k, t)),
+                                    ("predict", predict_marginals(tm, obs, t, h))):
+                for nid, m in sorted(marginals.items()):
+                    digest.update(f"{name}:{nid}:"
+                                  f"{','.join(p.hex() for p in m.probabilities)};".encode())
+        assert digest.hexdigest() == \
+            "9589ee2d75d0c542b172002b039ab0971fcab3e0341b76c97c7b52e0e2ae4d30"
+
+    def test_rank_bits_unchanged(self):
+        # SHA-256 over the order and float.hex scores of rank_criticality on
+        # 50 seeded random models, every node a candidate and a service node;
+        # scores that tie to within an ulp make the order part of the bits.
+        digest = hashlib.sha256()
+        for seed in range(50):
+            model = random_model(random.Random(seed))
+            ids = model.graph.node_ids
+            candidates = [(nid, model.domain(nid).states[-1]) for nid in ids]
+            for entry in rank_criticality(model, candidates, service_nodes=ids):
+                digest.update(f"{entry.node}={entry.score.hex()};".encode())
+        assert digest.hexdigest() == \
+            "8a8d200f38d1f7132f6cbedda866ffbab37973c0f55a999208a703596cb4099b"
 
 
 class TestCptValidation:

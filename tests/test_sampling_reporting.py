@@ -5,8 +5,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,7 @@ from iotrisk.sampling import monte_carlo_sample
 from conftest import make_chain2, random_model
 
 TF = StateDomain(["T", "F"])
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestSampler:
@@ -196,6 +201,23 @@ class TestReports:
         assert parsed["kind"] == "gaps"
         assert parsed["input_digest"].startswith("sha256:")
         assert parsed["result"] == {"gaps": []}
+
+    def test_hashlib_loads_on_the_first_digest(self):
+        # hashlib loads OpenSSL; a query that emits no digest should not.
+        script = ("import json, sys\n"
+                  "import iotrisk\n"
+                  "model = iotrisk.load_bundled_model('layered_iot').model\n"
+                  "iotrisk.posterior_update(model, {'a14': 'impaired'})\n"
+                  "loaded = sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+                  "from iotrisk.reporting import input_digest\n"
+                  "print(json.dumps([loaded, input_digest(b'model', b'stream')]))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        # The digest is the one the build that imported hashlib eagerly gave.
+        assert json.loads(proc.stdout) == [
+            [], "sha256:70835b2fa05ceb51c2c846d0d4ef522efddeea7ddabe50e8ae51309bf8cd5bb9"]
 
     def test_keys_sorted_in_output(self):
         text = emit_report("x", {"zeta": 1, "alpha": 2}, None)

@@ -90,6 +90,15 @@ class TestUnroll:
         with pytest.raises(InvalidHorizon):
             unroll(sensor_dbn, sensor_dbn.max_horizon + 1)
 
+    @pytest.mark.parametrize("max_horizon", [0, -3])
+    def test_max_horizon_below_one_rejected(self, sensor_dbn, max_horizon):
+        # The document loader's message, for callers that build the model.
+        with pytest.raises(ValidationFailed) as err:
+            TemporalModel(sensor_dbn.template, sensor_dbn.temporal_edges,
+                          max_horizon=max_horizon)
+        assert err.value.issues == [
+            ("$.temporal.max_horizon", f"expected an integer >= 1, got {max_horizon}")]
+
     def test_conflicting_transition_tables_rejected(self):
         graph = DependencyGraph(
             [ComponentNode("A", "network", StateDomain(["T", "F"])),
@@ -351,6 +360,16 @@ class TestInterfacePasses:
         smooth_marginals(tm, obs, 0, 4)
         predict_marginals(tm, obs, 4, 3)
         assert sorted(built) == sorted(list(tm.transition_cpts) + list(tm.initial_cpts))
+
+    def test_observed_nodes_share_one_indicator(self):
+        tm = load_bundled_model("smart_home").temporal_model()
+        obs = ObservationSeries([(2, {"wifi_gateway": "down"})])
+        filtered = filter_marginals(tm, obs, 2)["wifi_gateway"]
+        assert smooth_marginals(tm, obs, 2, 2)["wifi_gateway"] is filtered
+        assert eliminate_marginal(tm.template.model, "wifi_gateway",
+                                  {"wifi_gateway": "down"}) is filtered
+        assert filtered.probabilities == tuple(
+            1.0 if s == "down" else 0.0 for s in filtered.states)
 
     def test_max_horizon_bounds_every_query(self, sensor_dbn):
         t = sensor_dbn.max_horizon
