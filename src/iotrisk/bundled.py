@@ -17,10 +17,14 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from typing import TYPE_CHECKING
 
+from . import documents
 from .errors import SchemaVersionMismatch, ValidationFailed
-from .documents import SCHEMA_VERSION, ModelDocument, parse_model, _json_object, _parse_roadmap
-from .roadmap import RoadmapModel, build_roadmap
+
+if TYPE_CHECKING:
+    from .documents import ModelDocument
+    from .roadmap import RoadmapModel
 
 BUNDLED_MODELS = ("layered_iot", "smart_home", "uncontrolled_sensor")
 ROADMAP_DATASET = "transformation_roadmap"
@@ -43,7 +47,9 @@ def load_bundled_model(name: str) -> ModelDocument:
     """Parse one of the shipped model documents."""
     if name not in BUNDLED_MODELS:
         raise FileNotFoundError(f"no bundled model {name!r}; choose from {BUNDLED_MODELS}")
-    return parse_model(_read_text(name))
+    # Looked up per call, not bound at import, so a tracer that patches
+    # ``documents.parse_model`` sees this call and leaves nothing behind.
+    return documents.parse_model(_read_text(name))
 
 
 def parse_roadmap_document(text: str, section: str | None = DEFAULT_ROADMAP_SECTION) -> RoadmapModel:
@@ -52,8 +58,10 @@ def parse_roadmap_document(text: str, section: str | None = DEFAULT_ROADMAP_SECT
     ``section`` selects one section by key; pass None to combine all sections
     into a single roadmap.
     """
-    raw = _json_object(text)
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    from .roadmap import build_roadmap
+
+    raw = documents._json_object(text)
+    if raw.get("schema_version") != documents.SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"schema_version {raw.get('schema_version')!r} is not supported")
     sections = raw.get("sections")
@@ -75,7 +83,7 @@ def parse_roadmap_document(text: str, section: str | None = DEFAULT_ROADMAP_SECT
     issues: list[tuple[str, str]] = []
     goals = []
     for s in chosen:
-        parsed = _parse_roadmap(s, f"$.sections[{s.get('key')}]", issues)
+        parsed = documents._parse_roadmap(s, f"$.sections[{s.get('key')}]", issues)
         if parsed is not None:
             goals.extend(parsed.goals)
     if issues:

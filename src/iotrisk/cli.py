@@ -13,32 +13,23 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .bundled import DEFAULT_ROADMAP_SECTION, parse_roadmap_document
 from .cascade import (
     IncidentScenario,
     classify_levels,
     impact_probabilities,
     rank_criticality,
 )
-from .cvss import (
-    CvssVector,
-    LinearPriorMapping,
-    LogisticPriorMapping,
-    environmental_score,
-    score_summary,
-    score_to_prior,
-)
 from .documents import _json_object, ingest_evidence, parse_model, read_evidence
 from .errors import DocumentError, IotRiskError, ValidationFailed
 from .graph import validate as validate_graph
 from .inference import eliminate_marginal, posterior_update
 from .reporting import emit_report, export_dot, input_digest, to_jsonable
-from .roadmap import DEFAULT_TIER_SCALE, gap_report
 from .sampling import monte_carlo_sample
 from .temporal import (
     ObservationSeries,
@@ -138,16 +129,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, model=False)
     p.add_argument("--model", metavar="PATH", help="model document with an embedded roadmap")
     p.add_argument("--roadmap", metavar="PATH", help="standalone roadmap dataset")
-    p.add_argument("--section", default=DEFAULT_ROADMAP_SECTION, metavar="KEY",
-                   help="section of a standalone dataset (default: "
-                        f"{DEFAULT_ROADMAP_SECTION}; 'all' combines sections)")
+    p.add_argument("--section", metavar="KEY",
+                   help="section of a standalone dataset; 'all' combines sections "
+                        "(default: iotrisk.bundled.DEFAULT_ROADMAP_SECTION)")
     p.add_argument("--current", required=True, metavar="PATH",
                    help="JSON file: element id -> current tier label")
     p.add_argument("--target", required=True, metavar="PATH",
                    help="JSON file: element id -> target tier label")
     p.add_argument("--scale", metavar="L1,L2,...",
-                   default=",".join(DEFAULT_TIER_SCALE),
-                   help="ordered tier labels, ascending maturity")
+                   help="ordered tier labels, ascending maturity "
+                        "(default: iotrisk.roadmap.DEFAULT_TIER_SCALE)")
 
     p = sub.add_parser("sample", help="seeded Monte Carlo forward sampling")
     _add_common(p)
@@ -196,7 +187,10 @@ def _render_text(kind: str, result) -> str:
 
 def _write(args, text: str) -> None:
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise OutputError(exc) from exc
     else:
         sys.stdout.write(text)
 
@@ -335,6 +329,15 @@ def _cmd_iotmm(args) -> int:
 
 
 def _cmd_cvss(args) -> int:
+    from .cvss import (
+        CvssVector,
+        LinearPriorMapping,
+        LogisticPriorMapping,
+        environmental_score,
+        score_summary,
+        score_to_prior,
+    )
+
     vector = CvssVector.from_string(args.vector)
     mapping = LinearPriorMapping() if args.prior_mapping == "linear" else LogisticPriorMapping()
     summary = score_summary(vector)
@@ -354,6 +357,8 @@ def _read_tiers(path: str) -> dict:
 
 
 def _cmd_roadmap(args) -> int:
+    from .roadmap import DEFAULT_TIER_SCALE, gap_report
+
     if bool(args.model) == bool(args.roadmap):
         raise UsageError("give exactly one of --model or --roadmap")
     if args.model:
@@ -362,13 +367,23 @@ def _cmd_roadmap(args) -> int:
             raise ValidationFailed([("$.roadmap", "document has no roadmap section")])
         roadmap = doc.roadmap
     else:
+        from .bundled import parse_roadmap_document
+
         raw = Path(args.roadmap).read_bytes()
         digest = input_digest(raw)
-        section = None if args.section == "all" else args.section
-        roadmap = parse_roadmap_document(_decode(raw, args.roadmap), section)
+        text = _decode(raw, args.roadmap)
+        if args.section is None:
+            roadmap = parse_roadmap_document(text)
+        elif args.section == "all":
+            roadmap = parse_roadmap_document(text, None)
+        else:
+            roadmap = parse_roadmap_document(text, args.section)
     current = _read_tiers(args.current)
     target = _read_tiers(args.target)
-    scale = tuple(s.strip() for s in args.scale.split(",") if s.strip())
+    if args.scale is None:
+        scale = DEFAULT_TIER_SCALE
+    else:
+        scale = tuple(s.strip() for s in args.scale.split(",") if s.strip())
     gaps = gap_report(roadmap, current, target, scale)
     result = {"scale": list(scale),
               "elements": len(roadmap.elements()),
@@ -400,6 +415,10 @@ class UsageError(Exception):
     pass
 
 
+class OutputError(Exception):
+    """The report could not be written to ``--output``."""
+
+
 _COMMANDS = {
     "validate": _cmd_validate,
     "infer": _cmd_infer,
@@ -414,6 +433,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # No query calls BLAS, so one OpenBLAS thread saves numpy the cost of
+    # starting a pool.  Only before numpy loads, and never over a user's value.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -423,6 +446,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except IotRiskError as exc:
         print(f"iotrisk: error: {exc}", file=sys.stderr)
+        return INPUT_ERROR
+    except OutputError as exc:
+        print(f"iotrisk: cannot write output: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except OSError as exc:
         print(f"iotrisk: cannot read input: {exc}", file=sys.stderr)

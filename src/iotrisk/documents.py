@@ -23,6 +23,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import (
     InvalidArgument,
@@ -35,14 +36,6 @@ from .errors import (
 )
 from .graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain
 from .model import BayesianModel, Cpt
-from .roadmap import (
-    ControlElement,
-    ControlGoal,
-    ControlObjective,
-    Epistemic,
-    RoadmapModel,
-    build_roadmap,
-)
 from .temporal import (
     DEFAULT_MAX_HORIZON,
     ObservationSeries,
@@ -51,6 +44,9 @@ from .temporal import (
     TemporalModel,
 )
 from .uncontrollable import CatalogueSource, StateCatalogue, complete_model
+
+if TYPE_CHECKING:
+    from .roadmap import RoadmapModel
 
 logger = logging.getLogger(__name__)
 
@@ -174,6 +170,9 @@ def _parse_cpt(node_id, raw, path, issues) -> Cpt | None:
 
 
 def _parse_roadmap(raw, path, issues) -> RoadmapModel | None:
+    # Imported here: only a document with a roadmap needs the module.
+    from .roadmap import ControlElement, ControlGoal, ControlObjective, Epistemic, build_roadmap
+
     goals = []
     raw_goals = _take(raw, "goals", list, path, issues, default=None, required=True)
     if raw_goals is None:

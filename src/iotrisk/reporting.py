@@ -13,12 +13,12 @@ probability of its degraded state.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, is_dataclass
 
 from .cascade import CriticalityEntry, ImpactReport, LevelClassification, NodeImpact
 from .graph import ValidationReport, Violation
 from .model import BayesianModel, Marginal
-from .roadmap import BoundRoadmap, TierGap
 from .uncontrollable import StateCatalogue
 
 REPORT_SCHEMA_VERSION = 1
@@ -69,19 +69,22 @@ def to_jsonable(obj):
     if isinstance(obj, CriticalityEntry):
         return {"node": obj.node, "impaired_state": obj.impaired_state,
                 "score": obj.score, "error": obj.error}
-    if isinstance(obj, TierGap):
-        return {"element": obj.element_id, "current": obj.current,
-                "target": obj.target, "steps": obj.steps, "path": list(obj.path)}
     if isinstance(obj, StateCatalogue):
         return {"node": obj.node, "prior": list(obj.prior), "source": obj.source.value}
-    if isinstance(obj, BoundRoadmap):
-        return {"bindings": dict(sorted(obj.bindings.items())),
-                "data_gaps": list(obj.data_gaps)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
         return [to_jsonable(v) for v in items]
+    # A roadmap result exists only once its module has loaded on first use.
+    roadmap = sys.modules.get(f"{__package__}.roadmap")
+    if roadmap is not None:
+        if isinstance(obj, roadmap.TierGap):
+            return {"element": obj.element_id, "current": obj.current,
+                    "target": obj.target, "steps": obj.steps, "path": list(obj.path)}
+        if isinstance(obj, roadmap.BoundRoadmap):
+            return {"bindings": dict(sorted(obj.bindings.items())),
+                    "data_gaps": list(obj.data_gaps)}
     if is_dataclass(obj):
         return to_jsonable(asdict(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")

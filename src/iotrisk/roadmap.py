@@ -20,15 +20,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
+from . import inference
 from .errors import (
     DuplicateId,
     EmptyGoal,
+    InvalidArgument,
     MissingAssignment,
     NotMeasurable,
     UnknownNode,
     UnknownTierLabel,
 )
-from .inference import posterior_update
 from .model import BayesianModel, Marginal
 
 
@@ -177,9 +178,15 @@ def gap_report(roadmap: RoadmapModel, current, target,
 
     Both assignments must cover every element.  Each gap lists the tier steps
     required to reach the target.  Ordering: gap size descending, then id
-    ascending -- the report doubles as a work queue.
+    ascending -- the report doubles as a work queue.  An empty scale, or one
+    that repeats a label, has no order and raises :class:`InvalidArgument`.
     """
     scale = tuple(scale)
+    if not scale:
+        raise InvalidArgument("tier scale is empty")
+    for i, label in enumerate(scale):
+        if label in scale[:i]:
+            raise InvalidArgument(f"tier scale repeats label {label!r}")
     current, target = dict(current), dict(target)
     gaps = []
     for element in roadmap.elements():
@@ -253,7 +260,9 @@ def achievement_states(bound: BoundRoadmap, model: BayesianModel,
     This is how a bound element's achievement is *read* rather than asserted:
     the node's posterior under current evidence is the element's state.
     """
-    posteriors = posterior_update(model, evidence or {})
+    # Looked up per call: this module loads on first use, possibly while a
+    # tracer has ``inference.posterior_update`` patched.
+    posteriors = inference.posterior_update(model, evidence or {})
     out: dict[str, Marginal] = {}
     for element in bound.roadmap.elements():
         if element.binding is not None:

@@ -282,6 +282,15 @@ class TestRoadmap:
         assert code == 1
         assert capsys.readouterr().err == f"iotrisk: error: {tiers}: {message}\n"
 
+    def test_scale_repeating_a_label_exits_one(self, capsys, model_files):
+        code = main(["roadmap", "--roadmap", model_files["roadmap"],
+                     "--current", model_files["current"], "--target", model_files["target"],
+                     "--scale", "NotImplemented,Understood,NotImplemented,Implemented,Evidenced"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "iotrisk: error: tier scale repeats label 'NotImplemented'\n"
+
     def test_model_and_roadmap_together_is_usage_error(self, capsys, model_files):
         code, _ = run(capsys, "roadmap", "--model", model_files["smart_home"],
                       "--roadmap", model_files["roadmap"],
@@ -312,6 +321,16 @@ class TestExportDot:
         assert "subgraph cluster_" in text
 
 
+class TestOutput:
+    def test_unwritable_output_is_a_write_failure(self, capsys, tmp_path, model_files):
+        target = tmp_path / "missing" / "report.json"
+        code = main(["infer", "--model", model_files["layered_iot"], "--output", str(target)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("iotrisk: cannot write output: [Errno 2] No such file or "
+                       f"directory: {str(target)!r}\n")
+
+
 class TestUsage:
     def test_missing_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -324,11 +343,16 @@ class TestUsage:
         assert err.value.code == 2
 
 
-def run_process(*argv) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
+def child_env() -> dict:
+    """This environment, with the checkout's ``src`` first on the import path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "iotrisk.cli", *argv], env=env,
+    return env
+
+
+def run_process(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
+    return subprocess.run([sys.executable, "-m", "iotrisk.cli", *argv], env=child_env(),
                           capture_output=True, text=True, timeout=60)
 
 
@@ -453,21 +477,34 @@ class TestBoundary:
         assert "byte offset 7" in proc.stderr
 
 
-def run_in_fresh_interpreter(argvs) -> dict:
-    """Each argv through ``cli.main`` in one fresh interpreter.
+def run_in_fresh_interpreter(argvs, prelude: str = "", openblas: str | None = None) -> dict:
+    """Run ``prelude``, then each argv through ``cli.main``, in one fresh
+    interpreter whose ``OPENBLAS_NUM_THREADS`` is ``openblas`` (None: unset).
 
-    Returns ``{"runs": [[exit code, stdout], ...], "numpy": <imported?>}``.
+    Returns ``{"runs": [[exit code, stdout], ...], "numpy": <imported?>,
+    "modules": <loaded iotrisk.* modules>, "openblas": <the variable at exit>,
+    "environ_changed": <variables set, changed or removed in the process>}``.
     """
-    script = ("import contextlib, io, json, sys\n"
-              "from iotrisk.cli import main\n"
+    script = ("import os\n"
+              "start = dict(os.environ)\n"
+              f"{prelude}\n"
+              "import contextlib, io, json, sys\n"
               "runs = []\n"
               "for argv in json.loads(sys.argv[1]):\n"
+              "    from iotrisk.cli import main\n"
               "    out = io.StringIO()\n"
               "    with contextlib.redirect_stdout(out):\n"
               "        runs.append([main(argv), out.getvalue()])\n"
-              "print(json.dumps({'runs': runs, 'numpy': 'numpy' in sys.modules}))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+              "print(json.dumps({\n"
+              "    'runs': runs, 'numpy': 'numpy' in sys.modules,\n"
+              "    'modules': sorted(m for m in sys.modules if m.startswith('iotrisk.')),\n"
+              "    'openblas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+              "    'environ_changed': sorted(k for k in start.keys() | os.environ.keys()\n"
+              "                              if start.get(k) != os.environ.get(k))}))\n")
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     return json.loads(proc.stdout)
@@ -570,3 +607,102 @@ class TestMutatedInputs:
                     code = exc.code
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+# Modules that load on first use; see ``iotrisk.__init__``.
+DEFERRED = {"iotrisk.cvss", "iotrisk.roadmap", "iotrisk.bundled"}
+CVSS_ARGV = ["cvss", "--vector", "AV:N/AC:L/Au:N/C:P/I:P/A:C"]
+
+# ``dir(iotrisk)`` and ``from iotrisk import *`` without underscore names,
+# as recorded while every module was imported eagerly.
+PUBLIC_NAMES = [
+    "APPLICATION", "BUILTIN_LAYERS", "BayesianModel", "BoundRoadmap", "CatalogueSource",
+    "ComponentNode", "ControlElement", "ControlGoal", "ControlObjective", "Cpt",
+    "CriticalityEntry", "CvssVector", "CyclicGraph", "DEFAULT_MAX_HORIZON",
+    "DEFAULT_ROADMAP_SECTION", "DEFAULT_TIER_SCALE", "DependencyGraph", "DocumentError",
+    "DuplicateId", "EmptyGoal", "Epistemic", "EventLevel", "EvidenceRecord", "ImpactReport",
+    "ImpossibleEvidence", "IncidentScenario", "IncompleteAssignment", "InfluenceEdge",
+    "InvalidArgument", "InvalidDistribution", "InvalidHorizon", "InvalidMetricValue",
+    "IotRiskError", "LevelClassification", "LinearPriorMapping", "LogisticPriorMapping",
+    "Marginal", "MissingAssignment", "MissingCpt", "ModelDocument", "ModelError",
+    "ModelSyntaxError", "NETWORK", "NodeImpact", "NodeRelation", "NotMeasurable",
+    "NotUncontrollable", "ORACLE_TOL", "ObservationBeyondHorizon", "ObservationSeries",
+    "OutOfRange", "PERCEPTION", "ROW_SUM_TOL", "RoadmapModel", "SCHEMA_VERSION",
+    "SchemaVersionMismatch", "SliceTemplate", "StateCatalogue", "StateDomain",
+    "TemporalEdge", "TemporalModel", "TemporalSpec", "TierGap", "UnknownNode",
+    "UnknownState", "UnknownTierLabel", "UnresolvableNode", "ValidationFailed",
+    "ValidationReport", "Violation", "achievement_states", "ancestors", "and_cpt",
+    "base_score", "bind_elements", "build_roadmap", "bundled", "bundled_model_names",
+    "cascade", "catalogue", "classify_epistemic", "classify_levels", "complete_model",
+    "cvss", "dependency_order", "descendants", "detect_uncontrollable", "documents",
+    "eliminate_marginal", "emit_report", "enumerate_marginal", "enumerate_posteriors",
+    "environmental_score", "errors", "export_dot", "filter_marginals", "gap_report",
+    "graph", "impact_probabilities", "impact_set", "inference", "ingest_evidence",
+    "input_digest", "joint_probability", "load_bundled_model", "load_bundled_roadmap",
+    "logic_gate_cpt", "model", "monte_carlo_sample", "or_cpt", "parse_model",
+    "parse_roadmap_document", "posterior_update", "predict_marginals",
+    "prior_cpt_from_score", "rank_criticality", "read_evidence", "reporting",
+    "resolve_uncontrollable", "roadmap", "roadmap_section_keys", "sampling",
+    "score_summary", "score_to_prior", "serialize_model", "slice_id", "smooth_marginals",
+    "temporal", "temporal_score", "to_jsonable", "topological_order", "uncontrollable",
+    "unroll", "unrolled_marginals", "validate",
+]
+
+
+class TestStartUp:
+    """What each entry point loads, and the OpenBLAS default ``main`` sets."""
+
+    def test_import_iotrisk_loads_no_numpy_and_no_deferred_module(self):
+        got = run_in_fresh_interpreter([], prelude="import iotrisk")
+        assert got["numpy"] is False
+        assert not DEFERRED & set(got["modules"])
+        assert "iotrisk.cli" not in got["modules"]
+
+    @pytest.mark.parametrize("argv", [
+        ("infer", "--model", "layered_iot"),
+        ("cascade", "--model", "layered_iot", "--origin", "a14=impaired", "--rank"),
+    ], ids=lambda argv: argv[0])
+    def test_numeric_verbs_load_no_deferred_module(self, model_files, argv):
+        got = run_in_fresh_interpreter([with_paths(argv, model_files)])
+        assert [code for code, _ in got["runs"]] == [0]
+        assert got["numpy"] is True
+        assert not DEFERRED & set(got["modules"])
+
+    def test_cvss_loads_neither_numpy_nor_roadmap(self):
+        got = run_in_fresh_interpreter([CVSS_ARGV])
+        assert [code for code, _ in got["runs"]] == [0]
+        assert got["numpy"] is False
+        assert "iotrisk.cvss" in got["modules"]
+        assert not {"iotrisk.roadmap", "iotrisk.bundled"} & set(got["modules"])
+
+    def test_main_holds_openblas_to_one_thread_when_unset(self):
+        got = run_in_fresh_interpreter([CVSS_ARGV])
+        assert got["openblas"] == "1"
+        assert got["environ_changed"] == ["OPENBLAS_NUM_THREADS"]
+
+    def test_main_keeps_a_preset_openblas_value(self):
+        got = run_in_fresh_interpreter([CVSS_ARGV], openblas="3")
+        assert got["openblas"] == "3"
+        assert got["environ_changed"] == []
+
+    def test_main_leaves_openblas_unset_once_numpy_is_loaded(self):
+        got = run_in_fresh_interpreter([CVSS_ARGV], prelude="import numpy")
+        assert got["openblas"] is None
+        assert got["environ_changed"] == []
+
+    def test_importing_cli_leaves_the_environment_untouched(self):
+        got = run_in_fresh_interpreter([], prelude="import iotrisk.cli")
+        assert got["environ_changed"] == []
+        assert "iotrisk.cli" in got["modules"]
+
+    def test_public_names_are_unchanged(self):
+        script = ("import json, iotrisk\n"
+                  "listed = sorted(n for n in dir(iotrisk) if not n.startswith('_'))\n"
+                  "star = {}\n"
+                  "exec('from iotrisk import *', star)\n"
+                  "print(json.dumps([listed, sorted(n for n in star if not n.startswith('_'))]))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                              capture_output=True, text=True, timeout=60, check=True)
+        listed, star = json.loads(proc.stdout)
+        assert listed == PUBLIC_NAMES
+        assert star == PUBLIC_NAMES

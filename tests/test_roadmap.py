@@ -14,6 +14,7 @@ from iotrisk.errors import (
     DocumentError,
     DuplicateId,
     EmptyGoal,
+    InvalidArgument,
     MissingAssignment,
     NotMeasurable,
     UnknownNode,
@@ -157,6 +158,22 @@ class TestGapReport:
                           scale=("bronze", "silver", "gold"))
         assert gaps[0].steps == 2
         assert gaps[0].path == ("silver", "gold")
+
+    @pytest.mark.parametrize("scale, message", [
+        ((), "tier scale is empty"),
+        (("NotImplemented", "Understood", "NotImplemented", "Implemented", "Evidenced"),
+         "tier scale repeats label 'NotImplemented'"),
+        (("bronze", "gold", "gold"), "tier scale repeats label 'gold'"),
+    ])
+    def test_scale_without_an_order_rejected(self, scale, message):
+        # A repeated label used to give a path that moves backwards:
+        # Understood -> NotImplemented -> Implemented -> Evidenced.
+        rm = self.roadmap()
+        current = {"e1": "Understood", "e2": "bronze", "e3": "bronze"}
+        target = {"e1": "Evidenced", "e2": "gold", "e3": "gold"}
+        with pytest.raises(InvalidArgument) as err:
+            gap_report(rm, current, target, scale)
+        assert str(err.value) == message
 
     def test_empty_iff_current_meets_target_elementwise(self):
         rm = self.roadmap()
