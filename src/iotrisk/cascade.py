@@ -19,10 +19,11 @@ carries a relation tag (origin / impacted / upstream / unrelated).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-from .errors import ImpossibleEvidence, UnknownNode, UnknownState
-from .graph import DependencyGraph, ancestors, dependency_distances, descendants
+from .errors import ImpossibleEvidence, InvalidArgument, UnknownNode
+from .graph import DependencyGraph, _bfs, _check_states, dependency_distances
 from .inference import eliminate_marginal, posterior_update
 from .model import BayesianModel, Marginal
 
@@ -53,15 +54,11 @@ class IncidentScenario:
     def __init__(self, origins):
         origins = dict(origins)
         if not origins:
-            raise ValueError("scenario needs at least one origin")
+            raise InvalidArgument("scenario needs at least one origin")
         object.__setattr__(self, "origins", origins)
 
     def check_against(self, graph: DependencyGraph) -> None:
-        for node_id, state in self.origins.items():
-            node = graph.node(node_id)
-            if state not in node.domain:
-                raise UnknownState(
-                    f"node {node_id!r} has no state {state!r}; domain is {tuple(node.domain)}")
+        _check_states(graph, self.origins)
 
 
 @dataclass(frozen=True)
@@ -113,15 +110,10 @@ def classify_levels(graph: DependencyGraph, scenario: IncidentScenario) -> Level
     propagation.  Nodes on no such path are reported as unclassified.
     """
     scenario.check_against(graph)
-    origins = set(scenario.origins)
+    origins = scenario.origins
     service = set(_service_nodes(graph))
-
-    downstream: set[str] = set()
-    for origin in origins:
-        downstream |= descendants(graph, origin)
-    feeds_service: set[str] = set()
-    for s in service:
-        feeds_service |= ancestors(graph, s)
+    downstream = _bfs(graph, origins)
+    feeds_service = _bfs(graph, service, upward=True)
 
     levels: dict[str, EventLevel] = {}
     unclassified = []
@@ -141,10 +133,7 @@ def classify_levels(graph: DependencyGraph, scenario: IncidentScenario) -> Level
 def impact_set(graph: DependencyGraph, scenario: IncidentScenario) -> frozenset:
     """Union of the origins' descendants; the origins themselves excluded."""
     scenario.check_against(graph)
-    reached: set[str] = set()
-    for origin in scenario.origins:
-        reached |= descendants(graph, origin)
-    return frozenset(reached - set(scenario.origins))
+    return frozenset(_bfs(graph, scenario.origins)).difference(scenario.origins)
 
 
 def impact_probabilities(model: BayesianModel, scenario: IncidentScenario) -> ImpactReport:
@@ -157,15 +146,11 @@ def impact_probabilities(model: BayesianModel, scenario: IncidentScenario) -> Im
     origins themselves).
     """
     graph = model.graph
-    scenario.check_against(graph)
-    posteriors = posterior_update(model, dict(scenario.origins))
-    classification = classify_levels(graph, scenario)
-    affected = impact_set(graph, scenario)
-    upstream: set[str] = set()
-    for origin in scenario.origins:
-        upstream |= ancestors(graph, origin)
-    upstream -= set(scenario.origins)
+    classification = classify_levels(graph, scenario)  # checks the scenario
+    posteriors = posterior_update(model, scenario.origins)
     distances = dependency_distances(graph, scenario.origins)
+    upstream = _bfs(graph, scenario.origins, upward=True)
+    affected = frozenset(distances).difference(scenario.origins)
 
     per_node = {}
     for node in graph.nodes:
@@ -199,13 +184,21 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     Each candidate ``(node, impaired_state)`` is scored as the aggregated
     probability, over the service nodes, of landing in a degraded state given
     the candidate's impairment.  ``aggregate`` is ``"mean"`` (default),
-    ``"max"``, or ``"weighted"`` (supply ``weights`` per service node).
+    ``"max"``, or ``"weighted"``.  ``"weighted"`` needs ``weights``, a mapping
+    that gives every service node a finite weight >= 0, with a finite sum
+    above 0; each score is then the weight-normalised sum.
     Candidates whose evidence is impossible get an error entry instead of a
     score and sort last.  Ties break by ascending node id.
+
+    Raises :class:`InvalidArgument` (a ``ValueError``) for no candidates, an
+    unknown ``aggregate`` or missing or invalid weights, :class:`UnknownNode`
+    for no or unknown service nodes and unknown candidate nodes, and
+    :class:`UnknownState` for a candidate state the node lacks -- all before
+    any elimination.
     """
     candidates = list(candidates)
     if not candidates:
-        raise ValueError("at least one candidate is required")
+        raise InvalidArgument("at least one candidate is required")
     graph = model.graph
     if service_nodes is None:
         service_nodes = _service_nodes(graph)
@@ -219,19 +212,29 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
         degraded_states.setdefault(s, default_degraded_states(model, s))
 
     if aggregate not in ("mean", "max", "weighted"):
-        raise ValueError(f"unknown aggregate {aggregate!r}")
+        raise InvalidArgument(f"unknown aggregate {aggregate!r}")
     if aggregate == "weighted":
         if not weights:
-            raise ValueError("aggregate='weighted' requires weights per service node")
+            raise InvalidArgument("aggregate='weighted' requires weights per service node")
+        for s in service_nodes:
+            try:
+                valid = math.isfinite(weights[s]) and weights[s] >= 0
+            except (KeyError, TypeError):
+                valid = False
+            if not valid:
+                raise InvalidArgument(f"weights[{s!r}] must be a finite number >= 0, "
+                                      f"got {weights.get(s)!r}")
         total = sum(weights[s] for s in service_nodes)
+        if not 0 < total < math.inf:
+            raise InvalidArgument(
+                f"weights of the service nodes must sum to a finite number > 0, got {total!r}")
         norm = {s: weights[s] / total for s in service_nodes}
+
+    for node_id, state in candidates:
+        _check_states(graph, {node_id: state})
 
     entries = []
     for node_id, state in candidates:
-        node = graph.node(node_id)
-        if state not in node.domain:
-            raise UnknownState(
-                f"node {node_id!r} has no state {state!r}; domain is {tuple(node.domain)}")
         try:
             per_service = []
             for s in service_nodes:

@@ -118,6 +118,12 @@ class ModelDocument:
 
 # -------------------------------------------------------------------- parsing
 
+def _is_json_int(value) -> bool:
+    """True when ``value`` was a JSON integer.  JSON ``true`` and ``false`` load
+    as ``bool``, an ``int`` subclass, so they are excluded by name."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _take(obj, key, kind, path, issues, default=None, required=False):
     if key not in obj:
         if required:
@@ -352,9 +358,7 @@ def parse_model(text: str) -> ModelDocument:
             issues.append((f"$.temporal.transition_cpts.{tgt}",
                            f"temporal target {tgt!r} has no transition table"))
         max_horizon = raw_temporal.get("max_horizon", DEFAULT_MAX_HORIZON)
-        try:
-            max_horizon = int(max_horizon)
-        except (TypeError, ValueError, OverflowError):
+        if not _is_json_int(max_horizon):
             issues.append(("$.temporal.max_horizon",
                            f"expected an integer, got {max_horizon!r}"))
             max_horizon = DEFAULT_MAX_HORIZON
@@ -489,13 +493,10 @@ def read_evidence(text: str, model: BayesianModel) -> tuple[EvidenceRecord, ...]
         if not isinstance(raw, dict) or not {"ts", "node", "state"} <= set(raw):
             raise ModelSyntaxError(
                 f'evidence line {lineno}: expected {{"ts", "node", "state"}}', lineno)
-        node_id, state = raw["node"], raw["state"]
-        try:
-            ts = int(raw["ts"])
-        except (TypeError, ValueError, OverflowError):
+        ts, node_id, state = raw["ts"], raw["node"], raw["state"]
+        if not _is_json_int(ts):
             raise ModelSyntaxError(
-                f"evidence line {lineno}: ts must be an integer (epoch ms), "
-                f"got {raw['ts']!r}", lineno) from None
+                f"evidence line {lineno}: ts must be an integer (epoch ms), got {ts!r}", lineno)
         if not isinstance(node_id, str) or not isinstance(state, str):
             raise ModelSyntaxError(
                 f"evidence line {lineno}: node and state must be strings", lineno)

@@ -18,7 +18,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import CyclicGraph, UnknownNode
+from .errors import CyclicGraph, UnknownNode, UnknownState
 
 # Built-in layer names; any other non-empty string is a custom layer label.
 PERCEPTION = "perception"
@@ -280,47 +280,52 @@ def topological_order(graph: DependencyGraph) -> tuple[str, ...]:
     return tuple(order)
 
 
-def _reach(index: dict, start: str) -> frozenset[str]:
-    """Every id reachable from ``start`` through one or more ``index`` hops."""
-    reached: set[str] = set()
-    queue = deque(index.get(start, ()))
+def _bfs(graph: DependencyGraph, sources, upward: bool = False) -> dict[str, int]:
+    """Breadth-first distances from ``sources`` (each at 0) to every id they
+    reach along edges, or against them when ``upward``; ids unchecked."""
+    index = graph._parents if upward else graph._children
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(dist)
     while queue:
         nid = queue.popleft()
-        if nid in reached:
-            continue
-        reached.add(nid)
-        queue.extend(index.get(nid, ()))
-    reached.discard(start)
-    return frozenset(reached)
+        for nxt in index.get(nid, ()):
+            if nxt not in dist:
+                dist[nxt] = dist[nid] + 1
+                queue.append(nxt)
+    return dist
+
+
+def _check_states(graph: DependencyGraph, assignment) -> dict:
+    """``assignment`` (node id -> state label) as a plain dict; raises
+    :class:`UnknownNode` or :class:`UnknownState` for a label ``graph`` lacks."""
+    checked = dict(assignment)
+    for node_id, state in checked.items():
+        domain = graph.node(node_id).domain
+        if state not in domain:
+            raise UnknownState(
+                f"node {node_id!r} has no state {state!r}; domain is {tuple(domain)}")
+    return checked
 
 
 def descendants(graph: DependencyGraph, origin: str) -> frozenset[str]:
     """All nodes reachable from ``origin`` by one or more edges (origin excluded)."""
     graph.node(origin)
-    return _reach(graph._children, origin)
+    return frozenset(_bfs(graph, (origin,))) - {origin}
 
 
 def ancestors(graph: DependencyGraph, node_id: str) -> frozenset[str]:
     """All nodes from which ``node_id`` is reachable (node itself excluded)."""
     graph.node(node_id)
-    return _reach(graph._parents, node_id)
+    return frozenset(_bfs(graph, (node_id,), upward=True)) - {node_id}
 
 
 def dependency_distances(graph: DependencyGraph, origins) -> dict[str, int]:
     """Shortest directed-path length from the nearest of ``origins`` to every
     node reachable from them, by one breadth-first search; origins map to 0."""
-    dist: dict[str, int] = {}
+    origins = tuple(origins)
     for origin in origins:
         graph.node(origin)
-        dist[origin] = 0
-    queue = deque(dist)
-    while queue:
-        nid = queue.popleft()
-        for nxt in graph._children.get(nid, ()):
-            if nxt not in dist:
-                dist[nxt] = dist[nid] + 1
-                queue.append(nxt)
-    return dist
+    return _bfs(graph, origins)
 
 
 def dependency_order(graph: DependencyGraph, provider: str, dependent: str) -> int | None:

@@ -22,7 +22,7 @@ from .errors import (
     UnknownState,
     ValidationFailed,
 )
-from .graph import DependencyGraph, validate
+from .graph import DependencyGraph, _check_states, validate
 
 # Tolerance for CPT row sums and reported distributions.
 ROW_SUM_TOL = 1e-12
@@ -181,14 +181,7 @@ class BayesianModel:
 
     def validate_evidence(self, evidence) -> dict:
         """Check node ids and state labels; returns a plain dict copy."""
-        checked = {}
-        for node_id, state in dict(evidence).items():
-            node = self.graph.node(node_id)
-            if state not in node.domain:
-                raise UnknownState(
-                    f"node {node_id!r} has no state {state!r}; domain is {tuple(node.domain)}")
-            checked[node_id] = state
-        return checked
+        return _check_states(self.graph, evidence)
 
 
 def _check_cpts(graph: DependencyGraph, cpts: dict):

@@ -40,10 +40,9 @@ from .errors import (
     ImpossibleEvidence,
     InvalidHorizon,
     ObservationBeyondHorizon,
-    UnknownState,
     ValidationFailed,
 )
-from .graph import ComponentNode, DependencyGraph, InfluenceEdge
+from .graph import ComponentNode, DependencyGraph, InfluenceEdge, _check_states
 from .inference import (
     eliminate_marginal,
     _eliminate,
@@ -355,14 +354,12 @@ def _prepare(model: TemporalModel, obs: ObservationSeries, last_obs_time: int) -
     template = model.template.model
     by_slice: dict[int, dict[int, int]] = {}
     for t, node_id, state in obs:
-        node = template.graph.node(node_id)  # raises UnknownNode for foreign ids
-        if state not in node.domain:
-            raise UnknownState(
-                f"node {node_id!r} has no state {state!r}; domain is {tuple(node.domain)}")
+        _check_states(template.graph, {node_id: state})
         if t > last_obs_time:
             raise ObservationBeyondHorizon(
                 f"observation at time {t} is beyond the query time {last_obs_time}")
-        by_slice.setdefault(t, {})[template.compiled.index[node_id]] = node.domain.index(state)
+        slot = by_slice.setdefault(t, {})
+        slot[template.compiled.index[node_id]] = template.domain(node_id).index(state)
     return by_slice
 
 

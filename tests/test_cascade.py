@@ -16,12 +16,13 @@ from iotrisk.cascade import (
     impact_set,
     rank_criticality,
 )
-from iotrisk.errors import UnknownNode, UnknownState
+from iotrisk.errors import InvalidArgument, UnknownNode, UnknownState
 from iotrisk.graph import (
     ComponentNode,
     DependencyGraph,
     InfluenceEdge,
     StateDomain,
+    ancestors,
     dependency_order,
     descendants,
 )
@@ -119,25 +120,47 @@ class TestImpactProbabilities:
         assert report.per_node["B"].relation is NodeRelation.IMPACTED
 
     def test_dependency_order_is_nearest_origin(self):
+        # Orders, relations, levels and the impact set all agree with their
+        # definitions as unions of per-origin (and per-service-node) reach.
         rng = random.Random(5)
+        flagged_seen = set()
         for _ in range(6):
             model = random_model(rng, max_nodes=8, max_joint=2 ** 10)
-            ids = model.graph.node_ids
+            graph = model.graph
+            ids = graph.node_ids
             origins = {nid: tuple(model.domain(nid))[-1]
                        for nid in rng.sample(ids, rng.randint(1, 3))}
             report = impact_probabilities(model, IncidentScenario(origins))
+            downstream = set().union(*(descendants(graph, o) for o in origins))
+            upstream = set().union(*(ancestors(graph, o) for o in origins))
+            service = graph.service_goals() or graph.sinks()
+            flagged_seen.add(bool(graph.service_goals()))
+            feeds_service = set().union(*(ancestors(graph, s) for s in service))
+            assert report.impact_set == downstream - set(origins)
             for nid in ids:
-                orders = [dependency_order(model.graph, o, nid) for o in origins]
+                orders = [dependency_order(graph, o, nid) for o in origins]
                 orders = [o for o in orders if o is not None]
                 want = 0 if nid in origins else (min(orders) if orders else None)
-                assert report.per_node[nid].dependency_order == want
+                entry = report.per_node[nid]
+                assert entry.dependency_order == want
+                if nid in origins:
+                    relation, level = NodeRelation.ORIGIN, EventLevel.ATOMIC
+                else:
+                    relation = (NodeRelation.IMPACTED if nid in downstream
+                                else NodeRelation.UPSTREAM if nid in upstream
+                                else NodeRelation.UNRELATED)
+                    level = (EventLevel.SERVICE if nid in service
+                             else EventLevel.PROPAGATION
+                             if nid in downstream and nid in feeds_service
+                             else None)
+                assert entry.relation is relation
+                assert entry.level is level
+        assert flagged_seen == {True, False}
 
     def test_d_separated_nodes_keep_priors(self):
         # With evidence only on the origin, a node is independent of it
         # exactly when the two share no ancestor (each counting as its own):
         # any common ancestor opens a collider-free path.
-        from iotrisk.graph import ancestors
-
         rng = random.Random(11)
         for _ in range(8):
             model = random_model(rng, max_nodes=7, max_joint=2 ** 10)
@@ -239,3 +262,59 @@ class TestRankCriticality:
         assert mean == pytest.approx((p1 + p4) / 2, abs=1e-9)
         assert peak == pytest.approx(max(p1, p4), abs=1e-9)
         assert weighted == pytest.approx((p1 + 3 * p4) / 4, abs=1e-9)
+        # a zero weight is allowed and drops its node from the score
+        only_a4 = rank_criticality(layered.model, candidates, service,
+                                   aggregate="weighted",
+                                   weights={"a1": 0, "a4": 2})[0].score
+        assert only_a4 == pytest.approx(p4, abs=1e-9)
+
+    @pytest.mark.parametrize("candidates, kwargs, message", [
+        ([], {}, "at least one candidate"),
+        (None, {"aggregate": "median"}, "unknown aggregate 'median'"),
+        (None, {"aggregate": "weighted"}, "requires weights"),
+        (None, {"aggregate": "weighted", "weights": {"a1": 1.0}},
+         "weights['a4'] must be a finite number >= 0, got None"),
+        (None, {"aggregate": "weighted", "weights": {"a1": 0, "a4": 0.0}},
+         "must sum to a finite number > 0, got 0.0"),
+        (None, {"aggregate": "weighted", "weights": {"a1": -1, "a4": 2}},
+         "weights['a1'] must be a finite number >= 0, got -1"),
+        (None, {"aggregate": "weighted", "weights": {"a1": 1, "a4": float("nan")}},
+         "weights['a4'] must be a finite number >= 0, got nan"),
+        (None, {"aggregate": "weighted", "weights": {"a1": float("inf"), "a4": 1}},
+         "weights['a1'] must be a finite number >= 0, got inf"),
+        (None, {"aggregate": "weighted", "weights": {"a1": "1", "a4": 1}},
+         "weights['a1'] must be a finite number >= 0, got '1'"),
+        (None, {"aggregate": "weighted", "weights": {"a1": 1e308, "a4": 1e308}},
+         "must sum to a finite number > 0, got inf"),
+    ])
+    def test_invalid_arguments_raise_before_elimination(self, layered, monkeypatch,
+                                                        candidates, kwargs, message):
+        import iotrisk.cascade
+
+        def no_elimination(*args, **kw):
+            raise AssertionError("eliminated before the arguments were checked")
+
+        monkeypatch.setattr(iotrisk.cascade, "eliminate_marginal", no_elimination)
+        if candidates is None:
+            candidates = [("a14", "impaired")]
+        with pytest.raises(InvalidArgument) as err:
+            rank_criticality(layered.model, candidates, ("a1", "a4"), **kwargs)
+        assert isinstance(err.value, ValueError)
+        assert message in str(err.value)
+
+    def test_bad_candidate_raises_before_elimination(self, layered, monkeypatch):
+        import iotrisk.cascade
+
+        calls = []
+        monkeypatch.setattr(iotrisk.cascade, "eliminate_marginal",
+                            lambda *args, **kw: calls.append(args))
+        with pytest.raises(UnknownState):
+            rank_criticality(layered.model, [("a14", "impaired"), ("a12", "melted")])
+        with pytest.raises(UnknownNode):
+            rank_criticality(layered.model, [("a14", "impaired"), ("ghost", "impaired")])
+        assert calls == []
+
+    def test_empty_scenario_is_an_invalid_argument(self):
+        with pytest.raises(InvalidArgument) as err:
+            IncidentScenario({})
+        assert isinstance(err.value, ValueError)

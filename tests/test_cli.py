@@ -410,25 +410,29 @@ class TestBoundary:
         assert "$.temporal.max_horizon" in proc.stderr
         assert "expected an integer >= 1, got 0" in proc.stderr
 
-    def test_non_integer_evidence_timestamp_exits_one(self, tmp_path, model_files):
+    # Only a JSON integer is an integer: no float, bool or numeric string.
+    @pytest.mark.parametrize("ts", ["x", 1.9, True, "17"])
+    def test_non_integer_evidence_timestamp_exits_one(self, tmp_path, model_files, ts):
         stream = tmp_path / "e.ndjson"
-        stream.write_text('{"ts": "x", "node": "monitoring_app", "state": "stale"}\n',
-                          encoding="utf-8")
+        stream.write_text(json.dumps({"ts": ts, "node": "monitoring_app", "state": "stale"})
+                          + "\n", encoding="utf-8")
         proc = run_process("dbn", "--model", model_files["smart_home"],
                            "--evidence", str(stream))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "evidence line 1" in proc.stderr
+        assert f"evidence line 1: ts must be an integer (epoch ms), got {ts!r}" in proc.stderr
 
-    def test_non_integer_max_horizon_exits_one(self, tmp_path, model_files):
+    @pytest.mark.parametrize("max_horizon", ["abc", 1.9, True, "64"])
+    def test_non_integer_max_horizon_exits_one(self, tmp_path, model_files, max_horizon):
         raw = json.loads(Path(model_files["smart_home"]).read_text())
-        raw["temporal"]["max_horizon"] = "abc"
+        raw["temporal"]["max_horizon"] = max_horizon
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw), encoding="utf-8")
         proc = run_process("dbn", "--model", str(bad))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "$.temporal.max_horizon" in proc.stderr
+        assert f"expected an integer, got {max_horizon!r}" in proc.stderr
 
     @pytest.mark.parametrize("temporal_patch", [
         {"edges": [{"from": ["wifi_gateway"], "to": "wifi_gateway"}]},
