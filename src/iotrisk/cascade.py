@@ -191,10 +191,10 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     score and sort last.  Ties break by ascending node id.
 
     Raises :class:`InvalidArgument` (a ``ValueError``) for no candidates, an
-    unknown ``aggregate`` or missing or invalid weights, :class:`UnknownNode`
-    for no or unknown service nodes and unknown candidate nodes, and
-    :class:`UnknownState` for a candidate state the node lacks -- all before
-    any elimination.
+    unknown ``aggregate``, bad weights or a non-service ``degraded_states`` key,
+    :class:`UnknownNode` for no or unknown service, candidate or degraded nodes,
+    and :class:`UnknownState` for a candidate or degraded state the node lacks
+    -- all before any elimination.
     """
     candidates = list(candidates)
     if not candidates:
@@ -208,6 +208,12 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     for s in service_nodes:
         graph.node(s)
     degraded_states = dict(degraded_states or {})
+    for node_id, states in degraded_states.items():
+        graph.node(node_id)
+        if node_id not in service_nodes:
+            raise InvalidArgument(f"degraded_states names {node_id!r}, not a service node")
+        for state in states:
+            _check_states(graph, {node_id: state})
     for s in service_nodes:
         degraded_states.setdefault(s, default_degraded_states(model, s))
 

@@ -217,6 +217,12 @@ def _load_document(args):
     return parse_model(_decode(raw, args.model)), input_digest(raw), raw
 
 
+def _read_evidence(args, model, model_raw: bytes):
+    """The ``--evidence`` records, checked against ``model``, and the digest."""
+    raw = Path(args.evidence).read_bytes()
+    return read_evidence(_decode(raw, args.evidence), model), input_digest(model_raw, raw)
+
+
 # ------------------------------------------------------------------- commands
 
 def _cmd_validate(args) -> int:
@@ -245,11 +251,8 @@ def _cmd_infer(args) -> int:
     model = doc.completed_model()
     evidence = {}
     if args.evidence:
-        raw = Path(args.evidence).read_bytes()
-        digest = input_digest(model_raw, raw)
-        for record in sorted(read_evidence(_decode(raw, args.evidence), model),
-                             key=lambda r: r.timestamp_ms):
-            evidence[record.node] = record.state
+        records, digest = _read_evidence(args, model, model_raw)
+        evidence = {r.node: r.state for r in sorted(records, key=lambda r: r.timestamp_ms)}
     evidence.update(dict(args.observe))
     if args.query:
         result = {"query": args.query,
@@ -281,9 +284,7 @@ def _cmd_dbn(args) -> int:
     doc, digest, model_raw = _load_document(args)
     tm = doc.temporal_model()
     if args.evidence:
-        raw = Path(args.evidence).read_bytes()
-        digest = input_digest(model_raw, raw)
-        records = read_evidence(_decode(raw, args.evidence), tm.template.model)
+        records, digest = _read_evidence(args, tm.template.model, model_raw)
         obs = ingest_evidence(records, args.bucket_ms)
     else:
         obs = ObservationSeries()

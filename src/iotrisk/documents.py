@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import (
-    InvalidArgument,
     InvalidDistribution,
     ModelSyntaxError,
     SchemaVersionMismatch,
@@ -35,13 +34,14 @@ from .errors import (
     ValidationFailed,
 )
 from .graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain
-from .model import BayesianModel, Cpt
+from .model import BayesianModel, Cpt, _check_int, _is_int
 from .temporal import (
     DEFAULT_MAX_HORIZON,
     ObservationSeries,
     SliceTemplate,
     TemporalEdge,
     TemporalModel,
+    _max_horizon_issues,
 )
 from .uncontrollable import CatalogueSource, StateCatalogue, complete_model
 
@@ -117,12 +117,6 @@ class ModelDocument:
 
 
 # -------------------------------------------------------------------- parsing
-
-def _is_json_int(value) -> bool:
-    """True when ``value`` was a JSON integer.  JSON ``true`` and ``false`` load
-    as ``bool``, an ``int`` subclass, so they are excluded by name."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 def _take(obj, key, kind, path, issues, default=None, required=False):
     if key not in obj:
@@ -358,15 +352,7 @@ def parse_model(text: str) -> ModelDocument:
             issues.append((f"$.temporal.transition_cpts.{tgt}",
                            f"temporal target {tgt!r} has no transition table"))
         max_horizon = raw_temporal.get("max_horizon", DEFAULT_MAX_HORIZON)
-        if not _is_json_int(max_horizon):
-            issues.append(("$.temporal.max_horizon",
-                           f"expected an integer, got {max_horizon!r}"))
-            max_horizon = DEFAULT_MAX_HORIZON
-        if max_horizon < 1:
-            # No query could run: even slice 0 would be beyond the limit.
-            issues.append(("$.temporal.max_horizon",
-                           f"expected an integer >= 1, got {max_horizon}"))
-            max_horizon = DEFAULT_MAX_HORIZON
+        issues.extend(_max_horizon_issues(max_horizon))
         temporal = TemporalSpec(tuple(sorted(set(tedges))), transition_cpts, initial_cpts,
                                 max_horizon)
 
@@ -494,7 +480,7 @@ def read_evidence(text: str, model: BayesianModel) -> tuple[EvidenceRecord, ...]
             raise ModelSyntaxError(
                 f'evidence line {lineno}: expected {{"ts", "node", "state"}}', lineno)
         ts, node_id, state = raw["ts"], raw["node"], raw["state"]
-        if not _is_json_int(ts):
+        if not _is_int(ts):
             raise ModelSyntaxError(
                 f"evidence line {lineno}: ts must be an integer (epoch ms), got {ts!r}", lineno)
         if not isinstance(node_id, str) or not isinstance(state, str):
@@ -513,11 +499,16 @@ def ingest_evidence(records, bucket_ms: int, t0: int | None = None) -> Observati
 
     Slice index is ``floor((ts - t0) / bucket_ms)`` with ``t0`` defaulting to
     the earliest timestamp.  When one (node, slice) pair is observed more than
-    once the latest timestamp wins and a warning is logged.
+    once the latest timestamp wins and a warning is logged.  Each timestamp must
+    be an integer >= ``t0``, else :class:`InvalidArgument`.
     """
-    if bucket_ms <= 0:
-        raise InvalidArgument(f"bucket_ms must be positive, got {bucket_ms}")
-    records = sorted(records, key=lambda r: (r.timestamp_ms, r.node))
+    bucket_ms = _check_int(bucket_ms, "bucket_ms", 1)
+    if t0 is not None:
+        t0 = _check_int(t0, "t0")
+    records = list(records)
+    for record in records:
+        _check_int(record.timestamp_ms, "record timestamp_ms", t0)
+    records.sort(key=lambda r: (r.timestamp_ms, r.node))
     if not records:
         return ObservationSeries()
     if t0 is None:
@@ -526,9 +517,6 @@ def ingest_evidence(records, bucket_ms: int, t0: int | None = None) -> Observati
     chosen: dict[tuple[str, int], EvidenceRecord] = {}
     for record in records:
         slot = (record.timestamp_ms - t0) // bucket_ms
-        if slot < 0:
-            raise InvalidArgument(
-                f"record at {record.timestamp_ms} predates the bucket origin {t0}")
         key = (record.node, slot)
         if key in chosen:
             logger.warning(

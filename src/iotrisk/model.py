@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
+    InvalidArgument,
     InvalidDistribution,
     MissingCpt,
     UnknownState,
@@ -87,6 +90,20 @@ def check_distribution(dist, where: str) -> None:
     total = math.fsum(dist)
     if abs(total - 1.0) > ROW_SUM_TOL:
         raise InvalidDistribution(f"{where}: sums to {total!r}, expected 1 within {ROW_SUM_TOL}")
+
+
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer, but not a ``bool`` (JSON ``true``)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_int(value, what: str, minimum=None, error=InvalidArgument) -> int:
+    """``value`` as an ``int`` if it is an integer >= ``minimum``, else ``error``."""
+    if not _is_int(value):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{what} must be >= {minimum}, got {value}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True, slots=True)

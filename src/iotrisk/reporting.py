@@ -12,14 +12,14 @@ probability of its degraded state.
 
 from __future__ import annotations
 
+import enum
 import json
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 
-from .cascade import CriticalityEntry, ImpactReport, LevelClassification, NodeImpact
-from .graph import ValidationReport, Violation
+from .cascade import ImpactReport, NodeImpact
+from .graph import ValidationReport
 from .model import BayesianModel, Marginal
-from .uncontrollable import StateCatalogue
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -36,7 +36,9 @@ def input_digest(*chunks: bytes) -> str:
 
 
 def to_jsonable(obj):
-    """Flatten analysis results into JSON-ready structures, deterministically."""
+    """Flatten analysis results into JSON-ready structures, deterministically.
+    Any other enum gives its value, and any other dataclass its fields in
+    declaration order, the order ``--format text`` prints."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Marginal):
@@ -44,10 +46,8 @@ def to_jsonable(obj):
                 "distribution": {s: p for s, p in zip(obj.states, obj.probabilities)}}
     if isinstance(obj, ValidationReport):
         return {"ok": obj.ok,
-                "violations": [to_jsonable(v) for v in obj.violations],
-                "warnings": [to_jsonable(v) for v in obj.warnings]}
-    if isinstance(obj, Violation):
-        return {"kind": obj.kind, "message": obj.message}
+                "violations": to_jsonable(obj.violations),
+                "warnings": to_jsonable(obj.warnings)}
     if isinstance(obj, ImpactReport):
         return {
             "origins": dict(sorted(obj.scenario.origins.items())),
@@ -57,20 +57,9 @@ def to_jsonable(obj):
             "ranking": [to_jsonable(e) for e in obj.ranking] if obj.ranking else None,
         }
     if isinstance(obj, NodeImpact):
-        return {
-            "distribution": to_jsonable(obj.distribution)["distribution"],
-            "dependency_order": obj.dependency_order,
-            "level": obj.level.value if obj.level else None,
-            "relation": obj.relation.value,
-        }
-    if isinstance(obj, LevelClassification):
-        return {"levels": {nid: lvl.value for nid, lvl in sorted(obj.levels.items())},
-                "unclassified": sorted(obj.unclassified)}
-    if isinstance(obj, CriticalityEntry):
-        return {"node": obj.node, "impaired_state": obj.impaired_state,
-                "score": obj.score, "error": obj.error}
-    if isinstance(obj, StateCatalogue):
-        return {"node": obj.node, "prior": list(obj.prior), "source": obj.source.value}
+        return {"distribution": to_jsonable(obj.distribution)["distribution"],
+                "dependency_order": obj.dependency_order,
+                "level": to_jsonable(obj.level), "relation": to_jsonable(obj.relation)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple, set, frozenset)):
@@ -85,8 +74,10 @@ def to_jsonable(obj):
         if isinstance(obj, roadmap.BoundRoadmap):
             return {"bindings": dict(sorted(obj.bindings.items())),
                     "data_gaps": list(obj.data_gaps)}
-    if is_dataclass(obj):
-        return to_jsonable(asdict(obj))
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 

@@ -22,7 +22,7 @@ Memory is O(BLOCK x (live nodes + states)) whatever n is.
 from __future__ import annotations
 
 from .errors import InvalidArgument
-from .model import BayesianModel, Marginal
+from .model import BayesianModel, Marginal, _check_int
 
 # Samples per block: the uniforms and row indices of one node's block, and
 # the states of the block's live nodes, are the only arrays whose size does
@@ -33,19 +33,17 @@ BLOCK = 1 << 14
 def monte_carlo_sample(model: BayesianModel, n: int, seed: int) -> dict:
     """Empirical per-node state frequencies from ``n`` forward samples.
 
-    ``n`` must be at least 1 and at most the largest array index; ``seed``
-    must be non-negative.  Either fault raises :class:`InvalidArgument`
-    before anything is allocated.
+    ``n`` must be an integer from 1 to the largest array index, and ``seed``
+    an integer >= 0.  Any other value raises :class:`InvalidArgument` before
+    anything is allocated.
     """
     import numpy as np
 
-    if n < 1:
-        raise InvalidArgument(f"sample count must be >= 1, got {n}")
+    n = _check_int(n, "sample count", 1)
     largest = np.iinfo(np.intp).max
     if n > largest:
         raise InvalidArgument(f"sample count must be <= {largest}, got {n}")
-    if seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    seed = _check_int(seed, "seed", 0)
     model.require_fully_specified()
     compiled = model.compiled
     order = compiled.topological

@@ -52,7 +52,7 @@ from .inference import (
     _sorted_factor,
     _table_array,
 )
-from .model import BayesianModel, Cpt, Marginal, check_cpt_rows
+from .model import BayesianModel, Cpt, Marginal, _check_int, _is_int, check_cpt_rows
 
 SLICE_SEP = "@"
 
@@ -125,7 +125,7 @@ class TemporalModel:
                            tuple(sorted(temporal_edges,
                                         key=lambda e: (e.target, e.source))))
         object.__setattr__(self, "initial_cpts", dict(initial_cpts or {}))
-        object.__setattr__(self, "max_horizon", int(max_horizon))
+        object.__setattr__(self, "max_horizon", max_horizon)
         self._check()
 
     @cached_property
@@ -156,16 +156,12 @@ class TemporalModel:
         return _Slices(n, (tuple(initial), tuple(later)), previous, template, forward)
 
     def _check(self) -> None:
-        issues: list[tuple[str, str]] = []
+        issues = _max_horizon_issues(self.max_horizon)
         model = self.template.model
         graph = model.graph
         transitions: dict[str, Cpt] = {}
         sources_by_target: dict[str, list[str]] = {}
 
-        if self.max_horizon < 1:
-            # No query could run: even slice 0 would be beyond the limit.
-            issues.append(("$.temporal.max_horizon",
-                           f"expected an integer >= 1, got {self.max_horizon}"))
         for edge in self.temporal_edges:
             path = f"$.temporal.edges[{edge.source}->{edge.target}]"
             for endpoint in (edge.source, edge.target):
@@ -229,6 +225,16 @@ class TemporalModel:
                              if e.target == target}))
 
 
+def _max_horizon_issues(max_horizon) -> list:
+    """The (path, message) issue of a limit that is not an integer >= 1, if any."""
+    if not _is_int(max_horizon):
+        return [("$.temporal.max_horizon", f"expected an integer, got {max_horizon!r}")]
+    if max_horizon < 1:
+        # No query could run: even slice 0 would be beyond the limit.
+        return [("$.temporal.max_horizon", f"expected an integer >= 1, got {max_horizon}")]
+    return []
+
+
 @dataclass(frozen=True)
 class ObservationSeries:
     """Time-indexed evidence: an ordered list of (slice index, evidence)."""
@@ -237,13 +243,11 @@ class ObservationSeries:
 
     def __init__(self, entries=()):
         flat: list[tuple[int, str, str]] = []
-        last_t = None
+        last_t = 0
         seen: set[tuple[str, int]] = set()
         for t, evidence in entries:
-            t = int(t)
-            if t < 0:
-                raise InvalidHorizon(f"observation time {t} is negative")
-            if last_t is not None and t < last_t:
+            t = _check_int(t, "observation time", 0, InvalidHorizon)
+            if t < last_t:
                 raise InvalidHorizon("observation times must be non-decreasing")
             last_t = t
             for node_id, state in sorted(dict(evidence).items()):
@@ -277,9 +281,7 @@ def unroll(model: TemporalModel, horizon: int) -> BayesianModel:
     every later slice uses the transition tables for temporal targets and the
     template tables for everything else.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise InvalidHorizon(f"horizon must be >= 1, got {horizon}")
+    horizon = _check_int(horizon, "horizon", 1, InvalidHorizon)
     _check_horizon(model, horizon - 1, f"horizon {horizon} (slices 0..{horizon - 1})")
 
     template_model = model.template.model
@@ -423,9 +425,7 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
 
 def filter_marginals(model: TemporalModel, obs: ObservationSeries, t: int) -> dict:
     """Current-state estimate: P(node@t | observations through t), per node."""
-    t = int(t)
-    if t < 0:
-        raise InvalidHorizon(f"time index must be >= 0, got {t}")
+    t = _check_int(t, "time index", 0, InvalidHorizon)
     evidence = _prepare(model, obs, t)
     _check_horizon(model, t, f"time index {t}")
     return _posteriors(model, obs, evidence, t, t)
@@ -434,9 +434,8 @@ def filter_marginals(model: TemporalModel, obs: ObservationSeries, t: int) -> di
 def smooth_marginals(model: TemporalModel, obs: ObservationSeries,
                      k: int, t: int) -> dict:
     """Past-state estimate: P(node@k | observations through t), k <= t."""
-    k, t = int(k), int(t)
-    if k < 0 or k > t:
-        raise InvalidHorizon(f"smoothing requires 0 <= k <= t, got k={k}, t={t}")
+    k = _check_int(k, "smoothed slice", 0, InvalidHorizon)
+    t = _check_int(t, "time index", k, InvalidHorizon)
     evidence = _prepare(model, obs, t)
     _check_horizon(model, t, f"time index {t}")
     return _posteriors(model, obs, evidence, k, t)
@@ -445,11 +444,8 @@ def smooth_marginals(model: TemporalModel, obs: ObservationSeries,
 def predict_marginals(model: TemporalModel, obs: ObservationSeries,
                       t: int, h: int) -> dict:
     """Future-state estimate: P(node@(t+h) | observations through t), h >= 1."""
-    t, h = int(t), int(h)
-    if t < 0:
-        raise InvalidHorizon(f"time index must be >= 0, got {t}")
-    if h < 1:
-        raise InvalidHorizon(f"prediction horizon must be >= 1, got {h}")
+    t = _check_int(t, "time index", 0, InvalidHorizon)
+    h = _check_int(h, "prediction horizon", 1, InvalidHorizon)
     evidence = _prepare(model, obs, t)
     _check_horizon(model, t + h, f"predicted slice {t + h} (time index {t} + horizon {h})")
     # No evidence after t: the forward pass simply runs on through t+h-1.

@@ -1,0 +1,134 @@
+"""One integer rule for every count and time index the library takes.
+
+Each row is one integer argument of one entry point.  A float, a bool, a
+numeric string, ``None`` and a value below the argument's minimum must each
+raise the entry point's typed error before any table is compiled or any
+variable eliminated; a numpy integer must give the answer a plain ``int``
+gives, bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from iotrisk import inference, temporal
+from iotrisk.documents import EvidenceRecord, ingest_evidence
+from iotrisk.errors import InvalidArgument, InvalidHorizon, ValidationFailed
+from iotrisk.sampling import monte_carlo_sample
+from iotrisk.temporal import (
+    ObservationSeries,
+    TemporalModel,
+    filter_marginals,
+    predict_marginals,
+    smooth_marginals,
+    unroll,
+)
+
+from conftest import make_chain2, make_sensor_dbn
+
+NON_INTEGERS = (1.9, True, "2", None)
+
+
+def _series() -> ObservationSeries:
+    return ObservationSeries([(0, {"O": "alarm"}), (2, {"O": "quiet"})])
+
+
+def _records(first=1000) -> list:
+    return [EvidenceRecord(first, "O", "alarm"), EvidenceRecord(2500, "O", "quiet")]
+
+
+def _with_max_horizon(value) -> dict:
+    tm = make_sensor_dbn()
+    tm = TemporalModel(tm.template, tm.temporal_edges, max_horizon=value)
+    return filter_marginals(tm, _series(), 2)
+
+
+def _texts(what: str, minimum: int) -> tuple[str, str]:
+    return (f"{what} must be an integer, got {{!r}}", f"{what} must be >= {minimum}, got {{}}")
+
+
+# call(value) -> answer, a valid value, the non-integers refused, a value
+# below the minimum, the error, and the two texts formatted with the value.
+ROWS = [
+    pytest.param(_with_max_horizon, 8, NON_INTEGERS, 0, ValidationFailed,
+                 ("$.temporal.max_horizon: expected an integer, got {!r}",
+                  "$.temporal.max_horizon: expected an integer >= 1, got {}"),
+                 id="TemporalModel-max_horizon"),
+    pytest.param(lambda v: ObservationSeries([(v, {"O": "alarm"})]).entries, 1,
+                 NON_INTEGERS, -1, InvalidHorizon, _texts("observation time", 0),
+                 id="ObservationSeries-time"),
+    pytest.param(lambda v: unroll(make_sensor_dbn(), v), 3, NON_INTEGERS, 0, InvalidHorizon,
+                 _texts("horizon", 1), id="unroll-horizon"),
+    pytest.param(lambda v: filter_marginals(make_sensor_dbn(), _series(), v), 2,
+                 NON_INTEGERS, -1, InvalidHorizon, _texts("time index", 0),
+                 id="filter_marginals-t"),
+    pytest.param(lambda v: smooth_marginals(make_sensor_dbn(), _series(), v, 2), 1,
+                 NON_INTEGERS, -1, InvalidHorizon, _texts("smoothed slice", 0),
+                 id="smooth_marginals-k"),
+    pytest.param(lambda v: smooth_marginals(make_sensor_dbn(), _series(), 1, v), 2,
+                 NON_INTEGERS, 0, InvalidHorizon, _texts("time index", 1),
+                 id="smooth_marginals-t"),
+    pytest.param(lambda v: predict_marginals(make_sensor_dbn(), _series(), v, 1), 2,
+                 NON_INTEGERS, -1, InvalidHorizon, _texts("time index", 0),
+                 id="predict_marginals-t"),
+    pytest.param(lambda v: predict_marginals(make_sensor_dbn(), _series(), 2, v), 3,
+                 NON_INTEGERS, 0, InvalidHorizon, _texts("prediction horizon", 1),
+                 id="predict_marginals-h"),
+    pytest.param(lambda v: monte_carlo_sample(make_chain2(), v, 0), 500,
+                 NON_INTEGERS, 0, InvalidArgument, _texts("sample count", 1),
+                 id="monte_carlo_sample-n"),
+    pytest.param(lambda v: monte_carlo_sample(make_chain2(), 500, v), 3,
+                 NON_INTEGERS, -1, InvalidArgument, _texts("seed", 0),
+                 id="monte_carlo_sample-seed"),
+    pytest.param(lambda v: ingest_evidence(_records(), v).entries, 1000,
+                 NON_INTEGERS, 0, InvalidArgument, _texts("bucket_ms", 1),
+                 id="ingest_evidence-bucket_ms"),
+    # None is t0's default, and t0 itself has no minimum: a t0 after a
+    # record's timestamp is what puts that record out of range.
+    pytest.param(lambda v: ingest_evidence(_records(), 500, t0=v).entries, 400,
+                 NON_INTEGERS[:3], 2000, InvalidArgument,
+                 ("t0 must be an integer, got {!r}",
+                  "record timestamp_ms must be >= {}, got 1000"),
+                 id="ingest_evidence-t0"),
+    pytest.param(lambda v: ingest_evidence(_records(v), 1000, t0=0).entries, 700,
+                 NON_INTEGERS, -1, InvalidArgument, _texts("record timestamp_ms", 0),
+                 id="ingest_evidence-timestamp_ms"),
+]
+
+
+@pytest.fixture
+def work(monkeypatch) -> list:
+    """Names of the compile and elimination calls made while the test runs."""
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(inference, "compile_model",
+                        counted("compile_model", inference.compile_model))
+    monkeypatch.setattr(inference, "_eliminate", counted("_eliminate", inference._eliminate))
+    monkeypatch.setattr(temporal, "_eliminate", counted("_eliminate", temporal._eliminate))
+    return calls
+
+
+@pytest.mark.parametrize("call,valid,non_integers,low,error,texts", ROWS)
+def test_refused_before_any_work(work, call, valid, non_integers, low, error, texts):
+    not_integer, too_low = texts
+    for value, text in [(v, not_integer) for v in non_integers] + [(low, too_low)]:
+        with pytest.raises(error) as err:
+            call(value)
+        assert text.format(value) in str(err.value), value
+    assert work == []
+
+
+@pytest.mark.parametrize("call,valid,non_integers,low,error,texts", ROWS)
+def test_numpy_integer_gives_the_int_answer(call, valid, non_integers, low, error, texts):
+    expected = call(valid)
+    for kind in (np.int64, np.int32, np.uint16):
+        got = call(kind(valid))
+        assert got == expected
+        assert repr(got) == repr(expected)

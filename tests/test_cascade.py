@@ -314,6 +314,24 @@ class TestRankCriticality:
             rank_criticality(layered.model, [("a14", "impaired"), ("ghost", "impaired")])
         assert calls == []
 
+    @pytest.mark.parametrize("degraded,error,message", [
+        ({"ghost": {"x"}}, UnknownNode, "ghost"),
+        ({"a14": {"impaired"}}, InvalidArgument, "degraded_states names 'a14', not a service node"),
+        ({"a4": {"melted"}}, UnknownState, "node 'a4' has no state 'melted'"),
+    ], ids=["unknown-node", "not-a-service-node", "unknown-state"])
+    def test_bad_degraded_states_raise_before_elimination(self, layered, monkeypatch,
+                                                          degraded, error, message):
+        import iotrisk.cascade
+
+        calls = []
+        monkeypatch.setattr(iotrisk.cascade, "eliminate_marginal",
+                            lambda *args, **kw: calls.append(args))
+        with pytest.raises(error) as err:
+            rank_criticality(layered.model, [("a14", "impaired"), ("a12", "impaired")],
+                             degraded_states=degraded)
+        assert message in str(err.value)
+        assert calls == []
+
     def test_empty_scenario_is_an_invalid_argument(self):
         with pytest.raises(InvalidArgument) as err:
             IncidentScenario({})

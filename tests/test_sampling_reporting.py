@@ -15,13 +15,14 @@ from pathlib import Path
 import pytest
 
 from iotrisk.bundled import load_bundled_model
-from iotrisk.cascade import IncidentScenario, impact_probabilities, rank_criticality
+from iotrisk.cascade import EventLevel, IncidentScenario, impact_probabilities, rank_criticality
 from iotrisk.errors import InvalidArgument, IotRiskError, MissingCpt
 from iotrisk.graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain
 from iotrisk.inference import enumerate_posteriors
 from iotrisk.model import BayesianModel, Cpt
 from iotrisk.reporting import emit_report, export_dot, input_digest, to_jsonable
 from iotrisk.sampling import monte_carlo_sample
+from iotrisk.uncontrollable import CatalogueSource, StateCatalogue
 
 from conftest import make_chain2, random_model
 
@@ -229,6 +230,23 @@ class TestReports:
                            "s": frozenset({"b", "a"})})
         assert out == {"m": {"node": "B", "distribution": {"T": 0.34, "F": 0.66}},
                        "s": ["a", "b"]}
+
+    def test_jsonable_enums_and_dataclasses_keep_declaration_order(self):
+        @dataclasses.dataclass(frozen=True)
+        class Finding:
+            zeta: object
+            alpha: object
+
+        level = EventLevel.SERVICE
+        out = to_jsonable(Finding(level, Finding(frozenset({"b", "a"}), None)))
+        assert out == {"zeta": "service", "alpha": {"zeta": ["a", "b"], "alpha": None}}
+        assert list(out) == ["zeta", "alpha"]
+        assert list(out["alpha"]) == ["zeta", "alpha"]
+        catalogue = StateCatalogue("U", (0.25, 0.75), CatalogueSource.DECLARED)
+        assert list(to_jsonable(catalogue).items()) == [
+            ("node", "U"), ("prior", [0.25, 0.75]), ("source", "declared")]
+        with pytest.raises(TypeError):
+            to_jsonable(Finding)
 
 
 class TestSlottedAnswers:
