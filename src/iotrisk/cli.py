@@ -105,11 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bucket-ms", type=_int_at_least(1), default=1000, metavar="N",
                    help="bucket width for timestamp -> slice mapping (default 1000)")
     p.add_argument("--mode", choices=("filter", "smooth", "predict"), default="filter")
-    p.add_argument("--at", type=int, metavar="T",
+    p.add_argument("--at", type=_int_at_least(0), metavar="T",
                    help="query time index (default: last observed slice)")
-    p.add_argument("--slice", type=int, dest="past_slice", metavar="K",
+    p.add_argument("--slice", type=_int_at_least(0), dest="past_slice", metavar="K",
                    help="past slice to smooth (mode=smooth)")
-    p.add_argument("--horizon", type=int, default=1, metavar="H",
+    p.add_argument("--horizon", type=_int_at_least(1), default=1, metavar="H",
                    help="prediction horizon (mode=predict, default 1)")
 
     p = sub.add_parser("iotmm", help="detect nodes without CPTs and resolve their "

@@ -103,17 +103,21 @@ class ModelDocument:
     def _temporal_model(self) -> TemporalModel:
         if self.temporal is None:
             raise ValidationFailed([("$.temporal", "document has no temporal section")])
-        missing = [tgt for _, tgt in self.temporal.edges
-                   if tgt not in self.temporal.transition_cpts]
-        if missing:
-            raise ValidationFailed([(f"$.temporal.transition_cpts.{tgt}",
-                                     f"temporal target {tgt!r} has no transition table")
-                                    for tgt in sorted(set(missing))])
+        issues = _untabled_target_issues(self.temporal.edges, self.temporal.transition_cpts)
+        if issues:
+            raise ValidationFailed(issues)
         template = SliceTemplate(self.completed_model())
         edges = [TemporalEdge(src, tgt, self.temporal.transition_cpts[tgt])
                  for src, tgt in self.temporal.edges]
         return TemporalModel(template, edges, self.temporal.initial_cpts,
                              self.temporal.max_horizon)
+
+
+def _untabled_target_issues(edges, transition_cpts: dict) -> list:
+    """One issue per temporal target among ``edges`` without a transition table."""
+    return [(f"$.temporal.transition_cpts.{tgt}",
+             f"temporal target {tgt!r} has no transition table")
+            for tgt in sorted({tgt for _, tgt in edges if tgt not in transition_cpts})]
 
 
 # -------------------------------------------------------------------- parsing
@@ -167,6 +171,17 @@ def _parse_cpt(node_id, raw, path, issues) -> Cpt | None:
     except InvalidDistribution as exc:
         issues.append((path, str(exc)))
         return None
+
+
+def _parse_cpts(obj, key, path, issues) -> dict:
+    """The CPTs of section ``obj[key]`` by node id; each bad one is left out
+    and its issues recorded at ``{path}.{key}.<node id>``."""
+    cpts = {}
+    for node_id, raw_cpt in sorted(_take(obj, key, dict, path, issues, default={}).items()):
+        cpt = _parse_cpt(node_id, raw_cpt, f"{path}.{key}.{node_id}", issues)
+        if cpt is not None:
+            cpts[node_id] = cpt
+    return cpts
 
 
 def _parse_roadmap(raw, path, issues) -> RoadmapModel | None:
@@ -279,11 +294,7 @@ def parse_model(text: str) -> ModelDocument:
     graph = DependencyGraph(nodes, edges)
 
     # ---- CPTs
-    cpts = {}
-    for node_id, raw_cpt in sorted((_take(raw, "cpts", dict, "$", issues, default={}) or {}).items()):
-        cpt = _parse_cpt(node_id, raw_cpt, f"$.cpts.{node_id}", issues)
-        if cpt is not None:
-            cpts[node_id] = cpt
+    cpts = _parse_cpts(raw, "cpts", "$", issues)
 
     model = None
     if not issues:
@@ -335,22 +346,9 @@ def parse_model(text: str) -> ModelDocument:
                 issues.append((path, 'expected {"from": ..., "to": ...}'))
                 continue
             tedges.append((e["from"], e["to"]))
-        transition_cpts = {}
-        for node_id, raw_cpt in sorted(_take(raw_temporal, "transition_cpts", dict,
-                                             "$.temporal", issues, default={}).items()):
-            cpt = _parse_cpt(node_id, raw_cpt, f"$.temporal.transition_cpts.{node_id}", issues)
-            if cpt is not None:
-                transition_cpts[node_id] = cpt
-        initial_cpts = {}
-        for node_id, raw_cpt in sorted(_take(raw_temporal, "initial_cpts", dict,
-                                             "$.temporal", issues, default={}).items()):
-            cpt = _parse_cpt(node_id, raw_cpt, f"$.temporal.initial_cpts.{node_id}", issues)
-            if cpt is not None:
-                initial_cpts[node_id] = cpt
-        missing = [tgt for _, tgt in tedges if tgt not in transition_cpts]
-        for tgt in sorted(set(missing)):
-            issues.append((f"$.temporal.transition_cpts.{tgt}",
-                           f"temporal target {tgt!r} has no transition table"))
+        transition_cpts = _parse_cpts(raw_temporal, "transition_cpts", "$.temporal", issues)
+        initial_cpts = _parse_cpts(raw_temporal, "initial_cpts", "$.temporal", issues)
+        issues.extend(_untabled_target_issues(tedges, transition_cpts))
         max_horizon = raw_temporal.get("max_horizon", DEFAULT_MAX_HORIZON)
         issues.extend(_max_horizon_issues(max_horizon))
         temporal = TemporalSpec(tuple(sorted(set(tedges))), transition_cpts, initial_cpts,
@@ -393,10 +391,7 @@ def parse_model(text: str) -> ModelDocument:
     doc.__dict__["model"] = model
     # Cross-section checks that need the whole document assembled.
     if temporal is not None:
-        try:
-            doc.temporal_model()
-        except ValidationFailed as exc:
-            raise ValidationFailed(exc.issues) from None
+        doc.temporal_model()
     return doc
 
 

@@ -18,13 +18,16 @@ P(node | parents), and every query here evaluates that product exactly:
 
 The numeric queries, and the Monte Carlo sampler, read one
 :class:`CompiledModel`: integer node ids, one read-only table per CPT, the
-topological order and one indicator :class:`Marginal` per node state, which
-every query for an observed node returns.  :func:`compile_model` builds it
+topological order and its reverse, the elimination order, and one indicator
+:class:`Marginal` per node state, which every query for an observed node
+returns.  :func:`compile_model` builds it
 from the CPT rows on a model's first numeric query, and the model keeps it
 (:attr:`BayesianModel.compiled <iotrisk.model.BayesianModel.compiled>`), so
 later queries on the same model build no table.  Integer ids follow the
 ascending node ids, so every factor's axes, and with them the results, are
-those of elimination over the string ids.
+those of elimination over the string ids.  The temporal interface passes
+share this core: :func:`_cpt_factor` builds their tables, :func:`_eliminate`
+sums out one order per compiled form, and :func:`_marginal` gives the answer.
 
 Evidence with zero probability raises :class:`ImpossibleEvidence` rather than
 returning NaNs: it means the model and the observation contradict each other.
@@ -65,15 +68,19 @@ def joint_probability(model: BayesianModel, assignment) -> float:
 
 # ------------------------------------------------------------- compiled form
 
-def _table_array(cpt, domain) -> np.ndarray:
-    """``cpt`` as an ndarray with one axis per parent (in parent_order) + the
-    node; ``domain`` maps a node id to its state domain."""
+def _cpt_factor(cpt, domain, axes: tuple[int, ...]) -> _Factor:
+    """``cpt`` as a read-only factor, the one builder of every table a query
+    reads.  ``domain`` maps a node id to its state domain; ``axes`` are the
+    variables of the parents, in parent_order, and then of the node."""
     import numpy as np
 
     parent_domains = [domain(p).states for p in cpt.parent_order]
     rows = [cpt.rows[key] for key in itertools.product(*parent_domains)]
     shape = [len(d) for d in parent_domains] + [len(domain(cpt.node))]
-    return np.array(rows, dtype=np.float64).reshape(shape)
+    values = np.array(rows, dtype=np.float64).reshape(shape)
+    values.flags.writeable = False
+    order = tuple(sorted(axes))
+    return _Factor(order, values.transpose([axes.index(v) for v in order]))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -86,7 +93,8 @@ class CompiledModel:
     ``holders[i]`` lists the factors over node ``i``: its own and its
     children's.  ``indicators[i][k]`` is the :class:`Marginal` of node ``i``
     observed in its ``k``-th state, one instance every query returns.
-    ``topological`` is :func:`~iotrisk.graph.topological_order` in ids.
+    ``topological`` is :func:`~iotrisk.graph.topological_order` in ids, and
+    ``elimination`` its reverse, the order variable elimination sums out in.
     """
 
     ids: tuple[str, ...]
@@ -95,6 +103,7 @@ class CompiledModel:
     holders: tuple       # of tuple[int, ...], one per node
     indicators: tuple    # of tuple[Marginal, ...], one per node
     topological: tuple[int, ...]
+    elimination: tuple[int, ...]
 
 
 def compile_model(model: BayesianModel) -> CompiledModel:
@@ -108,10 +117,8 @@ def compile_model(model: BayesianModel) -> CompiledModel:
     factors = []
     for node in model.graph.nodes:
         cpt = model.cpt(node.id)
-        values = _table_array(cpt, model.domain)
-        values.flags.writeable = False
-        factors.append(_sorted_factor(
-            tuple(index[p] for p in cpt.parent_order) + (index[node.id],), values))
+        axes = tuple(index[p] for p in cpt.parent_order) + (index[node.id],)
+        factors.append(_cpt_factor(cpt, model.domain, axes))
     holders = [[] for _ in ids]
     for i, f in enumerate(factors):
         for v in f.vars:
@@ -121,7 +128,7 @@ def compile_model(model: BayesianModel) -> CompiledModel:
                        for node in model.graph.nodes)
     topological = tuple(index[nid] for nid in topological_order(model.graph))
     return CompiledModel(ids, index, tuple(factors), tuple(map(tuple, holders)),
-                         indicators, topological)
+                         indicators, topological, topological[::-1])
 
 
 # --------------------------------------------------------------- enumeration
@@ -243,19 +250,14 @@ def _reduce_factor(f: _Factor, evidence: dict) -> _Factor:
     return _Factor(tuple(keep_vars), f.values[tuple(index)])
 
 
-def _sorted_factor(vars_: tuple[int, ...], values: np.ndarray) -> _Factor:
-    """A factor with its axes permuted into ascending variable order."""
-    order = tuple(sorted(vars_))
-    perm = [vars_.index(v) for v in order]
-    return _Factor(order, values.transpose(perm))
-
-
-def _eliminate(factors: list, order) -> _Factor:
-    """Sum the variables in ``order`` out of the factor product, one at a time.
+def _eliminate(factors: list, order, keep) -> _Factor:
+    """Sum the variables in ``order`` but those in ``keep`` out of the factor
+    product, one at a time.
 
     The factor-level core of variable elimination, shared by
-    :func:`eliminate_marginal` and the temporal interface passes.  Returns the
-    product of what is left, over every variable not in ``order``.
+    :func:`eliminate_marginal` and the temporal interface passes, each of
+    which passes its compiled form's one order.  Returns the product of what
+    is left, over ``keep`` and every variable not in ``order``.
 
     Bucket elimination (Dechter 1999): each factor has a key, its position in
     ``factors`` and then one more for each factor a step makes, and each
@@ -276,6 +278,8 @@ def _eliminate(factors: list, order) -> _Factor:
             cards[v] = card
     key = len(live)
     for var in order:
+        if var in keep:
+            continue
         # A key whose factor an earlier step consumed is no longer live.
         bucket = [live.pop(k) for k in buckets.pop(var, ()) if k in live]
         if not bucket:
@@ -298,7 +302,7 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None) -> Margi
     observed query returns the model's shared indicator marginal.
     """
     model.require_fully_specified()
-    node = model.graph.node(query)
+    model.graph.node(query)  # raises UnknownNode
     evidence = model.validate_evidence(evidence or {})
     compiled = model.compiled
     observed = {compiled.index[nid]: model.domain(nid).index(state)
@@ -308,26 +312,32 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None) -> Margi
     for i in {c for v in observed for c in compiled.holders[v]}:
         factors[i] = _reduce_factor(factors[i], observed)
     var = compiled.index[query]
-    to_eliminate = [v for v in reversed(compiled.topological)
-                    if v != var and v not in observed]
-    result = _eliminate(factors, to_eliminate)
+    result = _eliminate(factors, compiled.elimination, (var,))
+    return _marginal(compiled, var, observed, result, lambda: evidence)
+
+
+def _total(result: _Factor, evidence) -> float:
+    """``result``'s total; one <= 0 raises ImpossibleEvidence naming ``evidence()``."""
     z = float(result.values.sum())
     if z <= 0.0:
-        raise ImpossibleEvidence(f"evidence {evidence!r} has probability 0")
+        raise ImpossibleEvidence(f"evidence {evidence()!r} has probability 0")
+    return z
+
+
+def _marginal(compiled: CompiledModel, var: int, observed: dict, result: _Factor,
+              evidence) -> Marginal:
+    """Node ``var``'s answer from ``result``, the factor elimination left over
+    it: its shared indicator if ``observed`` (variable -> state index) holds
+    ``var``, else ``result`` normalized.  A total <= 0 raises as in :func:`_total`."""
+    z = _total(result, evidence)
+    indicators = compiled.indicators[var]
     if var in observed:
-        return compiled.indicators[var][observed[var]]
-    return _normalized_marginal(query, var, node.domain.states, result, z)
-
-
-def _normalized_marginal(query: str, var, states: tuple, result: _Factor,
-                         z: float) -> Marginal:
-    """Turn the factor over ``(var,)`` left after elimination, whose total is
-    ``z > 0``, into the unobserved ``query``'s Marginal."""
+        return indicators[observed[var]]
     if result.vars != (var,):
         raise AssertionError(f"elimination left unexpected variables {result.vars!r}")
     dist = result.values / z
     dist = dist / dist.sum()
-    return Marginal(query, states, tuple(float(p) for p in dist))
+    return Marginal(compiled.ids[var], indicators[0].states, tuple(float(p) for p in dist))
 
 
 def posterior_update(model: BayesianModel, evidence=None) -> dict:

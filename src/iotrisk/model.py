@@ -30,9 +30,6 @@ from .graph import DependencyGraph, _check_states, validate
 # Tolerance for CPT row sums and reported distributions.
 ROW_SUM_TOL = 1e-12
 
-# Evidence is a plain mapping: node id -> observed state label.
-Evidence = dict
-
 
 @dataclass(frozen=True)
 class Cpt:

@@ -18,7 +18,10 @@ the sources of temporal edges, which d-separates the past from the future
 interface distribution given the evidence so far from slice to slice; a
 backward message carries the likelihood of later evidence back to the
 queried slice.  Each step is variable elimination on one slice's tables, so a
-query costs O(t) small factor operations.  :func:`unroll` and
+query costs O(t) small factor operations.  The steps are those of a static
+query: :mod:`iotrisk.inference` builds the slice tables, sums out one order
+per model in every pass, keeping the variables the pass needs, and turns the
+factor left at the queried slice into each node's answer.  :func:`unroll` and
 :func:`unrolled_marginals` are kept as the oracle these passes are tested
 against.
 
@@ -37,7 +40,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
-    ImpossibleEvidence,
     InvalidHorizon,
     ObservationBeyondHorizon,
     ValidationFailed,
@@ -45,12 +47,12 @@ from .errors import (
 from .graph import ComponentNode, DependencyGraph, InfluenceEdge, _check_states
 from .inference import (
     eliminate_marginal,
+    _cpt_factor,
     _eliminate,
     _Factor,
-    _normalized_marginal,
+    _marginal,
     _reduce_factor,
-    _sorted_factor,
-    _table_array,
+    _total,
 )
 from .model import BayesianModel, Cpt, Marginal, _check_int, _is_int, check_cpt_rows
 
@@ -97,13 +99,13 @@ class TemporalEdge:
 
 
 class _Slices(NamedTuple):
-    """A :class:`TemporalModel`'s slice tables and elimination orders."""
+    """A :class:`TemporalModel`'s slice tables and elimination order."""
 
     size: int                  # template nodes; node i one slice back is size + i
     tables: tuple              # (slice 0's factors, every later slice's factors)
-    previous: tuple[int, ...]  # the temporal sources one slice back
-    template: tuple[int, ...]  # the template's order, as in eliminate_marginal
-    forward: tuple[int, ...]   # eliminates all but the temporal sources
+    interface: frozenset       # the temporal sources, which a forward pass keeps
+    previous: frozenset        # them one slice back, which a backward pass keeps
+    order: tuple[int, ...]     # previous ascending, then the template's order
 
 
 @dataclass(frozen=True)
@@ -141,19 +143,17 @@ class TemporalModel:
 
         def factor(cpt: Cpt, sources=()) -> _Factor:
             axes = tuple(compiled.index[p] + (n if p in sources else 0) for p in cpt.parent_order)
-            return _sorted_factor(axes + (compiled.index[cpt.node],),
-                                  _table_array(cpt, model.domain))
+            return _cpt_factor(cpt, model.domain, axes + (compiled.index[cpt.node],))
 
         initial, later = [], []
         for nid, table in zip(compiled.ids, compiled.factors):
             initial.append(factor(self.initial_cpts[nid]) if nid in self.initial_cpts else table)
             later.append(factor(transitions[nid], self.temporal_sources(nid))
                          if nid in transitions else table)
-        interface = sorted({compiled.index[e.source] for e in self.temporal_edges})
-        previous = tuple(n + i for i in interface)
-        template = tuple(reversed(compiled.topological))
-        forward = previous + tuple(v for v in template if v not in interface)
-        return _Slices(n, (tuple(initial), tuple(later)), previous, template, forward)
+        interface = frozenset(compiled.index[e.source] for e in self.temporal_edges)
+        previous = tuple(n + i for i in sorted(interface))
+        return _Slices(n, (tuple(initial), tuple(later)), interface, frozenset(previous),
+                       previous + compiled.elimination)
 
     def _check(self) -> None:
         issues = _max_horizon_issues(self.max_horizon)
@@ -323,8 +323,14 @@ def unrolled_marginals(model: TemporalModel, obs: ObservationSeries,
     """Oracle: P(node@k | obs) per template node, by VE on ``unroll(model, horizon)``.
 
     The definition the fast queries are checked against; its cost grows
-    exponentially with ``horizon``, so use it on short horizons only.
+    exponentially with ``horizon``, so use it on short horizons only.  ``k``
+    must be an integer in 0 .. horizon - 1, else :class:`InvalidHorizon`.
     """
+    horizon = _check_int(horizon, "horizon", 1, InvalidHorizon)
+    k = _check_int(k, "queried slice", 0, InvalidHorizon)
+    if k >= horizon:
+        raise InvalidHorizon(f"queried slice {k} is beyond horizon {horizon} "
+                             f"(slices 0..{horizon - 1})")
     flat = unroll(model, horizon)
     evidence = obs.unrolled_evidence()
     out = {}
@@ -379,14 +385,8 @@ def _slice_factors(slices: _Slices, evidence: dict, s: int, messages) -> list:
 
 def _message(result: _Factor, shift: int, obs: ObservationSeries) -> _Factor:
     """``result`` normalized to sum 1, every id moved by ``shift``."""
-    z = float(result.values.sum())
-    if z <= 0.0:
-        raise _impossible(obs)
+    z = _total(result, obs.unrolled_evidence)
     return _Factor(tuple(v + shift for v in result.vars), result.values / z)
-
-
-def _impossible(obs: ObservationSeries) -> ImpossibleEvidence:
-    return ImpossibleEvidence(f"evidence {obs.unrolled_evidence()!r} has probability 0")
 
 
 def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
@@ -402,25 +402,22 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
     slices = model._slices
     alpha = None
     for s in range(k):
-        result = _eliminate(_slice_factors(slices, evidence, s, [alpha]), slices.forward)
+        result = _eliminate(_slice_factors(slices, evidence, s, [alpha]), slices.order,
+                            slices.interface)
         alpha = _message(result, slices.size, obs)
     beta = None
     for s in range(last, k, -1):
-        result = _eliminate(_slice_factors(slices, evidence, s, [beta]), slices.template)
+        result = _eliminate(_slice_factors(slices, evidence, s, [beta]), slices.order,
+                            slices.previous)
         beta = _message(result, -slices.size, obs)
 
     factors = _slice_factors(slices, evidence, k, [alpha, beta])
     observed = evidence.get(k, {})
-    indicators = model.template.model.compiled.indicators
-    out = {}
-    for i, node in enumerate(model.template.model.graph.nodes):
-        result = _eliminate(factors, [v for v in slices.previous + slices.template if v != i])
-        z = float(result.values.sum())
-        if z <= 0.0:
-            raise _impossible(obs)
-        out[node.id] = (indicators[i][observed[i]] if i in observed else
-                        _normalized_marginal(node.id, i, node.domain.states, result, z))
-    return out
+    compiled = model.template.model.compiled
+    return {compiled.ids[i]: _marginal(compiled, i, observed,
+                                       _eliminate(factors, slices.order, (i,)),
+                                       obs.unrolled_evidence)
+            for i in range(slices.size)}
 
 
 def filter_marginals(model: TemporalModel, obs: ObservationSeries, t: int) -> dict:

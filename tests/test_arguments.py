@@ -23,6 +23,7 @@ from iotrisk.temporal import (
     predict_marginals,
     smooth_marginals,
     unroll,
+    unrolled_marginals,
 )
 
 from conftest import make_chain2, make_sensor_dbn
@@ -60,6 +61,9 @@ ROWS = [
                  id="ObservationSeries-time"),
     pytest.param(lambda v: unroll(make_sensor_dbn(), v), 3, NON_INTEGERS, 0, InvalidHorizon,
                  _texts("horizon", 1), id="unroll-horizon"),
+    pytest.param(lambda v: unrolled_marginals(make_sensor_dbn(), _series(), v, 3), 1,
+                 NON_INTEGERS, -1, InvalidHorizon, _texts("queried slice", 0),
+                 id="unrolled_marginals-k"),
     pytest.param(lambda v: filter_marginals(make_sensor_dbn(), _series(), v), 2,
                  NON_INTEGERS, -1, InvalidHorizon, _texts("time index", 0),
                  id="filter_marginals-t"),
@@ -122,6 +126,15 @@ def test_refused_before_any_work(work, call, valid, non_integers, low, error, te
         with pytest.raises(error) as err:
             call(value)
         assert text.format(value) in str(err.value), value
+    assert work == []
+
+
+def test_unrolled_slice_beyond_horizon_refused_before_any_work(work, monkeypatch):
+    monkeypatch.setattr(temporal, "unroll", lambda *args: work.append("unroll"))
+    for k in (3, 5):
+        with pytest.raises(InvalidHorizon, match=rf"^queried slice {k} is beyond horizon 3 "
+                                                 r"\(slices 0\.\.2\)$"):
+            unrolled_marginals(make_sensor_dbn(), _series(), k, 3)
     assert work == []
 
 

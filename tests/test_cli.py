@@ -184,13 +184,13 @@ class TestDbn:
         # slices the query passes through; template tables are the
         # template model's compiled ones.
         built = []
-        table_array = temporal._table_array
+        cpt_factor = temporal._cpt_factor
 
-        def counted(cpt, domain):
+        def counted(cpt, domain, axes):
             built.append(cpt)
-            return table_array(cpt, domain)
+            return cpt_factor(cpt, domain, axes)
 
-        monkeypatch.setattr(temporal, "_table_array", counted)
+        monkeypatch.setattr(temporal, "_cpt_factor", counted)
         code, _ = run(capsys, "dbn", "--model", model_files["smart_home"], "--at", "5")
         assert code == 0
         spec = load_bundled_model("smart_home").temporal
@@ -380,6 +380,18 @@ class TestBoundary:
         proc = run_process("sample", "--model", model_files["layered_iot"], "--seed", "-1")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args,message", [
+        (("--at", "-1"), "argument --at: must be >= 0, got -1"),
+        (("--mode", "smooth", "--slice", "-1"), "argument --slice: must be >= 0, got -1"),
+        (("--mode", "predict", "--horizon", "0"), "argument --horizon: must be >= 1, got 0"),
+        (("--at", "1.5"), "argument --at: expected an integer, got '1.5'"),
+    ])
+    def test_dbn_integer_below_minimum_is_usage_error(self, model_files, args, message):
+        proc = run_process("dbn", "--model", model_files["smart_home"], *args)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
 
     def test_sample_count_beyond_array_index_exits_one(self, model_files):
         proc = run_process("sample", "--model", model_files["layered_iot"],

@@ -13,6 +13,7 @@ from iotrisk.bundled import bundled_model_names, load_bundled_model, parse_roadm
 from iotrisk.documents import (
     EvidenceRecord,
     ModelDocument,
+    TemporalSpec,
     ingest_evidence,
     parse_model,
     read_evidence,
@@ -141,6 +142,14 @@ class TestParseModel:
         with pytest.raises(ValidationFailed) as err:
             parse_model(json.dumps(raw))
         assert any("transition table" in msg for _, msg in err.value.issues)
+        # A document built directly, not parsed, is held to the same check.
+        doc = parse_model(doc_text())
+        direct = ModelDocument(doc.graph, doc.cpts,
+                               temporal=TemporalSpec((("A", "A"), ("B", "A")), {}, {}))
+        with pytest.raises(ValidationFailed) as err:
+            direct.temporal_model()
+        assert err.value.issues == [("$.temporal.transition_cpts.A",
+                                     "temporal target 'A' has no transition table")]
 
 
 class TestRoundTrip:

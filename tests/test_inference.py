@@ -232,13 +232,13 @@ class TestCompiledModel:
 
     def test_repeated_queries_build_each_table_once(self, monkeypatch):
         built = []
-        table_array = inference._table_array
+        cpt_factor = inference._cpt_factor
 
-        def counted(cpt, domain):
+        def counted(cpt, domain, axes):
             built.append(cpt.node)
-            return table_array(cpt, domain)
+            return cpt_factor(cpt, domain, axes)
 
-        monkeypatch.setattr(inference, "_table_array", counted)
+        monkeypatch.setattr(inference, "_cpt_factor", counted)
         model = random_model(random.Random(5), min_nodes=6, max_nodes=8)
         some = model.graph.nodes[0].id
         for _ in range(3):
@@ -251,7 +251,9 @@ class TestCompiledModel:
 
     def test_cached_tables_are_read_only(self):
         model = load_bundled_model("layered_iot").model
-        for f in model.compiled.factors:
+        # smart_home's slice tables: its template's, transition and slice-0 ones.
+        initial, later = load_bundled_model("smart_home").temporal_model()._slices.tables
+        for f in (*model.compiled.factors, *initial, *later):
             with pytest.raises(ValueError):
                 f.values[(0,) * f.values.ndim] = 0.5
 

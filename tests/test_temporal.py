@@ -347,13 +347,13 @@ class TestInterfacePasses:
         # Transition and slice-0 tables are built by the first query and
         # kept; later queries on the same model build none.
         built = []
-        table_array = temporal._table_array
+        cpt_factor = temporal._cpt_factor
 
-        def counted(cpt, domain):
+        def counted(cpt, domain, axes):
             built.append(cpt.node)
-            return table_array(cpt, domain)
+            return cpt_factor(cpt, domain, axes)
 
-        monkeypatch.setattr(temporal, "_table_array", counted)
+        monkeypatch.setattr(temporal, "_cpt_factor", counted)
         tm = load_bundled_model("smart_home").temporal_model()
         obs = ObservationSeries([(1, {"wifi_gateway": "down"})])
         filter_marginals(tm, obs, 4)
