@@ -324,13 +324,17 @@ def unrolled_marginals(model: TemporalModel, obs: ObservationSeries,
 
     The definition the fast queries are checked against; its cost grows
     exponentially with ``horizon``, so use it on short horizons only.  ``k``
-    must be an integer in 0 .. horizon - 1, else :class:`InvalidHorizon`.
+    must be an integer in 0 .. horizon - 1, else :class:`InvalidHorizon`; an
+    observation at a later slice raises :class:`ObservationBeyondHorizon`.
     """
     horizon = _check_int(horizon, "horizon", 1, InvalidHorizon)
     k = _check_int(k, "queried slice", 0, InvalidHorizon)
     if k >= horizon:
         raise InvalidHorizon(f"queried slice {k} is beyond horizon {horizon} "
                              f"(slices 0..{horizon - 1})")
+    if obs.max_time is not None and obs.max_time >= horizon:
+        raise ObservationBeyondHorizon(f"observation at time {obs.max_time} is beyond "
+                                       f"horizon {horizon} (slices 0..{horizon - 1})")
     flat = unroll(model, horizon)
     evidence = obs.unrolled_evidence()
     out = {}

@@ -14,7 +14,12 @@ import pytest
 
 from iotrisk import inference, temporal
 from iotrisk.documents import EvidenceRecord, ingest_evidence
-from iotrisk.errors import InvalidArgument, InvalidHorizon, ValidationFailed
+from iotrisk.errors import (
+    InvalidArgument,
+    InvalidHorizon,
+    ObservationBeyondHorizon,
+    ValidationFailed,
+)
 from iotrisk.sampling import monte_carlo_sample
 from iotrisk.temporal import (
     ObservationSeries,
@@ -64,6 +69,13 @@ ROWS = [
     pytest.param(lambda v: unrolled_marginals(make_sensor_dbn(), _series(), v, 3), 1,
                  NON_INTEGERS, -1, InvalidHorizon, _texts("queried slice", 0),
                  id="unrolled_marginals-k"),
+    # The series observes slice 2, so horizon 2 leaves that observation outside
+    # the unrolled slices: ObservationBeyondHorizon, not InvalidHorizon.
+    pytest.param(lambda v: unrolled_marginals(make_sensor_dbn(), _series(), 1, v), 3,
+                 NON_INTEGERS, 2, (InvalidHorizon, ObservationBeyondHorizon),
+                 ("horizon must be an integer, got {!r}",
+                  "observation at time 2 is beyond horizon {} (slices 0..1)"),
+                 id="unrolled_marginals-horizon"),
     pytest.param(lambda v: filter_marginals(make_sensor_dbn(), _series(), v), 2,
                  NON_INTEGERS, -1, InvalidHorizon, _texts("time index", 0),
                  id="filter_marginals-t"),

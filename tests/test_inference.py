@@ -199,6 +199,84 @@ class TestPosteriorUpdate:
                 assert all(p >= 0.0 for p in marginal.probabilities)
                 assert math.fsum(marginal.probabilities) == pytest.approx(1.0, abs=1e-12)
 
+    @staticmethod
+    def acceptance_models():
+        """The models and evidence of acceptance criterion 1, drawn alike."""
+        rng = random.Random(20260810)
+        for _ in range(500):
+            model = random_model(rng, max_nodes=12, max_states=4, max_joint=2 ** 16)
+            yield model, random_evidence(rng, model)
+        for seed in (101, 202, 303):
+            rng2 = random.Random(seed)
+            model = random_model(rng2, max_nodes=12, min_nodes=12, max_states=4,
+                                 min_states=4, max_joint=4 ** 12, edge_p=0.25)
+            yield model, random_evidence(rng2, model)
+
+    def test_equals_one_elimination_per_node_bit_for_bit(self):
+        for model, evidence in self.acceptance_models():
+            for ev in ({}, evidence):
+                got = posterior_update(model, ev)
+                assert tuple(got) == model.graph.node_ids
+                for nid, marginal in got.items():
+                    alone = eliminate_marginal(model, nid, ev)
+                    if nid in ev:
+                        assert marginal is alone
+                    else:
+                        # Marginal equality is == on the probability tuples.
+                        assert marginal == alone, (nid, ev)
+
+    def test_impossible_evidence_raises_as_one_elimination_per_node(self):
+        # A is T for certain and B copies it, so B = F has probability 0.
+        graph = DependencyGraph(
+            [ComponentNode(nid, "network", TF) for nid in "ABC"],
+            [InfluenceEdge("A", "B"), InfluenceEdge("B", "C")])
+        model = BayesianModel(graph, {
+            "A": Cpt.prior("A", (1.0, 0.0)),
+            "B": Cpt("B", ("A",), {("T",): (1.0, 0.0), ("F",): (0.0, 1.0)}),
+            "C": Cpt("C", ("B",), {("T",): (0.7, 0.3), ("F",): (0.2, 0.8)}),
+        })
+        # The second evidence set observes every node, so no node's own
+        # elimination is left to find the zero: the shared pass's total does.
+        for evidence in ({"B": "F"}, {"C": "T", "B": "F", "A": "T"}):
+            with pytest.raises(ImpossibleEvidence) as alone:
+                eliminate_marginal(model, "A", evidence)
+            with pytest.raises(ImpossibleEvidence) as err:
+                posterior_update(model, evidence)
+            assert type(err.value) is ImpossibleEvidence
+            assert str(err.value) == str(alone.value) == \
+                f"evidence {evidence!r} has probability 0"
+
+    def test_all_posteriors_share_one_elimination_prefix(self, monkeypatch):
+        steps = []
+        sum_out = inference._Factor.sum_out
+
+        def counted(factor, var):
+            steps.append(var)
+            return sum_out(factor, var)
+
+        monkeypatch.setattr(inference._Factor, "sum_out", counted)
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            model = random_model(rng, min_nodes=80, max_nodes=80, max_states=2,
+                                 max_joint=2 ** 80, edge_p=0.02, max_parents=3)
+            compiled = model.compiled
+            attributes = dict(vars(model))
+            fields = {f.name: getattr(compiled, f.name) for f in dataclasses.fields(compiled)}
+            index = dict(compiled.index)
+            for evidence in ({}, random_evidence(rng, model)):
+                steps.clear()
+                for nid in model.graph.node_ids:
+                    eliminate_marginal(model, nid, evidence)
+                one_per_node = len(steps)
+                steps.clear()
+                posterior_update(model, evidence)
+                assert len(steps) <= 0.6 * one_per_node, (seed, evidence)
+            # Nothing outlives the call: no attribute and no cached state.
+            assert vars(model).keys() == attributes.keys()
+            assert all(vars(model)[k] is v for k, v in attributes.items())
+            assert all(getattr(compiled, k) is v for k, v in fields.items())
+            assert compiled.index == index
+
 
 class TestCompiledModel:
     """Each model compiles once into the tables every numeric query reads."""
