@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ImpossibleEvidence, InvalidArgument, UnknownNode
-from .graph import DependencyGraph, _bfs, _check_states, dependency_distances
+from .graph import DependencyGraph, _bfs, _check_states
 from .inference import eliminate_marginal, posterior_update
 from .model import BayesianModel, Marginal
 
@@ -110,9 +110,13 @@ def classify_levels(graph: DependencyGraph, scenario: IncidentScenario) -> Level
     propagation.  Nodes on no such path are reported as unclassified.
     """
     scenario.check_against(graph)
-    origins = scenario.origins
+    return _classify_levels(graph, scenario.origins, _bfs(graph, scenario.origins))
+
+
+def _classify_levels(graph: DependencyGraph, origins, downstream) -> LevelClassification:
+    """:func:`classify_levels` for checked ``origins``, given every node
+    ``downstream`` of them (origins included)."""
     service = set(_service_nodes(graph))
-    downstream = _bfs(graph, origins)
     feeds_service = _bfs(graph, service, upward=True)
 
     levels: dict[str, EventLevel] = {}
@@ -146,9 +150,10 @@ def impact_probabilities(model: BayesianModel, scenario: IncidentScenario) -> Im
     origins themselves).
     """
     graph = model.graph
-    classification = classify_levels(graph, scenario)  # checks the scenario
+    scenario.check_against(graph)
+    distances = _bfs(graph, scenario.origins)
+    classification = _classify_levels(graph, scenario.origins, distances)
     posteriors = posterior_update(model, scenario.origins)
-    distances = dependency_distances(graph, scenario.origins)
     upstream = _bfs(graph, scenario.origins, upward=True)
     affected = frozenset(distances).difference(scenario.origins)
 

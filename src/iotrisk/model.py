@@ -206,17 +206,21 @@ def _check_cpts(graph: DependencyGraph, cpts: dict):
         if node_id not in graph:
             issues.append((path, f"CPT declared for unknown node {node_id!r}"))
             continue
-        if cpt.node != node_id:
-            issues.append((path, f"CPT is for node {cpt.node!r}, keyed as {node_id!r}"))
-            continue
-        expected_parents = graph.parents(node_id)
-        if cpt.parent_order != expected_parents:
-            issues.append((path,
-                           f"parent order {cpt.parent_order!r} != graph parents "
-                           f"{expected_parents!r} (sorted ascending)"))
-            continue
-        issues.extend(check_cpt_rows(graph, cpt, path))
+        issues.extend(_table_issues(graph, cpt, node_id, graph.parents(node_id), path))
     return issues
+
+
+def _table_issues(graph: DependencyGraph, cpt: Cpt, node_id: str, parents: tuple,
+                  path: str, parents_are: str = "graph parents") -> list:
+    """(path, message) issues for ``cpt`` as ``node_id``'s table over
+    ``parents`` (ascending; ``parents_are`` names them): one issue for a wrong
+    node or parent order, else those of :func:`check_cpt_rows`."""
+    if cpt.node != node_id:
+        return [(path, f"CPT is for node {cpt.node!r}, keyed as {node_id!r}")]
+    if cpt.parent_order != parents:
+        return [(path, f"parent order {cpt.parent_order!r} != {parents_are} "
+                       f"{parents!r} (sorted ascending)")]
+    return check_cpt_rows(graph, cpt, path)
 
 
 def check_cpt_rows(graph: DependencyGraph, cpt: Cpt, path: str):

@@ -35,7 +35,7 @@ tables), so the dynamics are time-homogeneous by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -54,7 +54,7 @@ from .inference import (
     _reduce_factor,
     _total,
 )
-from .model import BayesianModel, Cpt, Marginal, _check_int, _is_int, check_cpt_rows
+from .model import BayesianModel, Cpt, Marginal, _check_int, _is_int, _table_issues
 
 SLICE_SEP = "@"
 
@@ -112,13 +112,15 @@ class _Slices(NamedTuple):
 class TemporalModel:
     """Slice template + inter-slice edges + optional slice-0 priors.
 
-    The slice tables the queries read, ``_slices``, are built on first use.
+    Construction checks the model and groups the temporal edges by target
+    once, for every reader of them; the queries' slice tables, ``_slices``,
+    are built on first use.  Neither is a field, so equality ignores both.
     """
 
     template: SliceTemplate
     temporal_edges: tuple[TemporalEdge, ...]
-    initial_cpts: dict = field(default_factory=dict)
-    max_horizon: int = DEFAULT_MAX_HORIZON
+    initial_cpts: dict
+    max_horizon: int
 
     def __init__(self, template, temporal_edges, initial_cpts=None,
                  max_horizon: int = DEFAULT_MAX_HORIZON):
@@ -128,18 +130,15 @@ class TemporalModel:
                                         key=lambda e: (e.target, e.source))))
         object.__setattr__(self, "initial_cpts", dict(initial_cpts or {}))
         object.__setattr__(self, "max_horizon", max_horizon)
-        self._check()
+        object.__setattr__(self, "_transitions", self._check())
 
     @cached_property
     def _slices(self) -> _Slices:
-        """Built by the first query and kept; not a field, so equality ignores it.
-
-        Template tables are the template model's compiled ones.
-        """
+        """Built by the first query and kept; template tables are the
+        template model's compiled ones."""
         model = self.template.model
         compiled = model.compiled
         n = len(compiled.ids)
-        transitions = self.transition_cpts
 
         def factor(cpt: Cpt, sources=()) -> _Factor:
             axes = tuple(compiled.index[p] + (n if p in sources else 0) for p in cpt.parent_order)
@@ -148,81 +147,70 @@ class TemporalModel:
         initial, later = [], []
         for nid, table in zip(compiled.ids, compiled.factors):
             initial.append(factor(self.initial_cpts[nid]) if nid in self.initial_cpts else table)
-            later.append(factor(transitions[nid], self.temporal_sources(nid))
-                         if nid in transitions else table)
-        interface = frozenset(compiled.index[e.source] for e in self.temporal_edges)
+            sources, cpt = self._transitions.get(nid, ((), None))
+            later.append(table if cpt is None else factor(cpt, sources))
+        interface = frozenset(compiled.index[s]
+                              for sources, _ in self._transitions.values() for s in sources)
         previous = tuple(n + i for i in sorted(interface))
         return _Slices(n, (tuple(initial), tuple(later)), interface, frozenset(previous),
                        previous + compiled.elimination)
 
-    def _check(self) -> None:
+    def _check(self) -> dict:
+        """Raise :class:`ValidationFailed` listing every issue, else return
+        target -> (temporal sources ascending, transition table).  Tables are
+        checked only once ``max_horizon`` and every edge are sound."""
         issues = _max_horizon_issues(self.max_horizon)
-        model = self.template.model
-        graph = model.graph
-        transitions: dict[str, Cpt] = {}
-        sources_by_target: dict[str, list[str]] = {}
+        graph = self.template.model.graph
+        grouped: dict[str, tuple[list, Cpt]] = {}
 
         for edge in self.temporal_edges:
             path = f"$.temporal.edges[{edge.source}->{edge.target}]"
             for endpoint in (edge.source, edge.target):
                 if endpoint not in graph:
                     issues.append((path, f"unknown template node {endpoint!r}"))
-            if edge.target in transitions and transitions[edge.target] != edge.cpt:
+            sources, cpt = grouped.setdefault(edge.target, ([], edge.cpt))
+            if cpt != edge.cpt:
                 issues.append((path, "temporal edges into one target carry different "
                                      "transition tables"))
-            transitions.setdefault(edge.target, edge.cpt)
-            sources_by_target.setdefault(edge.target, []).append(edge.source)
+            if edge.source not in sources:
+                sources.append(edge.source)  # edges are sorted, so sources ascend
+        if issues:
+            raise ValidationFailed(issues)
 
-        if not issues:
-            for target, cpt in sorted(transitions.items()):
-                path = f"$.temporal.transition_cpts.{target}"
-                intra = graph.parents(target)
-                temporal = tuple(sorted(set(sources_by_target[target])))
-                overlap = set(intra) & set(temporal)
-                if overlap:
-                    issues.append((path,
-                                   f"{sorted(overlap)} are both intra-slice and temporal "
-                                   f"parents of {target!r}; this is not supported"))
-                    continue
-                expected = tuple(sorted(intra + temporal))
-                if cpt.node != target or cpt.parent_order != expected:
-                    issues.append((path,
-                                   f"transition table must be for {target!r} with parents "
-                                   f"{expected!r}, got node {cpt.node!r} parents "
-                                   f"{cpt.parent_order!r}"))
-                    continue
-                issues.extend(check_cpt_rows(graph, cpt, path))
+        for target, (sources, cpt) in grouped.items():
+            path = f"$.temporal.transition_cpts.{target}"
+            intra = graph.parents(target)
+            overlap = set(intra) & set(sources)
+            if overlap:
+                issues.append((path,
+                               f"{sorted(overlap)} are both intra-slice and temporal "
+                               f"parents of {target!r}; this is not supported"))
+                continue
+            issues.extend(_table_issues(graph, cpt, target, tuple(sorted(intra + tuple(sources))),
+                                        path, "intra-slice and temporal parents"))
 
-            for node_id, cpt in sorted(self.initial_cpts.items()):
-                path = f"$.temporal.initial_cpts.{node_id}"
-                if node_id not in transitions:
-                    issues.append((path,
-                                   f"{node_id!r} has no incoming temporal edge; "
-                                   "initial priors apply only to temporal targets"))
-                    continue
-                intra = graph.parents(node_id)
-                if cpt.node != node_id or cpt.parent_order != intra:
-                    issues.append((path,
-                                   f"slice-0 table must be for {node_id!r} with parents "
-                                   f"{intra!r}"))
-                    continue
-                issues.extend(check_cpt_rows(graph, cpt, path))
+        for node_id, cpt in sorted(self.initial_cpts.items()):
+            path = f"$.temporal.initial_cpts.{node_id}"
+            if node_id not in grouped:
+                issues.append((path,
+                               f"{node_id!r} has no incoming temporal edge; "
+                               "initial priors apply only to temporal targets"))
+                continue
+            issues.extend(_table_issues(graph, cpt, node_id, graph.parents(node_id), path,
+                                        "intra-slice parents"))
 
         if issues:
             raise ValidationFailed(issues)
+        return {target: (tuple(sources), cpt) for target, (sources, cpt) in grouped.items()}
 
     # ------------------------------------------------------------- accessors
 
     @property
     def transition_cpts(self) -> dict:
-        out: dict[str, Cpt] = {}
-        for edge in self.temporal_edges:
-            out.setdefault(edge.target, edge.cpt)
-        return out
+        return {target: cpt for target, (_, cpt) in self._transitions.items()}
 
     def temporal_sources(self, target: str) -> tuple[str, ...]:
-        return tuple(sorted({e.source for e in self.temporal_edges
-                             if e.target == target}))
+        return self._transitions[target][0] if target in self._transitions else ()
 
 
 def _max_horizon_issues(max_horizon) -> list:
@@ -286,7 +274,6 @@ def unroll(model: TemporalModel, horizon: int) -> BayesianModel:
 
     template_model = model.template.model
     graph = template_model.graph
-    transitions = model.transition_cpts
 
     nodes = []
     edges = []
@@ -305,10 +292,9 @@ def unroll(model: TemporalModel, horizon: int) -> BayesianModel:
             if t == 0:
                 cpt = model.initial_cpts.get(node.id, template_model.cpts[node.id])
                 rename = {p: slice_id(p, 0) for p in cpt.parent_order}
-            elif node.id in transitions:
-                cpt = transitions[node.id]
-                temporal_sources = set(model.temporal_sources(node.id))
-                rename = {p: slice_id(p, t - 1) if p in temporal_sources else slice_id(p, t)
+            elif node.id in model._transitions:
+                sources, cpt = model._transitions[node.id]
+                rename = {p: slice_id(p, t - 1) if p in sources else slice_id(p, t)
                           for p in cpt.parent_order}
             else:
                 cpt = template_model.cpts[node.id]
@@ -335,6 +321,7 @@ def unrolled_marginals(model: TemporalModel, obs: ObservationSeries,
     if obs.max_time is not None and obs.max_time >= horizon:
         raise ObservationBeyondHorizon(f"observation at time {obs.max_time} is beyond "
                                        f"horizon {horizon} (slices 0..{horizon - 1})")
+    _prepare(model, obs, horizon - 1)  # checks nodes and states by template id, before any work
     flat = unroll(model, horizon)
     evidence = obs.unrolled_evidence()
     out = {}
@@ -387,33 +374,33 @@ def _slice_factors(slices: _Slices, evidence: dict, s: int, messages) -> list:
     return factors + [m for m in messages if m is not None]
 
 
-def _message(result: _Factor, shift: int, obs: ObservationSeries) -> _Factor:
-    """``result`` normalized to sum 1, every id moved by ``shift``."""
-    z = _total(result, obs.unrolled_evidence)
-    return _Factor(tuple(v + shift for v in result.vars), result.values / z)
+def _sweep(slices: _Slices, evidence: dict, obs: ObservationSeries, steps,
+           keep: frozenset, shift: int) -> _Factor | None:
+    """One message pass: eliminate each slice of ``steps`` in turn with the
+    message so far, keeping ``keep``; normalize the result to sum 1 and move
+    every id by ``shift`` to give the next message.  None for no steps."""
+    message = None
+    for s in steps:
+        result = _eliminate(_slice_factors(slices, evidence, s, [message]), slices.order, keep)
+        z = _total(result, obs.unrolled_evidence)
+        message = _Factor(tuple(v + shift for v in result.vars), result.values / z)
+    return message
 
 
 def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
                 k: int, last: int) -> dict:
     """P(node@k | evidence in slices 0..last) for every template node.
 
-    The forward message alpha runs over slices 0..k-1 and holds the
-    interface at k-1; the backward message beta runs from ``last`` back to
-    k+1 and holds the likelihood of that evidence given the interface at k.
-    Slice k's tables between the two are then eliminated once per node; a
-    node observed at slice k gets the template's shared indicator marginal.
+    Two sweeps carry messages to slice k: the forward message alpha runs
+    over slices 0..k-1 and holds the interface at k-1; the backward message
+    beta runs from ``last`` back to k+1 and holds the likelihood of that
+    evidence given the interface at k.  Slice k's tables between the two are
+    then eliminated once per node; a node observed at slice k gets the
+    template's shared indicator marginal.
     """
     slices = model._slices
-    alpha = None
-    for s in range(k):
-        result = _eliminate(_slice_factors(slices, evidence, s, [alpha]), slices.order,
-                            slices.interface)
-        alpha = _message(result, slices.size, obs)
-    beta = None
-    for s in range(last, k, -1):
-        result = _eliminate(_slice_factors(slices, evidence, s, [beta]), slices.order,
-                            slices.previous)
-        beta = _message(result, -slices.size, obs)
+    alpha = _sweep(slices, evidence, obs, range(k), slices.interface, slices.size)
+    beta = _sweep(slices, evidence, obs, range(last, k, -1), slices.previous, -slices.size)
 
     factors = _slice_factors(slices, evidence, k, [alpha, beta])
     observed = evidence.get(k, {})

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from iotrisk import cascade
+from iotrisk import graph as graph_module
 from iotrisk.bundled import load_bundled_model
 from iotrisk.cascade import (
     EventLevel,
@@ -23,10 +25,11 @@ from iotrisk.graph import (
     InfluenceEdge,
     StateDomain,
     ancestors,
+    dependency_distances,
     dependency_order,
     descendants,
 )
-from iotrisk.inference import enumerate_marginal
+from iotrisk.inference import enumerate_marginal, posterior_update
 from iotrisk.model import BayesianModel, Cpt
 
 from conftest import random_model
@@ -156,6 +159,31 @@ class TestImpactProbabilities:
                 assert entry.relation is relation
                 assert entry.level is level
         assert flagged_seen == {True, False}
+
+    def test_one_downstream_walk_per_report(self, layered, monkeypatch):
+        walks = []
+        bfs = graph_module._bfs
+
+        def recorded(graph, sources, upward=False):
+            walks.append((tuple(sorted(sources)), upward))
+            return bfs(graph, sources, upward)
+
+        monkeypatch.setattr(graph_module, "_bfs", recorded)
+        monkeypatch.setattr(cascade, "_bfs", recorded)
+        scenario = IncidentScenario({"a14": "impaired"})
+        report = impact_probabilities(layered.model, scenario)
+        assert walks == [(("a14",), False), (("a1", "a2", "a3", "a4"), True),
+                         (("a14",), True)]
+
+        monkeypatch.undo()
+        levels = classify_levels(layered.graph, scenario).levels
+        distances = dependency_distances(layered.graph, scenario.origins)
+        posteriors = posterior_update(layered.model, scenario.origins)
+        assert {nid: (e.distribution, e.dependency_order, e.level)
+                for nid, e in report.per_node.items()} == {
+            nid: (posteriors[nid], distances.get(nid), levels.get(nid))
+            for nid in layered.graph.node_ids}
+        assert report.impact_set == frozenset(distances) - {"a14"}
 
     def test_d_separated_nodes_keep_priors(self):
         # With evidence only on the origin, a node is independent of it

@@ -493,9 +493,11 @@ class TestBoundary:
         assert "byte offset 7" in proc.stderr
 
 
-def run_in_fresh_interpreter(argvs, prelude: str = "", openblas: str | None = None) -> dict:
+def run_in_fresh_interpreter(argvs, prelude: str = "", openblas: str | None = None,
+                             hashseed: str | None = None) -> dict:
     """Run ``prelude``, then each argv through ``cli.main``, in one fresh
-    interpreter whose ``OPENBLAS_NUM_THREADS`` is ``openblas`` (None: unset).
+    interpreter whose ``OPENBLAS_NUM_THREADS`` is ``openblas`` (None: unset)
+    and whose ``PYTHONHASHSEED`` is ``hashseed`` (None: as in this process).
 
     Returns ``{"runs": [[exit code, stdout], ...], "numpy": <imported?>,
     "modules": <loaded iotrisk.* modules>, "openblas": <the variable at exit>,
@@ -521,6 +523,8 @@ def run_in_fresh_interpreter(argvs, prelude: str = "", openblas: str | None = No
     env.pop("OPENBLAS_NUM_THREADS", None)
     if openblas is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = hashseed
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     return json.loads(proc.stdout)
@@ -542,6 +546,40 @@ NUMPY_FREE_REPORTS = [
     (("roadmap", "--roadmap", "roadmap", "--current", "current", "--target", "target"),
      "c1af265c67eefba05906d475419b283e15ec3be26da735ae4d6b52eb3b4a9e35"),
 ]
+
+
+# Numeric verbs on the bundled models, with the SHA-256 of each report.  The
+# engine may change how it computes an answer, never one bit of the answer.
+NUMERIC_REPORTS = [
+    (("infer", "--model", "layered_iot"),
+     "4a4ebf461807449a196cbed6a8f02208e0b2fa6fd23f8fe5bc6328ea5113c5be"),
+    (("infer", "--model", "smart_home", "--evidence", "evidence"),
+     "7a8c0698dfc3f509740bb842552959caa90aa751fbf7390128740ef6c677ddbb"),
+    (("cascade", "--model", "layered_iot", "--origin", "a14=impaired", "--rank"),
+     "81761d473310797ba65e5cf5fb02c70c0a4a4ec63a9059592b7bd9e08c7187c7"),
+    (("dbn", "--model", "smart_home", "--evidence", "evidence"),
+     "d1be050fa5393e3b1c69a866b44f3146a8c45340fddf43f53240ee78461560b5"),
+    (("dbn", "--model", "smart_home", "--evidence", "evidence", "--mode", "smooth",
+      "--slice", "0"),
+     "f43401baccb5e178a06246fe4a9e5fc0ac467c62572edbb71281fab4c8d52f08"),
+    (("dbn", "--model", "smart_home", "--evidence", "evidence", "--mode", "predict",
+      "--horizon", "3"),
+     "3014feb3a1a458559352aeb045069f7cb9fe8f329ca4eb70c0d1c5508be64b47"),
+    (("iotmm", "--model", "uncontrolled_sensor", "--resolve", "legacy_plc"),
+     "3df72b2d2fad2562a28eef81f9f84b7d61b8c7c406063cf5604901df6bc75d9c"),
+]
+
+
+class TestNumericReports:
+    # Two hash seeds: the models' checks and groupings are built from dicts
+    # and sets, and no report may depend on their iteration order.
+    @pytest.mark.parametrize("hashseed", ["1", "2"])
+    def test_reports_keep_their_bytes(self, model_files, hashseed):
+        argvs = [with_paths(argv, model_files) for argv, _ in NUMERIC_REPORTS]
+        got = run_in_fresh_interpreter(argvs, hashseed=hashseed)
+        assert [code for code, _ in got["runs"]] == [0] * len(argvs)
+        assert [hashlib.sha256(out.encode("utf-8")).hexdigest()
+                for _, out in got["runs"]] == [sha for _, sha in NUMERIC_REPORTS]
 
 
 class TestNumpyOnDemand:

@@ -123,6 +123,90 @@ class TestUnroll:
             SliceTemplate(template)
 
 
+# Tables for the sensor template (X -> O), which every case below starts from.
+STICKY = Cpt("X", ("X",), {("ok",): (0.8, 0.2), ("fail",): (0.05, 0.95)})
+ALARM = Cpt("O", ("X",), {("ok",): (0.9, 0.1), ("fail",): (0.3, 0.7)})
+EVEN = {("ok",): (0.5, 0.5), ("fail",): (0.5, 0.5)}
+TRANSITION = "$.temporal.transition_cpts"
+INITIAL = "$.temporal.initial_cpts"
+
+# (temporal edges, initial tables, max_horizon, the exact issues raised).
+MODEL_CHECKS = {
+    "unknown endpoints": (
+        [("X", "X", STICKY), ("ghost", "phantom", STICKY)], {}, 64,
+        [("$.temporal.edges[ghost->phantom]", "unknown template node 'ghost'"),
+         ("$.temporal.edges[ghost->phantom]", "unknown template node 'phantom'")]),
+    "conflicting tables": (
+        [("X", "X", STICKY), ("O", "X", Cpt("X", ("O", "X"), {
+            (o, x): (0.5, 0.5) for o in ("quiet", "alarm") for x in ("ok", "fail")}))], {}, 64,
+        [("$.temporal.edges[X->X]",
+          "temporal edges into one target carry different transition tables")]),
+    "intra-slice and temporal parent": (
+        [("X", "O", ALARM)], {}, 64,
+        [(f"{TRANSITION}.O", "['X'] are both intra-slice and temporal parents of 'O'; "
+                             "this is not supported")]),
+    "transition table for another node": (
+        [("X", "X", Cpt("O", ("X",), EVEN))], {}, 64,
+        [(f"{TRANSITION}.X", "CPT is for node 'O', keyed as 'X'")]),
+    "transition table with wrong parents": (
+        [("X", "X", Cpt.prior("X", (0.5, 0.5)))], {}, 64,
+        [(f"{TRANSITION}.X", "parent order () != intra-slice and temporal parents "
+                             "('X',) (sorted ascending)")]),
+    "transition table missing a row": (
+        [("X", "X", Cpt("X", ("X",), {("ok",): (0.8, 0.2)}))], {}, 64,
+        [(f"{TRANSITION}.X", "missing row for parent states ('fail',)")]),
+    "initial table for a non-target": (
+        [("X", "X", STICKY)], {"O": ALARM}, 64,
+        [(f"{INITIAL}.O", "'O' has no incoming temporal edge; "
+                          "initial priors apply only to temporal targets")]),
+    "slice-0 table for another node": (
+        [("X", "X", STICKY)], {"X": Cpt.prior("O", (0.5, 0.5))}, 64,
+        [(f"{INITIAL}.X", "CPT is for node 'O', keyed as 'X'")]),
+    "slice-0 table with wrong parents": (
+        [("X", "X", STICKY)], {"X": Cpt("X", ("O",), {("quiet",): (0.5, 0.5),
+                                                      ("alarm",): (0.5, 0.5)})}, 64,
+        [(f"{INITIAL}.X", "parent order ('O',) != intra-slice parents () "
+                          "(sorted ascending)")]),
+    "every table issue at once": (
+        [("X", "X", Cpt.prior("X", (0.5, 0.5)))], {"O": ALARM}, 64,
+        [(f"{TRANSITION}.X", "parent order () != intra-slice and temporal parents "
+                             "('X',) (sorted ascending)"),
+         (f"{INITIAL}.O", "'O' has no incoming temporal edge; "
+                          "initial priors apply only to temporal targets")]),
+    "bad max_horizon suppresses the table checks": (
+        [("X", "X", Cpt.prior("X", (0.5, 0.5)))], {"O": ALARM}, 0,
+        [("$.temporal.max_horizon", "expected an integer >= 1, got 0")]),
+    "bad max_horizon beside an unknown endpoint": (
+        [("ghost", "X", STICKY)], {}, "8",
+        [("$.temporal.max_horizon", "expected an integer, got '8'"),
+         ("$.temporal.edges[ghost->X]", "unknown template node 'ghost'")]),
+}
+
+
+class TestModelChecks:
+    """Every issue :class:`TemporalModel` construction raises, in order."""
+
+    @pytest.mark.parametrize("case", MODEL_CHECKS)
+    def test_issue_list(self, sensor_dbn, case):
+        edges, initial, max_horizon, expected = MODEL_CHECKS[case]
+        with pytest.raises(ValidationFailed) as err:
+            TemporalModel(sensor_dbn.template, [TemporalEdge(*e) for e in edges],
+                          initial, max_horizon)
+        assert err.value.issues == expected
+
+    def test_grouping_matches_an_edge_scan(self):
+        rng = random.Random(31)
+        models = [load_bundled_model("smart_home").temporal_model(), cross_source_dbn()]
+        models += [random_temporal_model(rng) for _ in range(20)]
+        for tm in models:
+            targets = sorted({e.target for e in tm.temporal_edges})
+            assert tm.transition_cpts == {e.target: e.cpt for e in tm.temporal_edges}
+            assert list(tm.transition_cpts) == targets
+            for node_id in tm.template.model.graph.node_ids:
+                assert tm.temporal_sources(node_id) == tuple(sorted(
+                    {e.source for e in tm.temporal_edges if e.target == node_id}))
+
+
 class TestObservationSeries:
     def test_times_must_not_decrease(self):
         with pytest.raises(InvalidHorizon):
@@ -162,6 +246,17 @@ class TestFilter:
             filter_marginals(sensor_dbn, ObservationSeries([(0, {"Z": "ok"})]), 0)
         with pytest.raises(UnknownState):
             filter_marginals(sensor_dbn, ObservationSeries([(0, {"O": "loud"})]), 0)
+
+    def test_oracle_names_template_nodes_before_unrolling(self, sensor_dbn, monkeypatch):
+        unrolled = []
+        monkeypatch.setattr(temporal, "unroll", lambda *a: unrolled.append(a))
+        with pytest.raises(UnknownNode) as err:
+            unrolled_marginals(sensor_dbn, ObservationSeries([(1, {"ghost": "x"})]), 0, 3)
+        assert str(err.value) == "unknown node 'ghost'"
+        with pytest.raises(UnknownState) as err:
+            unrolled_marginals(sensor_dbn, ObservationSeries([(1, {"O": "maybe"})]), 0, 3)
+        assert str(err.value) == "node 'O' has no state 'maybe'; domain is ('quiet', 'alarm')"
+        assert unrolled == []
 
 
 class TestSmooth:
