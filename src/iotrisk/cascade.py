@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import ImpossibleEvidence, InvalidArgument, UnknownNode
@@ -225,8 +226,9 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     if aggregate not in ("mean", "max", "weighted"):
         raise InvalidArgument(f"unknown aggregate {aggregate!r}")
     if aggregate == "weighted":
-        if not weights:
-            raise InvalidArgument("aggregate='weighted' requires weights per service node")
+        if not weights or not isinstance(weights, Mapping):
+            raise InvalidArgument("aggregate='weighted' requires weights per service node "
+                                  f"as a mapping, got {weights!r}")
         for s in service_nodes:
             try:
                 valid = math.isfinite(weights[s]) and weights[s] >= 0

@@ -33,7 +33,7 @@ from .errors import (
     UnknownState,
     ValidationFailed,
 )
-from .graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain
+from .graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain, _check_states
 from .model import BayesianModel, Cpt, _check_int, _is_int
 from .temporal import (
     DEFAULT_MAX_HORIZON,
@@ -481,10 +481,10 @@ def read_evidence(text: str, model: BayesianModel) -> tuple[EvidenceRecord, ...]
         if not isinstance(node_id, str) or not isinstance(state, str):
             raise ModelSyntaxError(
                 f"evidence line {lineno}: node and state must be strings", lineno)
-        node = model.graph.node(node_id)  # raises UnknownNode
-        if state not in node.domain:
-            raise UnknownState(
-                f"evidence line {lineno}: node {node_id!r} has no state {state!r}")
+        try:
+            _check_states(model.graph, {node_id: state})
+        except (UnknownNode, UnknownState) as exc:
+            raise type(exc)(f"evidence line {lineno}: {exc}") from None
         records.append(EvidenceRecord(ts, node_id, state))
     return tuple(records)
 

@@ -16,8 +16,8 @@ P(node | parents), and every query here evaluates that product exactly:
   order, so the answers are bit for bit those of that simpler algorithm.
 * :func:`posterior_update` -- every node's marginal under one evidence set.
   Under one order, each node's elimination repeats the steps of one pass up
-  to that node's position, so one pass hands its state there to each node's
-  :func:`eliminate_marginal`, which runs only the rest of the order: the same
+  to that node's position, so :func:`_all_marginals` hands one pass's state
+  there to each node's run, which does only the rest of the order: the same
   products and sums, hence the same bits, at about half the steps.
 
 The numeric queries, and the Monte Carlo sampler, read one
@@ -31,7 +31,7 @@ later queries on the same model build no table.  Integer ids follow the
 ascending node ids, so every factor's axes, and with them the results, are
 those of elimination over the string ids.  The temporal interface passes
 share this core: :func:`_cpt_factor` builds their tables, :func:`_eliminate`
-sums out one order per compiled form, and :func:`_marginal` gives the answer.
+sums out one order per compiled form, and :func:`_all_marginals` answers each node.
 
 Evidence with zero probability raises :class:`ImpossibleEvidence` rather than
 returning NaNs: it means the model and the observation contradict each other.
@@ -276,8 +276,8 @@ def _eliminate(factors: list, order, keep, visit=None) -> _Factor:
     list before the step of ``order[i]``.  For any ``other`` that agrees with
     ``keep`` on ``order[:i]``, ``_eliminate(live, order[i:], other)`` returns
     ``_eliminate(factors, order, other)`` bit for bit, because the steps
-    before ``i`` are the same.  :func:`posterior_update` resumes each node's
-    own elimination from one pass this way.
+    before ``i`` are the same.  :func:`_all_marginals`, the one user of
+    ``visit``, resumes each node's own elimination from one pass this way.
     """
     import numpy as np
 
@@ -329,10 +329,9 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
     Agrees with :func:`enumerate_marginal` to within ``ORACLE_TOL``.  An
     observed query returns the model's shared indicator marginal.
 
-    ``_pass`` is private to :func:`posterior_update`: ``(observed, i, live)``
-    from its shared pass, which validated ``evidence`` and checks its total,
-    where ``i`` is the query's position in the order and ``live`` the pass's
-    factors before that step.  The query's elimination resumes from there.
+    ``_pass`` is private to :func:`posterior_update`: ``(observed, i, live)``,
+    the state of its :func:`_all_marginals` pass, which checks the total,
+    before the query's step ``i``; the query's elimination resumes from there.
     """
     if _pass is None:
         model.require_fully_specified()
@@ -377,29 +376,36 @@ def _marginal(compiled: CompiledModel, var: int, observed: dict, result: _Factor
 def posterior_update(model: BayesianModel, evidence=None) -> dict:
     """Posterior marginal for every node given the evidence.
 
-    Evidence nodes come back as indicator distributions.  Raises
-    :class:`ImpossibleEvidence` when the evidence has probability zero.
-
-    Under one order, node q's own elimination makes the same steps as a pass
-    that keeps nothing, up to q's position.  So one such pass runs, and before
-    each variable's step it hands its live factors to that node's
-    :func:`eliminate_marginal`, which runs only the rest of the order.  The
-    products and sums are each node's own, so the answers are bit for bit
-    those of one elimination per node, at about half the steps.  A state
-    lives only while its node's run uses it; nothing is kept on the model.
-    The pass's total, the evidence's probability, is checked once, and an
-    observed node returns its indicator without a run of its own.
+    Evidence nodes come back as indicator distributions, without a run of
+    their own.  Raises :class:`ImpossibleEvidence` when the evidence has
+    probability zero.  One :func:`_all_marginals` pass runs each other node's
+    :func:`eliminate_marginal` on from its state there: one elimination per
+    node, bit for bit, at about half the steps.
     """
     model.require_fully_specified()
     evidence = model.validate_evidence(evidence or {})
     compiled = model.compiled
     observed, factors = _reduced(model, evidence)
+
+    def finish(q: int, i: int, live: list) -> Marginal:
+        return eliminate_marginal(model, compiled.ids[q], evidence, _pass=(observed, i, live))
+
+    return _all_marginals(compiled, factors, compiled.elimination, lambda: evidence, finish)
+
+
+def _all_marginals(compiled: CompiledModel, factors: list, order, evidence, finish) -> dict:
+    """Node id -> answer for every node of ``compiled``, the one all-node engine.
+
+    One pass sums ``order`` out of ``factors``.  Before the step of each node
+    ``q = order[i]``, ``finish(q, i, live)`` runs the rest of q's own
+    elimination from the pass's factors there (see :func:`_eliminate`).  Ids
+    beyond the nodes, the previous-slice copies, get no run; the total is checked once.
+    """
     answers = {}
 
-    def branch(i: int, live: list) -> None:
-        var = compiled.elimination[i]
-        answers[var] = eliminate_marginal(model, compiled.ids[var], evidence,
-                                          _pass=(observed, i, live))
+    def visit(i: int, live: list) -> None:
+        if order[i] < len(compiled.ids):
+            answers[order[i]] = finish(order[i], i, live)
 
-    _total(_eliminate(factors, compiled.elimination, (), branch), lambda: evidence)
-    return {nid: answers[i] for i, nid in enumerate(compiled.ids)}
+    _total(_eliminate(factors, order, (), visit), evidence)
+    return {nid: answers[q] for q, nid in enumerate(compiled.ids)}

@@ -20,8 +20,8 @@ backward message carries the likelihood of later evidence back to the
 queried slice.  Each step is variable elimination on one slice's tables, so a
 query costs O(t) small factor operations.  The steps are those of a static
 query: :mod:`iotrisk.inference` builds the slice tables, sums out one order
-per model in every pass, keeping the variables the pass needs, and turns the
-factor left at the queried slice into each node's answer.  :func:`unroll` and
+per model in every pass, keeping the variables the pass needs, and answers
+every node of the queried slice from one shared pass.  :func:`unroll` and
 :func:`unrolled_marginals` are kept as the oracle these passes are tested
 against.
 
@@ -47,6 +47,7 @@ from .errors import (
 from .graph import ComponentNode, DependencyGraph, InfluenceEdge, _check_states
 from .inference import (
     eliminate_marginal,
+    _all_marginals,
     _cpt_factor,
     _eliminate,
     _Factor,
@@ -126,7 +127,7 @@ class TemporalModel:
                  max_horizon: int = DEFAULT_MAX_HORIZON):
         object.__setattr__(self, "template", template)
         object.__setattr__(self, "temporal_edges",
-                           tuple(sorted(temporal_edges,
+                           tuple(sorted(set(temporal_edges),
                                         key=lambda e: (e.target, e.source))))
         object.__setattr__(self, "initial_cpts", dict(initial_cpts or {}))
         object.__setattr__(self, "max_horizon", max_horizon)
@@ -394,21 +395,22 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
     Two sweeps carry messages to slice k: the forward message alpha runs
     over slices 0..k-1 and holds the interface at k-1; the backward message
     beta runs from ``last`` back to k+1 and holds the likelihood of that
-    evidence given the interface at k.  Slice k's tables between the two are
-    then eliminated once per node; a node observed at slice k gets the
-    template's shared indicator marginal.
+    evidence given the interface at k.  One shared pass over slice k's tables
+    between the two then answers every node; a node observed at slice k gets
+    the template's shared indicator marginal.
     """
     slices = model._slices
     alpha = _sweep(slices, evidence, obs, range(k), slices.interface, slices.size)
     beta = _sweep(slices, evidence, obs, range(last, k, -1), slices.previous, -slices.size)
 
-    factors = _slice_factors(slices, evidence, k, [alpha, beta])
-    observed = evidence.get(k, {})
     compiled = model.template.model.compiled
-    return {compiled.ids[i]: _marginal(compiled, i, observed,
-                                       _eliminate(factors, slices.order, (i,)),
-                                       obs.unrolled_evidence)
-            for i in range(slices.size)}
+
+    def finish(q: int, i: int, live: list) -> Marginal:
+        return _marginal(compiled, q, evidence.get(k, {}),
+                         _eliminate(live, slices.order[i:], (q,)), obs.unrolled_evidence)
+
+    return _all_marginals(compiled, _slice_factors(slices, evidence, k, [alpha, beta]),
+                          slices.order, obs.unrolled_evidence, finish)
 
 
 def filter_marginals(model: TemporalModel, obs: ObservationSeries, t: int) -> dict:

@@ -3,7 +3,8 @@
 ``random_model`` / ``random_temporal_model`` build arbitrary valid models for
 the equivalence suites; ``brute_posteriors`` is the slowest possible oracle
 (pure-python sum of joint_probability over every completion) used to anchor
-the faster paths on tiny models.
+the faster paths on tiny models.  ``per_node_slice_posteriors`` answers a
+temporal query's slice with one full elimination per node.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import random
 
 import pytest
 
+from iotrisk import temporal
 from iotrisk.graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain
-from iotrisk.inference import joint_probability
+from iotrisk.inference import _eliminate, _marginal, joint_probability
 from iotrisk.model import BayesianModel, Cpt
 from iotrisk.temporal import SliceTemplate, TemporalEdge, TemporalModel
 
@@ -163,6 +165,25 @@ def random_temporal_model(rng: random.Random, max_template_nodes: int = 4,
         if rng.random() < 0.5:
             initial_cpts[target] = random_cpt(rng, graph, target)
     return TemporalModel(SliceTemplate(template), edges, initial_cpts)
+
+
+def per_node_slice_posteriors(tm: TemporalModel, obs, k: int, last: int) -> dict:
+    """P(node@k | evidence in slices 0..last) by one full elimination of slice
+    k's tables per template node, with the messages of the queries' own sweeps.
+
+    The per-node loop the queries' shared pass replaced; the queries must
+    match it bit for bit.
+    """
+    slices = tm._slices
+    evidence = temporal._prepare(tm, obs, last)
+    alpha = temporal._sweep(slices, evidence, obs, range(k), slices.interface, slices.size)
+    beta = temporal._sweep(slices, evidence, obs, range(last, k, -1), slices.previous,
+                           -slices.size)
+    factors = temporal._slice_factors(slices, evidence, k, [alpha, beta])
+    compiled = tm.template.model.compiled
+    return {nid: _marginal(compiled, i, evidence.get(k, {}),
+                           _eliminate(factors, slices.order, (i,)), obs.unrolled_evidence)
+            for i, nid in enumerate(compiled.ids)}
 
 
 # ------------------------------------------------------------- brute oracle

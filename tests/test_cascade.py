@@ -314,6 +314,12 @@ class TestRankCriticality:
          "weights['a1'] must be a finite number >= 0, got '1'"),
         (None, {"aggregate": "weighted", "weights": {"a1": 1e308, "a4": 1e308}},
          "must sum to a finite number > 0, got inf"),
+        (None, {"aggregate": "weighted", "weights": [1, 2]},
+         "requires weights per service node as a mapping, got [1, 2]"),
+        (None, {"aggregate": "weighted", "weights": "ab"},
+         "requires weights per service node as a mapping, got 'ab'"),
+        (None, {"aggregate": "weighted", "weights": 5},
+         "requires weights per service node as a mapping, got 5"),
     ])
     def test_invalid_arguments_raise_before_elimination(self, layered, monkeypatch,
                                                         candidates, kwargs, message):

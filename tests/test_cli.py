@@ -434,6 +434,23 @@ class TestBoundary:
         assert "Traceback" not in proc.stderr
         assert f"evidence line 1: ts must be an integer (epoch ms), got {ts!r}" in proc.stderr
 
+    @pytest.mark.parametrize("records, message", [
+        ([{"ts": 1, "node": "ghost", "state": "x"}],
+         "evidence line 1: unknown node 'ghost'"),
+        ([{"ts": 0, "node": "monitoring_app", "state": "stale"},
+          {"ts": 1, "node": "monitoring_app", "state": "x"}],
+         "evidence line 2: node 'monitoring_app' has no state 'x'; domain is ('live', 'stale')"),
+    ])
+    def test_unknown_evidence_node_or_state_is_located(self, tmp_path, model_files,
+                                                       records, message):
+        stream = tmp_path / "e.ndjson"
+        stream.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        proc = run_process("infer", "--model", model_files["smart_home"],
+                           "--evidence", str(stream))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"iotrisk: error: {message}\n"
+
     @pytest.mark.parametrize("max_horizon", ["abc", 1.9, True, "64"])
     def test_non_integer_max_horizon_exits_one(self, tmp_path, model_files, max_horizon):
         raw = json.loads(Path(model_files["smart_home"]).read_text())

@@ -22,7 +22,7 @@ from iotrisk.errors import (
     UnknownState,
     ValidationFailed,
 )
-from iotrisk import inference
+from iotrisk import inference, temporal
 from iotrisk.bundled import load_bundled_model
 from iotrisk.cascade import rank_criticality
 from iotrisk.graph import (
@@ -49,7 +49,13 @@ from iotrisk.temporal import (
     smooth_marginals,
 )
 
-from conftest import brute_posteriors, random_evidence, random_model, random_temporal_model
+from conftest import (
+    brute_posteriors,
+    per_node_slice_posteriors,
+    random_evidence,
+    random_model,
+    random_temporal_model,
+)
 
 TF = StateDomain(["T", "F"])
 
@@ -276,6 +282,46 @@ class TestPosteriorUpdate:
             assert all(vars(model)[k] is v for k, v in attributes.items())
             assert all(getattr(compiled, k) is v for k, v in fields.items())
             assert compiled.index == index
+
+    def test_temporal_slice_shares_one_elimination_prefix(self, monkeypatch):
+        # The queried slice's nodes share one pass too, as posterior_update's do.
+        steps = []
+        sum_out = inference._Factor.sum_out
+        sweep = temporal._sweep
+
+        def counted(factor, var):
+            steps.append(var)
+            return sum_out(factor, var)
+
+        def uncounted_sweep(*args):
+            start = len(steps)
+            message = sweep(*args)
+            del steps[start:]  # count the queried slice's steps only
+            return message
+
+        monkeypatch.setattr(inference._Factor, "sum_out", counted)
+        monkeypatch.setattr(temporal, "_sweep", uncounted_sweep)
+
+        def count(query, *args) -> int:
+            steps.clear()
+            query(*args)
+            return len(steps)
+
+        smart_home = load_bundled_model("smart_home").temporal_model()
+        obs = ObservationSeries([(1, {"wifi_gateway": "down"})])
+        for k, t in ((1, 1), (2, 2), (0, 3)):
+            shared = count(smooth_marginals, smart_home, obs, k, t)
+            assert shared < count(per_node_slice_posteriors, smart_home, obs, k, t), (k, t)
+        assert count(filter_marginals, smart_home, ObservationSeries(), 0) == 15
+        assert count(per_node_slice_posteriors, smart_home, ObservationSeries(), 0, 0) == 20
+
+        rng = random.Random(18)
+        shared = per_node = 0
+        for _ in range(50):
+            tm = random_temporal_model(rng, max_template_nodes=8)
+            shared += count(filter_marginals, tm, ObservationSeries(), 0)
+            per_node += count(per_node_slice_posteriors, tm, ObservationSeries(), 0, 0)
+        assert shared < 0.85 * per_node, (shared, per_node)
 
 
 class TestCompiledModel:

@@ -37,7 +37,7 @@ from iotrisk.temporal import (
     unrolled_marginals,
 )
 
-from conftest import random_temporal_model
+from conftest import per_node_slice_posteriors, random_temporal_model
 
 
 def single_node_dbn(prior=(0.9, 0.1), transition=None) -> TemporalModel:
@@ -193,6 +193,17 @@ class TestModelChecks:
             TemporalModel(sensor_dbn.template, [TemporalEdge(*e) for e in edges],
                           initial, max_horizon)
         assert err.value.issues == expected
+
+    def test_duplicate_edges_are_dropped(self, sensor_dbn):
+        smart_home = load_bundled_model("smart_home").temporal_model()
+        for tm in (smart_home, sensor_dbn):
+            edges = list(tm.temporal_edges)
+            doubled = TemporalModel(tm.template, edges + edges[:1], tm.initial_cpts,
+                                    tm.max_horizon)
+            assert doubled == tm
+            assert doubled.temporal_edges == tm.temporal_edges
+        assert len(smart_home.temporal_edges) == 2
+        assert len(sensor_dbn.temporal_edges) == 1
 
     def test_grouping_matches_an_edge_scan(self):
         rng = random.Random(31)
@@ -474,6 +485,26 @@ class TestInterfacePasses:
             smooth_marginals(sensor_dbn, ObservationSeries(), 0, t)
         with pytest.raises(InvalidHorizon):
             predict_marginals(sensor_dbn, ObservationSeries(), t - 1, 1)
+
+    def test_shared_slice_pass_matches_one_elimination_per_node(self):
+        rng = random.Random(1818)
+        smart_home = load_bundled_model("smart_home").temporal_model()
+        cases = [(smart_home, ObservationSeries([(0, {"monitoring_app": "stale"}),
+                                                 (2, {"wifi_gateway": "down"}),
+                                                 (3, {"alarm_service": "degraded"})]), 3)]
+        for _ in range(30):
+            tm = random_temporal_model(rng)
+            t = rng.randint(0, 3)
+            cases.append((tm, _random_observations(rng, tm, t), t))
+        for tm, observed, t in cases:
+            for obs in (ObservationSeries(), observed):
+                k = rng.randint(0, t)
+                h = rng.randint(1, 2)
+                assert filter_marginals(tm, obs, t) == per_node_slice_posteriors(tm, obs, t, t)
+                assert smooth_marginals(tm, obs, k, t) == \
+                    per_node_slice_posteriors(tm, obs, k, t)
+                assert predict_marginals(tm, obs, t, h) == \
+                    per_node_slice_posteriors(tm, obs, t + h, t + h)
 
     def test_impossible_evidence_raises_in_each_pass(self):
         identity = Cpt("X", ("X",), {("ok",): (1.0, 0.0), ("fail",): (0.0, 1.0)})
