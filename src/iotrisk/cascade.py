@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .errors import ImpossibleEvidence, InvalidArgument, UnknownNode
@@ -196,8 +196,9 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     Candidates whose evidence is impossible get an error entry instead of a
     score and sort last.  Ties break by ascending node id.
 
-    Raises :class:`InvalidArgument` (a ``ValueError``) for no candidates, an
-    unknown ``aggregate``, bad weights or a non-service ``degraded_states`` key,
+    Raises :class:`InvalidArgument` (a ``ValueError``) for no candidates, a
+    candidate that is not a pair, an unknown ``aggregate``, bad weights, or a
+    ``degraded_states`` entry other than a service node and a collection of states,
     :class:`UnknownNode` for no or unknown service, candidate or degraded nodes,
     and :class:`UnknownState` for a candidate or degraded state the node lacks
     -- all before any elimination.
@@ -218,6 +219,9 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
         graph.node(node_id)
         if node_id not in service_nodes:
             raise InvalidArgument(f"degraded_states names {node_id!r}, not a service node")
+        if isinstance(states, str) or not isinstance(states, Iterable):
+            raise InvalidArgument(f"degraded_states[{node_id!r}] must be a collection of "
+                                  f"states, got {states!r}")
         for state in states:
             _check_states(graph, {node_id: state})
     for s in service_nodes:
@@ -243,8 +247,10 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
                 f"weights of the service nodes must sum to a finite number > 0, got {total!r}")
         norm = {s: weights[s] / total for s in service_nodes}
 
-    for node_id, state in candidates:
-        _check_states(graph, {node_id: state})
+    for candidate in candidates:
+        if not isinstance(candidate, (tuple, list)) or len(candidate) != 2:
+            raise InvalidArgument(f"candidate must be a (node, state) pair, got {candidate!r}")
+        _check_states(graph, {candidate[0]: candidate[1]})
 
     entries = []
     for node_id, state in candidates:

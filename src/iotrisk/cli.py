@@ -21,7 +21,6 @@ from pathlib import Path
 from . import __version__
 from .cascade import (
     IncidentScenario,
-    classify_levels,
     impact_probabilities,
     rank_criticality,
 )

@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import (
+    InvalidArgument,
     InvalidDistribution,
     ModelSyntaxError,
     SchemaVersionMismatch,
@@ -495,13 +496,16 @@ def ingest_evidence(records, bucket_ms: int, t0: int | None = None) -> Observati
     Slice index is ``floor((ts - t0) / bucket_ms)`` with ``t0`` defaulting to
     the earliest timestamp.  When one (node, slice) pair is observed more than
     once the latest timestamp wins and a warning is logged.  Each timestamp must
-    be an integer >= ``t0``, else :class:`InvalidArgument`.
+    be an integer >= ``t0``, else :class:`InvalidArgument`, as is a record
+    that is not an :class:`EvidenceRecord`.
     """
     bucket_ms = _check_int(bucket_ms, "bucket_ms", 1)
     if t0 is not None:
         t0 = _check_int(t0, "t0")
     records = list(records)
     for record in records:
+        if not isinstance(record, EvidenceRecord):
+            raise InvalidArgument(f"record must be an EvidenceRecord, got {record!r}")
         _check_int(record.timestamp_ms, "record timestamp_ms", t0)
     records.sort(key=lambda r: (r.timestamp_ms, r.node))
     if not records:

@@ -17,15 +17,15 @@ P(node | parents), and every query here evaluates that product exactly:
 * :func:`posterior_update` -- every node's marginal under one evidence set.
   Under one order, each node's elimination repeats the steps of one pass up
   to that node's position, so :func:`_all_marginals` hands one pass's state
-  there to each node's run, which does only the rest of the order: the same
-  products and sums, hence the same bits, at about half the steps.
+  there to :func:`_resume`, which runs only the rest of an unobserved node's
+  order: the same products and sums, hence the same bits, at about half the steps.
 
 The numeric queries, and the Monte Carlo sampler, read one
 :class:`CompiledModel`: integer node ids, one read-only table per CPT, the
 topological order and its reverse, the elimination order, and one indicator
 :class:`Marginal` per node state, which every query for an observed node
-returns.  :func:`compile_model` builds it
-from the CPT rows on a model's first numeric query, and the model keeps it
+returns.  :func:`compile_model`, the queries' one check that every node has
+a CPT, builds it on a model's first numeric query, and the model keeps it
 (:attr:`BayesianModel.compiled <iotrisk.model.BayesianModel.compiled>`), so
 later queries on the same model build no table.  Integer ids follow the
 ascending node ids, so every factor's axes, and with them the results, are
@@ -94,17 +94,15 @@ class CompiledModel:
     Node ``i`` is ``ids[i]``: integer ids follow the ascending string ids, as
     ``graph.nodes`` does.  ``factors[i]`` is node ``i``'s CPT over its
     parents' and its own id, axes ascending, its values read-only.
-    ``holders[i]`` lists the factors over node ``i``: its own and its
-    children's.  ``indicators[i][k]`` is the :class:`Marginal` of node ``i``
-    observed in its ``k``-th state, one instance every query returns.
-    ``topological`` is :func:`~iotrisk.graph.topological_order` in ids, and
-    ``elimination`` its reverse, the order variable elimination sums out in.
+    ``indicators[i][k]`` is the :class:`Marginal` of node ``i`` observed in
+    its ``k``-th state, one instance every query returns.  ``topological`` is
+    :func:`~iotrisk.graph.topological_order` in ids, and ``elimination`` its
+    reverse, the order variable elimination sums out in.
     """
 
     ids: tuple[str, ...]
     index: dict          # node id -> integer id
     factors: tuple       # of _Factor, one per node
-    holders: tuple       # of tuple[int, ...], one per node
     indicators: tuple    # of tuple[Marginal, ...], one per node
     topological: tuple[int, ...]
     elimination: tuple[int, ...]
@@ -113,26 +111,23 @@ class CompiledModel:
 def compile_model(model: BayesianModel) -> CompiledModel:
     """Build ``model``'s :class:`CompiledModel` from its CPT rows.
 
-    Queries read it through ``model.compiled``, which calls this once per
-    model; every node needs a CPT.
+    Queries read it through ``model.compiled`` before any other check of
+    theirs: this is their one check that every node has a CPT.
     """
+    model.require_fully_specified()
     ids = model.graph.node_ids
     index = {nid: i for i, nid in enumerate(ids)}
     factors = []
     for node in model.graph.nodes:
-        cpt = model.cpt(node.id)
+        cpt = model.cpts[node.id]
         axes = tuple(index[p] for p in cpt.parent_order) + (index[node.id],)
         factors.append(_cpt_factor(cpt, model.domain, axes))
-    holders = [[] for _ in ids]
-    for i, f in enumerate(factors):
-        for v in f.vars:
-            holders[v].append(i)
     indicators = tuple(tuple(Marginal.indicator(node.id, node.domain.states, state)
                              for state in node.domain.states)
                        for node in model.graph.nodes)
     topological = tuple(index[nid] for nid in topological_order(model.graph))
-    return CompiledModel(ids, index, tuple(factors), tuple(map(tuple, holders)),
-                         indicators, topological, topological[::-1])
+    return CompiledModel(ids, index, tuple(factors), indicators, topological,
+                         topological[::-1])
 
 
 # --------------------------------------------------------------- enumeration
@@ -307,17 +302,19 @@ def _eliminate(factors: list, order, keep, visit=None) -> _Factor:
     return _product([_Factor((), np.float64(1.0)), *live.values()], cards)
 
 
-def _reduced(model: BayesianModel, evidence: dict) -> tuple[dict, list]:
-    """``(observed, factors)`` for validated ``evidence``: variable -> state
-    index, and the compiled factors reduced to the observed states."""
+def _reduced(model: BayesianModel, evidence) -> tuple[dict, dict, list]:
+    """``(evidence, observed, factors)``: ``evidence`` checked, ``observed``
+    variable -> state index, and the compiled factors, those over an observed
+    node (its own and its children's) reduced to the observed states."""
+    evidence = model.validate_evidence(evidence or {})
     compiled = model.compiled
     observed = {compiled.index[nid]: model.domain(nid).index(state)
                 for nid, state in evidence.items()}
-    # Only an observed node's own table and its children's hold it.
     factors = list(compiled.factors)
-    for i in {c for v in observed for c in compiled.holders[v]}:
+    children = model.graph._children
+    for i in {compiled.index[h] for nid in evidence for h in (nid, *children.get(nid, ()))}:
         factors[i] = _reduce_factor(factors[i], observed)
-    return observed, factors
+    return evidence, observed, factors
 
 
 def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
@@ -329,23 +326,18 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
     Agrees with :func:`enumerate_marginal` to within ``ORACLE_TOL``.  An
     observed query returns the model's shared indicator marginal.
 
-    ``_pass`` is private to :func:`posterior_update`: ``(observed, i, live)``,
-    the state of its :func:`_all_marginals` pass, which checks the total,
-    before the query's step ``i``; the query's elimination resumes from there.
+    ``_pass`` is private to :func:`posterior_update`: ``(observed, rest, live)``,
+    its :func:`_all_marginals` pass's state before it sums out ``rest``, from
+    which :func:`_resume` answers the query.
     """
-    if _pass is None:
-        model.require_fully_specified()
-        model.graph.node(query)  # raises UnknownNode
-        evidence = model.validate_evidence(evidence or {})
-        observed, factors = _reduced(model, evidence)
-        start = 0
-    else:
-        observed, start, factors = _pass
     compiled = model.compiled
+    if _pass is not None:
+        observed, rest, live = _pass
+        return _resume(compiled, compiled.index[query], observed, rest, live, lambda: evidence)
+    model.graph.node(query)  # raises UnknownNode
+    evidence, observed, factors = _reduced(model, evidence)
     var = compiled.index[query]
-    if _pass is not None and var in observed:
-        return compiled.indicators[var][observed[var]]
-    result = _eliminate(factors, compiled.elimination[start:], (var,))
+    result = _eliminate(factors, compiled.elimination, (var,))
     return _marginal(compiled, var, observed, result, lambda: evidence)
 
 
@@ -373,6 +365,16 @@ def _marginal(compiled: CompiledModel, var: int, observed: dict, result: _Factor
     return Marginal(compiled.ids[var], indicators[0].states, tuple(float(p) for p in dist))
 
 
+def _resume(compiled: CompiledModel, var: int, observed: dict, rest, live: list,
+            evidence) -> Marginal:
+    """Node ``var``'s answer from ``live``, a pass's factors before it sums
+    out ``rest``: an observed node's indicator, with no elimination, else the
+    rest of the node's own, bit for bit the whole (see :func:`_eliminate`)."""
+    if var in observed:
+        return compiled.indicators[var][observed[var]]
+    return _marginal(compiled, var, observed, _eliminate(live, rest, (var,)), evidence)
+
+
 def posterior_update(model: BayesianModel, evidence=None) -> dict:
     """Posterior marginal for every node given the evidence.
 
@@ -382,13 +384,11 @@ def posterior_update(model: BayesianModel, evidence=None) -> dict:
     :func:`eliminate_marginal` on from its state there: one elimination per
     node, bit for bit, at about half the steps.
     """
-    model.require_fully_specified()
-    evidence = model.validate_evidence(evidence or {})
     compiled = model.compiled
-    observed, factors = _reduced(model, evidence)
+    evidence, observed, factors = _reduced(model, evidence)
 
-    def finish(q: int, i: int, live: list) -> Marginal:
-        return eliminate_marginal(model, compiled.ids[q], evidence, _pass=(observed, i, live))
+    def finish(q: int, rest, live: list) -> Marginal:
+        return eliminate_marginal(model, compiled.ids[q], evidence, _pass=(observed, rest, live))
 
     return _all_marginals(compiled, factors, compiled.elimination, lambda: evidence, finish)
 
@@ -397,15 +397,15 @@ def _all_marginals(compiled: CompiledModel, factors: list, order, evidence, fini
     """Node id -> answer for every node of ``compiled``, the one all-node engine.
 
     One pass sums ``order`` out of ``factors``.  Before the step of each node
-    ``q = order[i]``, ``finish(q, i, live)`` runs the rest of q's own
-    elimination from the pass's factors there (see :func:`_eliminate`).  Ids
-    beyond the nodes, the previous-slice copies, get no run; the total is checked once.
+    ``q = order[i]``, ``finish(q, order[i:], live)`` answers q from the
+    pass's factors there, by :func:`_resume`.  Ids beyond the nodes, the
+    previous-slice copies, get no answer; the total is checked once.
     """
     answers = {}
 
     def visit(i: int, live: list) -> None:
         if order[i] < len(compiled.ids):
-            answers[order[i]] = finish(order[i], i, live)
+            answers[order[i]] = finish(order[i], order[i:], live)
 
     _total(_eliminate(factors, order, (), visit), evidence)
     return {nid: answers[q] for q, nid in enumerate(compiled.ids)}

@@ -69,13 +69,6 @@ class Cpt:
     def row(self, parent_states: tuple[str, ...]) -> tuple[float, ...]:
         return self.rows[tuple(parent_states)]
 
-    def __eq__(self, other):
-        if not isinstance(other, Cpt):
-            return NotImplemented
-        return (self.node == other.node
-                and self.parent_order == other.parent_order
-                and self.rows == other.rows)
-
     def __hash__(self):
         return hash((self.node, self.parent_order, tuple(sorted(self.rows.items()))))
 

@@ -44,7 +44,6 @@ def monte_carlo_sample(model: BayesianModel, n: int, seed: int) -> dict:
     if n > largest:
         raise InvalidArgument(f"sample count must be <= {largest}, got {n}")
     seed = _check_int(seed, "seed", 0)
-    model.require_fully_specified()
     compiled = model.compiled
     order = compiled.topological
     # A node's factor axes are its parents' ids and its own, ascending.

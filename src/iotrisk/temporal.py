@@ -35,11 +35,13 @@ tables), so the dynamics are time-homogeneous by construction.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
+    InvalidArgument,
     InvalidHorizon,
     ObservationBeyondHorizon,
     ValidationFailed,
@@ -51,8 +53,8 @@ from .inference import (
     _cpt_factor,
     _eliminate,
     _Factor,
-    _marginal,
     _reduce_factor,
+    _resume,
     _total,
 )
 from .model import BayesianModel, Cpt, Marginal, _check_int, _is_int, _table_issues
@@ -226,7 +228,8 @@ def _max_horizon_issues(max_horizon) -> list:
 
 @dataclass(frozen=True)
 class ObservationSeries:
-    """Time-indexed evidence: an ordered list of (slice index, evidence)."""
+    """Time-indexed evidence: an ordered list of (slice index, evidence)
+    pairs, each evidence a mapping of node id to state."""
 
     entries: tuple
 
@@ -234,12 +237,17 @@ class ObservationSeries:
         flat: list[tuple[int, str, str]] = []
         last_t = 0
         seen: set[tuple[str, int]] = set()
-        for t, evidence in entries:
+        for entry in entries:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                    and isinstance(entry[1], Mapping)):
+                raise InvalidArgument("observation entry must be a (time, {node: state}) "
+                                      f"pair, got {entry!r}")
+            t, evidence = entry
             t = _check_int(t, "observation time", 0, InvalidHorizon)
             if t < last_t:
                 raise InvalidHorizon("observation times must be non-decreasing")
             last_t = t
-            for node_id, state in sorted(dict(evidence).items()):
+            for node_id, state in sorted(evidence.items()):
                 if (node_id, t) in seen:
                     raise InvalidHorizon(
                         f"duplicate observation for node {node_id!r} at time {t}")
@@ -290,16 +298,13 @@ def unroll(model: TemporalModel, horizon: int) -> BayesianModel:
                 edges.append(InfluenceEdge(slice_id(tedge.source, t - 1),
                                            slice_id(tedge.target, t)))
         for node in graph.nodes:
+            table = template_model.cpts[node.id]
             if t == 0:
-                cpt = model.initial_cpts.get(node.id, template_model.cpts[node.id])
-                rename = {p: slice_id(p, 0) for p in cpt.parent_order}
-            elif node.id in model._transitions:
-                sources, cpt = model._transitions[node.id]
-                rename = {p: slice_id(p, t - 1) if p in sources else slice_id(p, t)
-                          for p in cpt.parent_order}
+                sources, cpt = (), model.initial_cpts.get(node.id, table)
             else:
-                cpt = template_model.cpts[node.id]
-                rename = {p: slice_id(p, t) for p in cpt.parent_order}
+                sources, cpt = model._transitions.get(node.id, ((), table))
+            # A parent sits one slice back exactly when it is a temporal source.
+            rename = {p: slice_id(p, t - 1 if p in sources else t) for p in cpt.parent_order}
             cpts[slice_id(node.id, t)] = _rename_parents(cpt, slice_id(node.id, t), rename)
 
     return BayesianModel(DependencyGraph(nodes, edges), cpts)
@@ -397,7 +402,7 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
     beta runs from ``last`` back to k+1 and holds the likelihood of that
     evidence given the interface at k.  One shared pass over slice k's tables
     between the two then answers every node; a node observed at slice k gets
-    the template's shared indicator marginal.
+    the template's shared indicator marginal, and no elimination.
     """
     slices = model._slices
     alpha = _sweep(slices, evidence, obs, range(k), slices.interface, slices.size)
@@ -405,9 +410,8 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
 
     compiled = model.template.model.compiled
 
-    def finish(q: int, i: int, live: list) -> Marginal:
-        return _marginal(compiled, q, evidence.get(k, {}),
-                         _eliminate(live, slices.order[i:], (q,)), obs.unrolled_evidence)
+    def finish(q: int, rest, live: list) -> Marginal:
+        return _resume(compiled, q, evidence.get(k, {}), rest, live, obs.unrolled_evidence)
 
     return _all_marginals(compiled, _slice_factors(slices, evidence, k, [alpha, beta]),
                           slices.order, obs.unrolled_evidence, finish)

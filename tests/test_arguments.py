@@ -150,6 +150,23 @@ def test_unrolled_slice_beyond_horizon_refused_before_any_work(work, monkeypatch
     assert work == []
 
 
+# Containers of evidence whose entries have the wrong shape: each raises
+# InvalidArgument naming the entry, before any table is compiled.
+@pytest.mark.parametrize("call,text", [
+    (lambda: ObservationSeries([(0, "x")]),
+     "observation entry must be a (time, {node: state}) pair, got (0, 'x')"),
+    (lambda: ObservationSeries([(0, {"O": "alarm"}), 1]),
+     "observation entry must be a (time, {node: state}) pair, got 1"),
+    (lambda: ingest_evidence([("a", 1)], 1000),
+     "record must be an EvidenceRecord, got ('a', 1)"),
+], ids=["ObservationSeries-evidence", "ObservationSeries-entry", "ingest_evidence-record"])
+def test_malformed_entry_refused_before_any_work(work, call, text):
+    with pytest.raises(InvalidArgument) as err:
+        call()
+    assert str(err.value) == text
+    assert work == []
+
+
 @pytest.mark.parametrize("call,valid,non_integers,low,error,texts", ROWS)
 def test_numpy_integer_gives_the_int_answer(call, valid, non_integers, low, error, texts):
     expected = call(valid)

@@ -320,6 +320,7 @@ class TestRankCriticality:
          "requires weights per service node as a mapping, got 'ab'"),
         (None, {"aggregate": "weighted", "weights": 5},
          "requires weights per service node as a mapping, got 5"),
+        (["a14"], {}, "candidate must be a (node, state) pair, got 'a14'"),
     ])
     def test_invalid_arguments_raise_before_elimination(self, layered, monkeypatch,
                                                         candidates, kwargs, message):
@@ -352,7 +353,9 @@ class TestRankCriticality:
         ({"ghost": {"x"}}, UnknownNode, "ghost"),
         ({"a14": {"impaired"}}, InvalidArgument, "degraded_states names 'a14', not a service node"),
         ({"a4": {"melted"}}, UnknownState, "node 'a4' has no state 'melted'"),
-    ], ids=["unknown-node", "not-a-service-node", "unknown-state"])
+        ({"a1": "impaired"}, InvalidArgument,
+         "degraded_states['a1'] must be a collection of states, got 'impaired'"),
+    ], ids=["unknown-node", "not-a-service-node", "unknown-state", "states-as-a-string"])
     def test_bad_degraded_states_raise_before_elimination(self, layered, monkeypatch,
                                                           degraded, error, message):
         import iotrisk.cascade

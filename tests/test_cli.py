@@ -451,6 +451,34 @@ class TestBoundary:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"iotrisk: error: {message}\n"
 
+    def test_wide_gap_node_exits_one(self, tmp_path):
+        # 24 binary roots feed one node with no CPT, so its catalogue-backed
+        # table would have 2^24 rows.  The address-space cap turns a build of
+        # them into a MemoryError rather than a drain on the host.
+        import resource
+
+        roots = [f"r{i:02d}" for i in range(24)]
+        doc = {
+            "schema_version": 1,
+            "nodes": [{"id": r, "layer": "perception", "states": ["ok", "bad"]} for r in roots]
+            + [{"id": "gap", "layer": "network", "states": ["ok", "bad"]}],
+            "edges": [{"from": r, "to": "gap"} for r in roots],
+            "cpts": {r: {"parents": [], "rows": [{"given": [], "p": [0.9, 0.1]}]}
+                     for r in roots},
+        }
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        cap = (1536 << 20, 1536 << 20)
+        proc = subprocess.run(
+            [sys.executable, "-m", "iotrisk.cli", "infer", "--model", str(path)],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ("iotrisk: error: uncontrollable node 'gap' has 16777216 "
+                               "parent-state combinations; a catalogue-backed table may "
+                               "have at most 65536\n")
+
     @pytest.mark.parametrize("max_horizon", ["abc", 1.9, True, "64"])
     def test_non_integer_max_horizon_exits_one(self, tmp_path, model_files, max_horizon):
         raw = json.loads(Path(model_files["smart_home"]).read_text())

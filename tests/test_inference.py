@@ -24,7 +24,7 @@ from iotrisk.errors import (
 )
 from iotrisk import inference, temporal
 from iotrisk.bundled import load_bundled_model
-from iotrisk.cascade import rank_criticality
+from iotrisk.cascade import IncidentScenario, impact_probabilities, rank_criticality
 from iotrisk.graph import (
     ComponentNode,
     DependencyGraph,
@@ -323,6 +323,55 @@ class TestPosteriorUpdate:
             per_node += count(per_node_slice_posteriors, tm, ObservationSeries(), 0, 0)
         assert shared < 0.85 * per_node, (shared, per_node)
 
+    def test_observed_slice_node_runs_no_elimination(self, monkeypatch):
+        # A node observed at slice k gets its indicator from the shared pass,
+        # as in posterior_update: no step is made with it kept.
+        keeps, steps = [], []
+        eliminate, sum_out, sweep = inference._eliminate, inference._Factor.sum_out, temporal._sweep
+
+        def tracked(factors, order, keep, visit=None):
+            keeps.append(tuple(keep))
+            try:
+                return eliminate(factors, order, keep, visit)
+            finally:
+                keeps.pop()
+
+        def counted(factor, var):
+            steps.append(keeps[-1])
+            return sum_out(factor, var)
+
+        def uncounted_sweep(*args):
+            start = len(steps)
+            message = sweep(*args)
+            del steps[start:]  # count the queried slice's steps only
+            return message
+
+        monkeypatch.setattr(inference, "_eliminate", tracked)
+        monkeypatch.setattr(temporal, "_eliminate", tracked)
+        monkeypatch.setattr(inference._Factor, "sum_out", counted)
+        monkeypatch.setattr(temporal, "_sweep", uncounted_sweep)
+
+        def check(tm, obs, k, t) -> int:
+            steps.clear()
+            smooth_marginals(tm, obs, k, t)
+            index = tm.template.model.compiled.index
+            kept = {(index[nid],) for s, nid, _ in obs if s == k}
+            assert not kept.intersection(steps), (k, t)
+            return len(steps)
+
+        smart_home = load_bundled_model("smart_home").temporal_model()
+        obs = ObservationSeries([(0, {"wifi_gateway": "down", "motion_sensor": "faulty"})])
+        assert check(smart_home, obs, 0, 0) == 6
+        rng = random.Random(19)
+        for _ in range(30):
+            tm = random_temporal_model(rng, max_template_nodes=6)
+            graph = tm.template.model.graph
+            obs = ObservationSeries(
+                [(s, {n.id: rng.choice(n.domain.states) for n in graph.nodes
+                      if rng.random() < 0.4}) for s in range(3)])
+            for k in range(3):
+                check(tm, obs, k, 2)
+
 
 class TestCompiledModel:
     """Each model compiles once into the tables every numeric query reads."""
@@ -372,6 +421,36 @@ class TestCompiledModel:
             monte_carlo_sample(model, 100, seed=0)
         assert sorted(built) == sorted(model.graph.node_ids)
         assert model.compiled is model.compiled
+
+    def test_reduced_equals_reducing_every_table(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            model = random_model(rng, max_nodes=10)
+            evidence = random_evidence(rng, model, max_observed=4)
+            compiled = model.compiled
+            checked, observed, factors = inference._reduced(model, evidence)
+            assert checked == evidence
+            assert observed == {compiled.index[nid]: model.domain(nid).index(state)
+                                for nid, state in evidence.items()}
+            assert len(factors) == len(compiled.factors)
+            for got, f in zip(factors, compiled.factors):
+                want = inference._reduce_factor(f, observed)
+                assert got.vars == want.vars
+                assert got.values.shape == want.values.shape
+                assert got.values.tobytes() == want.values.tobytes()
+
+    def test_missing_cpt_is_the_first_check(self, chain2):
+        # compile_model is the one check; each query reads model.compiled
+        # before checking its query node, evidence or scenario.
+        partial = BayesianModel(chain2.graph, {"A": chain2.cpts["A"]})
+        for call in (lambda: eliminate_marginal(partial, "ghost", {"A": "maybe"}),
+                     lambda: eliminate_marginal(partial, "B", {"ghost": "T"}),
+                     lambda: posterior_update(partial, {"A": "maybe"}),
+                     lambda: monte_carlo_sample(partial, 10, 0),
+                     lambda: impact_probabilities(partial, IncidentScenario({"A": "T"}))):
+            with pytest.raises(MissingCpt) as err:
+                call()
+            assert str(err.value) == "model is not fully specified; missing CPTs for ['B']"
 
     def test_cached_tables_are_read_only(self):
         model = load_bundled_model("layered_iot").model

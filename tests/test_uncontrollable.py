@@ -10,6 +10,7 @@ import pytest
 
 from iotrisk.errors import (
     InvalidDistribution,
+    ModelError,
     NotUncontrollable,
     UnresolvableNode,
 )
@@ -17,6 +18,7 @@ from iotrisk.graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDo
 from iotrisk.inference import enumerate_marginal
 from iotrisk.model import BayesianModel, Cpt
 from iotrisk.uncontrollable import (
+    MAX_GAP_ROWS,
     CatalogueSource,
     and_cpt,
     catalogue,
@@ -142,6 +144,20 @@ class TestCompleteModel:
     def test_model_without_gaps_is_returned_as_it_is(self):
         model = complete_model(latent_child_model())
         assert complete_model(model) is model
+
+    def test_gap_wider_than_the_limit_raises(self):
+        # 17 binary parents: 2^17 combinations, one more power of two than
+        # MAX_GAP_ROWS allows.
+        roots = [ComponentNode(f"r{i:02d}", "perception", GB) for i in range(17)]
+        graph = DependencyGraph(roots + [ComponentNode("U", "network", GB)],
+                                [InfluenceEdge(r.id, "U") for r in roots])
+        model = BayesianModel(graph, {r.id: Cpt.prior(r.id, (0.5, 0.5)) for r in roots})
+        with pytest.raises(ModelError) as err:
+            complete_model(model)
+        assert str(err.value) == ("uncontrollable node 'U' has 131072 parent-state "
+                                  "combinations; a catalogue-backed table may have at most "
+                                  f"{MAX_GAP_ROWS}")
+        assert MAX_GAP_ROWS == 2 ** 16
 
     def test_completed_node_independent_of_parents(self):
         # U has a parent but no CPT: the substituted rows repeat the prior,
