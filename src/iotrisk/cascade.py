@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ImpossibleEvidence, InvalidArgument, UnknownNode
 from .graph import DependencyGraph, _bfs, _check_states
-from .inference import eliminate_marginal, posterior_update
+from .inference import _eliminate, _marginal, _reduced, eliminate_marginal, posterior_update
 from .model import BayesianModel, Marginal
 
 
@@ -196,6 +196,17 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     Candidates whose evidence is impossible get an error entry instead of a
     score and sort last.  Ties break by ascending node id.
 
+    Each score is bit for bit that of one
+    :func:`~iotrisk.inference.eliminate_marginal` per (candidate, service
+    node) pair, but no distinct elimination step is made twice for one
+    service node.  Each candidate's factors are reduced once.  Per service
+    node, one evidence-free pass, the node's prior marginal, records its
+    steps (see :func:`~iotrisk.inference._eliminate`), and each candidate's
+    run for that node takes from them every step whose factors its evidence
+    leaves untouched.  A run records its own steps in a copy of the pass's
+    table, dropped when the run ends, so no table outlives its service node.
+    A lone candidate has nothing to share and makes no pass.
+
     Raises :class:`InvalidArgument` (a ``ValueError``) for no candidates, a
     candidate that is not a pair, an unknown ``aggregate``, bad weights, or a
     ``degraded_states`` entry other than a service node and a collection of states,
@@ -209,6 +220,9 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     graph = model.graph
     if service_nodes is None:
         service_nodes = _service_nodes(graph)
+    if isinstance(service_nodes, str):
+        raise InvalidArgument(f"service_nodes must be a collection of node ids, "
+                              f"got {service_nodes!r}")
     service_nodes = sorted(service_nodes)
     if not service_nodes:
         raise UnknownNode("no service nodes: flag is_service_goal or pass service_nodes")
@@ -252,22 +266,40 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
             raise InvalidArgument(f"candidate must be a (node, state) pair, got {candidate!r}")
         _check_states(graph, {candidate[0]: candidate[1]})
 
+    compiled = model.compiled
+    runs = [_reduced(model, {node_id: state}) for node_id, state in candidates]
+    per_service = [[] for _ in candidates]
+    errors = [None] * len(candidates)
+    for s in service_nodes:
+        var = compiled.index[s]
+        shared = None
+        if len(runs) > 1:  # a lone candidate's run would be the only borrower
+            shared = {}
+            eliminate_marginal(model, s, _steps=shared)
+        for i, (evidence, observed, factors) in enumerate(runs):
+            if errors[i] is not None:
+                continue
+            result = _eliminate(factors, compiled.elimination, (var,),
+                                steps=None if shared is None else dict(shared))
+            try:
+                marg = _marginal(compiled, var, observed, result, lambda: evidence)
+            except ImpossibleEvidence as exc:
+                errors[i] = str(exc)
+                continue
+            per_service[i].append(sum(marg.p(d) for d in degraded_states[s]))
+
     entries = []
-    for node_id, state in candidates:
-        try:
-            per_service = []
-            for s in service_nodes:
-                marg = eliminate_marginal(model, s, {node_id: state})
-                per_service.append(sum(marg.p(d) for d in degraded_states[s]))
-            if aggregate == "mean":
-                score = sum(per_service) / len(per_service)
-            elif aggregate == "max":
-                score = max(per_service)
-            else:
-                score = sum(norm[s] * p for s, p in zip(service_nodes, per_service))
-            entries.append(CriticalityEntry(node_id, state, score))
-        except ImpossibleEvidence as exc:
-            entries.append(CriticalityEntry(node_id, state, None, str(exc)))
+    for (node_id, state), ps, error in zip(candidates, per_service, errors):
+        if error is not None:
+            entries.append(CriticalityEntry(node_id, state, None, error))
+            continue
+        if aggregate == "mean":
+            score = sum(ps) / len(ps)
+        elif aggregate == "max":
+            score = max(ps)
+        else:
+            score = sum(norm[s] * p for s, p in zip(service_nodes, ps))
+        entries.append(CriticalityEntry(node_id, state, score))
 
     entries.sort(key=lambda e: (e.score is None, -(e.score or 0.0), e.node))
     return tuple(entries)

@@ -26,7 +26,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidMetricValue, OutOfRange
+from .errors import InvalidArgument, InvalidMetricValue, OutOfRange, UnknownState
 from .model import Cpt
 
 
@@ -292,13 +292,15 @@ def prior_cpt_from_score(node_id: str, domain, score: float, compromised_state=N
 
     The domain must be binary; ``compromised_state`` defaults to the last
     state (matching the convention that the last state is the degraded one).
+    Raises :class:`InvalidArgument` (a ``ValueError``) for a non-binary domain
+    and :class:`UnknownState` for a compromised state the domain lacks.
     """
     states = tuple(domain)
     if len(states) != 2:
-        raise ValueError(
+        raise InvalidArgument(
             f"score-derived priors require a binary domain; {node_id!r} has {len(states)}")
     compromised = compromised_state if compromised_state is not None else states[-1]
     if compromised not in states:
-        raise ValueError(f"{compromised!r} is not a state of {node_id!r}")
+        raise UnknownState(f"{compromised!r} is not a state of {node_id!r}")
     p = score_to_prior(score, mapping)
     return Cpt.prior(node_id, tuple(p if s == compromised else 1.0 - p for s in states))

@@ -249,7 +249,7 @@ def _reduce_factor(f: _Factor, evidence: dict) -> _Factor:
     return _Factor(tuple(keep_vars), f.values[tuple(index)])
 
 
-def _eliminate(factors: list, order, keep, visit=None) -> _Factor:
+def _eliminate(factors: list, order, keep, visit=None, steps=None) -> _Factor:
     """Sum the variables in ``order`` but those in ``keep`` out of the factor
     product, one at a time.
 
@@ -273,6 +273,16 @@ def _eliminate(factors: list, order, keep, visit=None) -> _Factor:
     ``_eliminate(factors, order, other)`` bit for bit, because the steps
     before ``i`` are the same.  :func:`_all_marginals`, the one user of
     ``visit``, resumes each node's own elimination from one pass this way.
+
+    ``steps``, if given, is a table of steps shared between runs: the key
+    ``(var, *map(id, bucket))`` maps to ``(result, bucket)``.  A step whose
+    key is in the table takes its result from there, and every other step is
+    recorded in it.  A key names the same operands, the same objects in the
+    same order, so a step found there has the bits it would have had if it
+    had been computed again.  Each entry holds its bucket, which keeps every
+    keyed object alive, so no id is reused while the table lives.
+    :func:`~iotrisk.cascade.rank_criticality`, the one user of ``steps``,
+    lends one evidence-free elimination's steps to the run of every candidate.
     """
     import numpy as np
 
@@ -293,7 +303,14 @@ def _eliminate(factors: list, order, keep, visit=None) -> _Factor:
         bucket = [live.pop(k) for k in buckets.pop(var, ()) if k in live]
         if not bucket:
             continue
-        summed = _product(bucket, cards).sum_out(var)
+        if steps is None:
+            summed = _product(bucket, cards).sum_out(var)
+        else:
+            step = (var, *map(id, bucket))
+            hit = steps.get(step)
+            if hit is None:
+                hit = steps[step] = (_product(bucket, cards).sum_out(var), bucket)
+            summed = hit[0]
         live[key] = summed
         for v in summed.vars:
             buckets[v].append(key)
@@ -318,7 +335,7 @@ def _reduced(model: BayesianModel, evidence) -> tuple[dict, dict, list]:
 
 
 def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
-                       _pass=None) -> Marginal:
+                       _pass=None, _steps=None) -> Marginal:
     """Exact P(query | evidence) by variable elimination.
 
     The elimination order is fixed for reproducibility: reverse topological
@@ -328,7 +345,9 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
 
     ``_pass`` is private to :func:`posterior_update`: ``(observed, rest, live)``,
     its :func:`_all_marginals` pass's state before it sums out ``rest``, from
-    which :func:`_resume` answers the query.
+    which :func:`_resume` answers the query.  ``_steps`` is private to
+    :func:`~iotrisk.cascade.rank_criticality`: a step table, as in
+    :func:`_eliminate`, that records this elimination's steps.
     """
     compiled = model.compiled
     if _pass is not None:
@@ -337,7 +356,7 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
     model.graph.node(query)  # raises UnknownNode
     evidence, observed, factors = _reduced(model, evidence)
     var = compiled.index[query]
-    result = _eliminate(factors, compiled.elimination, (var,))
+    result = _eliminate(factors, compiled.elimination, (var,), steps=_steps)
     return _marginal(compiled, var, observed, result, lambda: evidence)
 
 

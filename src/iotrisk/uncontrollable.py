@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    InvalidArgument,
     InvalidDistribution,
     ModelError,
     NotUncontrollable,
@@ -150,12 +151,16 @@ def logic_gate_cpt(node_id: str, domain: StateDomain, parent_domains,
     the state counted as true, defaulting to the first state of each domain.
     AND: true iff every parent is true.  OR: true iff at least one parent is.
     The node's own domain must be binary.
+
+    Raises :class:`InvalidArgument` (a ``ValueError``) for an unknown gate or
+    a non-binary domain, and :class:`UnknownState` for a true state the node
+    or parent lacks.
     """
     if gate not in ("and", "or"):
-        raise ValueError(f"gate must be 'and' or 'or', got {gate!r}")
+        raise InvalidArgument(f"gate must be 'and' or 'or', got {gate!r}")
     states = tuple(domain)
     if len(states) != 2:
-        raise ValueError(
+        raise InvalidArgument(
             f"logic-gate tables require a binary domain; {node_id!r} has {len(states)} states")
     true_states = dict(true_states or {})
     parent_domains = {p: tuple(d) for p, d in dict(parent_domains).items()}

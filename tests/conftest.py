@@ -4,7 +4,9 @@
 the equivalence suites; ``brute_posteriors`` is the slowest possible oracle
 (pure-python sum of joint_probability over every completion) used to anchor
 the faster paths on tiny models.  ``per_node_slice_posteriors`` answers a
-temporal query's slice with one full elimination per node.
+temporal query's slice with one full elimination per node.  The ``work``
+fixture names the compile and elimination calls a test makes, and ``steps``
+lists the variable of every elimination step.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 
 import pytest
 
-from iotrisk import temporal
+from iotrisk import cascade, inference, temporal
 from iotrisk.graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain
 from iotrisk.inference import _eliminate, _marginal, joint_probability
 from iotrisk.model import BayesianModel, Cpt
@@ -61,6 +63,40 @@ def make_sensor_dbn() -> TemporalModel:
     })
     transition = Cpt("X", ("X",), {("ok",): (0.8, 0.2), ("fail",): (0.05, 0.95)})
     return TemporalModel(SliceTemplate(template), [TemporalEdge("X", "X", transition)])
+
+
+@pytest.fixture
+def work(monkeypatch) -> list:
+    """Names of the compile and elimination calls made while the test runs."""
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(inference, "compile_model",
+                        counted("compile_model", inference.compile_model))
+    eliminate = counted("_eliminate", inference._eliminate)
+    for module in (inference, temporal, cascade):
+        monkeypatch.setattr(module, "_eliminate", eliminate)
+    return calls
+
+
+@pytest.fixture
+def steps(monkeypatch) -> list:
+    """The variable of every elimination step made while the test runs, one
+    entry per :meth:`_Factor.sum_out <iotrisk.inference._Factor.sum_out>` call."""
+    summed = []
+    sum_out = inference._Factor.sum_out
+
+    def counted(factor, var):
+        summed.append(var)
+        return sum_out(factor, var)
+
+    monkeypatch.setattr(inference._Factor, "sum_out", counted)
+    return summed
 
 
 @pytest.fixture

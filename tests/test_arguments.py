@@ -4,7 +4,8 @@ Each row is one integer argument of one entry point.  A float, a bool, a
 numeric string, ``None`` and a value below the argument's minimum must each
 raise the entry point's typed error before any table is compiled or any
 variable eliminated; a numpy integer must give the answer a plain ``int``
-gives, bit for bit.
+gives, bit for bit.  Two smaller tables pin the typed errors of malformed
+evidence entries and of the table builders' arguments.
 """
 
 from __future__ import annotations
@@ -12,14 +13,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from iotrisk import inference, temporal
+from iotrisk import temporal
+from iotrisk.cvss import prior_cpt_from_score
 from iotrisk.documents import EvidenceRecord, ingest_evidence
 from iotrisk.errors import (
     InvalidArgument,
     InvalidHorizon,
     ObservationBeyondHorizon,
+    UnknownState,
     ValidationFailed,
 )
+from iotrisk.graph import StateDomain
 from iotrisk.sampling import monte_carlo_sample
 from iotrisk.temporal import (
     ObservationSeries,
@@ -30,10 +34,12 @@ from iotrisk.temporal import (
     unroll,
     unrolled_marginals,
 )
+from iotrisk.uncontrollable import and_cpt, logic_gate_cpt, or_cpt
 
 from conftest import make_chain2, make_sensor_dbn
 
 NON_INTEGERS = (1.9, True, "2", None)
+OF = StateDomain(["ok", "fail"])
 
 
 def _series() -> ObservationSeries:
@@ -113,24 +119,6 @@ ROWS = [
 ]
 
 
-@pytest.fixture
-def work(monkeypatch) -> list:
-    """Names of the compile and elimination calls made while the test runs."""
-    calls = []
-
-    def counted(name, real):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(inference, "compile_model",
-                        counted("compile_model", inference.compile_model))
-    monkeypatch.setattr(inference, "_eliminate", counted("_eliminate", inference._eliminate))
-    monkeypatch.setattr(temporal, "_eliminate", counted("_eliminate", temporal._eliminate))
-    return calls
-
-
 @pytest.mark.parametrize("call,valid,non_integers,low,error,texts", ROWS)
 def test_refused_before_any_work(work, call, valid, non_integers, low, error, texts):
     not_integer, too_low = texts
@@ -165,6 +153,28 @@ def test_malformed_entry_refused_before_any_work(work, call, text):
         call()
     assert str(err.value) == text
     assert work == []
+
+
+# Arguments of the table builders: a bad gate or domain is an InvalidArgument
+# (so still a ValueError), a state the domain lacks an UnknownState.
+@pytest.mark.parametrize("call,error,text", [
+    (lambda: logic_gate_cpt("G", OF, {"A": OF}, "xor"), InvalidArgument,
+     "gate must be 'and' or 'or', got 'xor'"),
+    (lambda: and_cpt("G", StateDomain(["a", "b", "c"]), {"A": OF}), InvalidArgument,
+     "logic-gate tables require a binary domain; 'G' has 3 states"),
+    (lambda: or_cpt("G", OF, {"A": OF}, true_states={"A": "bad"}), UnknownState,
+     "'bad' is not a state of 'A'"),
+    (lambda: prior_cpt_from_score("dev", StateDomain(["a", "b", "c"]), 5.0), InvalidArgument,
+     "score-derived priors require a binary domain; 'dev' has 3"),
+    (lambda: prior_cpt_from_score("dev", OF, 5.0, compromised_state="owned"), UnknownState,
+     "'owned' is not a state of 'dev'"),
+], ids=["logic_gate_cpt-gate", "and_cpt-domain", "or_cpt-true_state",
+        "prior_cpt_from_score-domain", "prior_cpt_from_score-compromised_state"])
+def test_bad_table_argument_refused(call, error, text):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == text
 
 
 @pytest.mark.parametrize("call,valid,non_integers,low,error,texts", ROWS)

@@ -18,7 +18,7 @@ from iotrisk.cascade import (
     impact_set,
     rank_criticality,
 )
-from iotrisk.errors import InvalidArgument, UnknownNode, UnknownState
+from iotrisk.errors import ImpossibleEvidence, InvalidArgument, UnknownNode, UnknownState
 from iotrisk.graph import (
     ComponentNode,
     DependencyGraph,
@@ -29,7 +29,7 @@ from iotrisk.graph import (
     dependency_order,
     descendants,
 )
-from iotrisk.inference import enumerate_marginal, posterior_update
+from iotrisk.inference import eliminate_marginal, enumerate_marginal, posterior_update
 from iotrisk.model import BayesianModel, Cpt
 
 from conftest import random_model
@@ -230,6 +230,12 @@ class TestImpactProbabilities:
 
 
 class TestRankCriticality:
+    @pytest.fixture
+    def fresh(self):
+        """layered_iot's model, not compiled yet: a check made after the
+        first compile or elimination shows in the ``work`` fixture."""
+        return load_bundled_model("layered_iot").model
+
     def test_single_candidate(self, layered):
         ranking = rank_criticality(layered.model, [("a14", "impaired")])
         assert len(ranking) == 1
@@ -321,33 +327,25 @@ class TestRankCriticality:
         (None, {"aggregate": "weighted", "weights": 5},
          "requires weights per service node as a mapping, got 5"),
         (["a14"], {}, "candidate must be a (node, state) pair, got 'a14'"),
+        (None, {"service_nodes": "a1"},
+         "service_nodes must be a collection of node ids, got 'a1'"),
     ])
-    def test_invalid_arguments_raise_before_elimination(self, layered, monkeypatch,
+    def test_invalid_arguments_raise_before_elimination(self, fresh, work,
                                                         candidates, kwargs, message):
-        import iotrisk.cascade
-
-        def no_elimination(*args, **kw):
-            raise AssertionError("eliminated before the arguments were checked")
-
-        monkeypatch.setattr(iotrisk.cascade, "eliminate_marginal", no_elimination)
         if candidates is None:
             candidates = [("a14", "impaired")]
         with pytest.raises(InvalidArgument) as err:
-            rank_criticality(layered.model, candidates, ("a1", "a4"), **kwargs)
+            rank_criticality(fresh, candidates, **{"service_nodes": ("a1", "a4"), **kwargs})
         assert isinstance(err.value, ValueError)
         assert message in str(err.value)
+        assert work == []
 
-    def test_bad_candidate_raises_before_elimination(self, layered, monkeypatch):
-        import iotrisk.cascade
-
-        calls = []
-        monkeypatch.setattr(iotrisk.cascade, "eliminate_marginal",
-                            lambda *args, **kw: calls.append(args))
+    def test_bad_candidate_raises_before_elimination(self, fresh, work):
         with pytest.raises(UnknownState):
-            rank_criticality(layered.model, [("a14", "impaired"), ("a12", "melted")])
+            rank_criticality(fresh, [("a14", "impaired"), ("a12", "melted")])
         with pytest.raises(UnknownNode):
-            rank_criticality(layered.model, [("a14", "impaired"), ("ghost", "impaired")])
-        assert calls == []
+            rank_criticality(fresh, [("a14", "impaired"), ("ghost", "impaired")])
+        assert work == []
 
     @pytest.mark.parametrize("degraded,error,message", [
         ({"ghost": {"x"}}, UnknownNode, "ghost"),
@@ -356,18 +354,89 @@ class TestRankCriticality:
         ({"a1": "impaired"}, InvalidArgument,
          "degraded_states['a1'] must be a collection of states, got 'impaired'"),
     ], ids=["unknown-node", "not-a-service-node", "unknown-state", "states-as-a-string"])
-    def test_bad_degraded_states_raise_before_elimination(self, layered, monkeypatch,
+    def test_bad_degraded_states_raise_before_elimination(self, fresh, work,
                                                           degraded, error, message):
-        import iotrisk.cascade
-
-        calls = []
-        monkeypatch.setattr(iotrisk.cascade, "eliminate_marginal",
-                            lambda *args, **kw: calls.append(args))
         with pytest.raises(error) as err:
-            rank_criticality(layered.model, [("a14", "impaired"), ("a12", "impaired")],
+            rank_criticality(fresh, [("a14", "impaired"), ("a12", "impaired")],
                              degraded_states=degraded)
         assert message in str(err.value)
-        assert calls == []
+        assert work == []
+
+    def test_scores_equal_one_elimination_per_pair(self):
+        # On the acceptance suite's random models, every score is == the one
+        # the per-(candidate, service node) eliminations give, candidates that
+        # are service nodes too, a candidate of probability 0 and a lone
+        # candidate included.
+        rng = random.Random(20260810)
+        seen_service_candidate = False
+        for _ in range(60):
+            model = random_model(rng, max_nodes=12, max_states=4, max_joint=2 ** 16)
+            graph = model.graph
+            ids = graph.node_ids
+            root = next(nid for nid in ids if not graph.parents(nid))
+            states = model.domain(root).states
+            model = model.with_cpts(
+                {root: Cpt.prior(root, (1.0,) + (0.0,) * (len(states) - 1))})
+            service = sorted(rng.sample(ids, rng.randint(1, len(ids))))
+            degraded = {s: set(rng.sample(model.domain(s).states, 2)) for s in service
+                        if rng.random() < 0.5}
+            candidates = [(nid, rng.choice(model.domain(nid).states))
+                          for nid in rng.sample(ids, rng.randint(1, len(ids)))]
+            candidates.append((root, states[-1]))
+            seen_service_candidate |= any(nid in service for nid, _ in candidates)
+
+            weights = {s: rng.uniform(0.0, 2.0) for s in service}
+            weights[service[0]] += 1.0
+            total = sum(weights[s] for s in service)
+            for aggregate in ("mean", "max", "weighted"):
+                got = {(e.node, e.impaired_state): e for e in rank_criticality(
+                    model, candidates, service, degraded, aggregate, weights)}
+                assert len(got) == len(set(candidates))
+                # A lone candidate, which makes no evidence-free pass, too.
+                lone = candidates[0]
+                assert rank_criticality(model, [lone], service, degraded, aggregate,
+                                        weights) == (got[lone],)
+                for nid, state in candidates:
+                    entry = got[nid, state]
+                    try:
+                        ps = [sum(eliminate_marginal(model, s, {nid: state}).p(d)
+                                  for d in degraded.get(s, (model.domain(s).states[-1],)))
+                              for s in service]
+                    except ImpossibleEvidence as exc:
+                        assert (entry.score, entry.error) == (None, str(exc))
+                        continue
+                    want = (sum(ps) / len(ps) if aggregate == "mean" else
+                            max(ps) if aggregate == "max" else
+                            sum(weights[s] / total * p for s, p in zip(service, ps)))
+                    assert entry.score == want, (nid, state, aggregate)
+                    assert entry.error is None
+        assert seen_service_candidate
+
+    def test_ranking_shares_elimination_steps(self, layered, steps):
+        # One evidence-free pass per service node lends its steps to every
+        # candidate's run: fewer steps than one elimination per pair.
+        model = layered.model
+        ids = model.graph.node_ids
+        service = ("a1", "a2", "a3", "a4")
+
+        def count(call, *args) -> int:
+            steps.clear()
+            call(*args)
+            return len(steps)
+
+        def per_pair(candidates, service_nodes):
+            for nid, state in candidates:
+                for s in service_nodes:
+                    eliminate_marginal(model, s, {nid: state})
+
+        candidates = [(nid, "impaired") for nid in ids]
+        shared = count(rank_criticality, model, candidates, service)
+        single = count(per_pair, candidates, service)
+        assert shared < 0.7 * single, (shared, single)
+        # A lone candidate makes no pass: its runs are the per-pair ones.
+        candidates = [("a14", "impaired")]
+        assert count(rank_criticality, model, candidates, service) == \
+            count(per_pair, candidates, service)
 
     def test_empty_scenario_is_an_invalid_argument(self):
         with pytest.raises(InvalidArgument) as err:

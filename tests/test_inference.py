@@ -252,15 +252,7 @@ class TestPosteriorUpdate:
             assert str(err.value) == str(alone.value) == \
                 f"evidence {evidence!r} has probability 0"
 
-    def test_all_posteriors_share_one_elimination_prefix(self, monkeypatch):
-        steps = []
-        sum_out = inference._Factor.sum_out
-
-        def counted(factor, var):
-            steps.append(var)
-            return sum_out(factor, var)
-
-        monkeypatch.setattr(inference._Factor, "sum_out", counted)
+    def test_all_posteriors_share_one_elimination_prefix(self, steps):
         for seed in (1, 2):
             rng = random.Random(seed)
             model = random_model(rng, min_nodes=80, max_nodes=80, max_states=2,
@@ -283,15 +275,9 @@ class TestPosteriorUpdate:
             assert all(getattr(compiled, k) is v for k, v in fields.items())
             assert compiled.index == index
 
-    def test_temporal_slice_shares_one_elimination_prefix(self, monkeypatch):
+    def test_temporal_slice_shares_one_elimination_prefix(self, steps, monkeypatch):
         # The queried slice's nodes share one pass too, as posterior_update's do.
-        steps = []
-        sum_out = inference._Factor.sum_out
         sweep = temporal._sweep
-
-        def counted(factor, var):
-            steps.append(var)
-            return sum_out(factor, var)
 
         def uncounted_sweep(*args):
             start = len(steps)
@@ -299,7 +285,6 @@ class TestPosteriorUpdate:
             del steps[start:]  # count the queried slice's steps only
             return message
 
-        monkeypatch.setattr(inference._Factor, "sum_out", counted)
         monkeypatch.setattr(temporal, "_sweep", uncounted_sweep)
 
         def count(query, *args) -> int:
