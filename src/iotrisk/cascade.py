@@ -196,14 +196,17 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     Candidates whose evidence is impossible get an error entry instead of a
     score and sort last.  Ties break by ascending node id.
 
-    Each score is bit for bit that of one
-    :func:`~iotrisk.inference.eliminate_marginal` per (candidate, service
-    node) pair, but no distinct elimination step is made twice for one
-    service node.  Each candidate's factors are reduced once.  Per service
-    node, one evidence-free pass, the node's prior marginal, records its
-    steps (see :func:`~iotrisk.inference._eliminate`), and each candidate's
-    run for that node takes from them every step whose factors its evidence
-    leaves untouched.  A run records its own steps in a copy of the pass's
+    Each score is bit for bit that of one full elimination, every node
+    summed out, per (candidate, service node) pair, but no distinct
+    elimination step is made twice for one service node.  A point
+    :func:`~iotrisk.inference.eliminate_marginal` sums out only ancestors
+    and may differ in the last bits, within ``ORACLE_TOL``.
+
+    Each candidate's factors are reduced once.  Per service node, one
+    evidence-free pass, the node's prior marginal with every node summed
+    out, records its steps (see :func:`~iotrisk.inference._eliminate`), and
+    each candidate's run for that node takes from them every step whose
+    factors its evidence leaves untouched.  A run records its own steps in a copy of the pass's
     table, dropped when the run ends, so no table outlives its service node.
     A lone candidate has nothing to share and makes no pass.
 

@@ -10,15 +10,21 @@ P(node | parents), and every query here evaluates that product exactly:
   count; intended for models up to roughly 14 nodes.
 * :func:`eliminate_marginal` -- variable elimination, the production path.
   Must agree with enumeration to 1e-9; the test suite holds it to that.
-  Each variable has a bucket of the factors over it (bucket elimination,
-  Dechter 1999), and a bucket is multiplied in one pass.  The products and
-  sums are those of rescanning one factor list per variable, in the same
-  order, so the answers are bit for bit those of that simpler algorithm.
+  It sums out only the ancestors of the query and the evidence: any other
+  node is barren, its factors sum to 1 and cannot change the answer
+  (Shachter 1998, "Bayes-Ball").  Each variable has a bucket of the factors
+  over it (bucket elimination, Dechter 1999), and a bucket is multiplied in
+  one pass.  The products and sums are those of rescanning one factor list
+  per variable, in the same order, so the answers are bit for bit those of
+  that simpler algorithm.
 * :func:`posterior_update` -- every node's marginal under one evidence set.
-  Under one order, each node's elimination repeats the steps of one pass up
-  to that node's position, so :func:`_all_marginals` hands one pass's state
-  there to :func:`_resume`, which runs only the rest of an unobserved node's
-  order: the same products and sums, hence the same bits, at about half the steps.
+  Under one order, each node's full elimination, every node summed out,
+  repeats the steps of one pass up to that node's position, so
+  :func:`_all_marginals` hands one pass's state there to :func:`_resume`,
+  which runs only the rest of an unobserved node's order: the same products
+  and sums, hence the same bits, at about half the steps.  A point answer
+  leaves out the barren sums (each about 1), so it may differ from this one
+  in its last bits, within ``ORACLE_TOL``.
 
 The numeric queries, and the Monte Carlo sampler, read one
 :class:`CompiledModel`: integer node ids, one read-only table per CPT, the
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ImpossibleEvidence, IncompleteAssignment
-from .graph import topological_order
+from .graph import _bfs, topological_order
 from .model import BayesianModel, Marginal
 
 if TYPE_CHECKING:
@@ -338,16 +344,19 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
                        _pass=None, _steps=None) -> Marginal:
     """Exact P(query | evidence) by variable elimination.
 
-    The elimination order is fixed for reproducibility: reverse topological
-    order restricted to non-query, non-evidence nodes, ties broken by node id.
-    Agrees with :func:`enumerate_marginal` to within ``ORACLE_TOL``.  An
-    observed query returns the model's shared indicator marginal.
+    Only the ancestors of the query and the evidence are summed out, in an
+    order fixed for reproducibility: reverse topological order over those
+    ancestors, ties broken by node id.  The factors of every other node are
+    left out; their sums are 1.  Agrees with :func:`enumerate_marginal`, and
+    with :func:`posterior_update`, to within ``ORACLE_TOL``.  An observed
+    query returns the model's shared indicator marginal.
 
     ``_pass`` is private to :func:`posterior_update`: ``(observed, rest, live)``,
     its :func:`_all_marginals` pass's state before it sums out ``rest``, from
     which :func:`_resume` answers the query.  ``_steps`` is private to
     :func:`~iotrisk.cascade.rank_criticality`: a step table, as in
-    :func:`_eliminate`, that records this elimination's steps.
+    :func:`_eliminate`, that records the steps of the query's full
+    elimination, every node summed out.
     """
     compiled = model.compiled
     if _pass is not None:
@@ -356,7 +365,15 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
     model.graph.node(query)  # raises UnknownNode
     evidence, observed, factors = _reduced(model, evidence)
     var = compiled.index[query]
-    result = _eliminate(factors, compiled.elimination, (var,), steps=_steps)
+    order = compiled.elimination
+    # Ranking's runs borrow the steps of this full elimination, so a pass
+    # that records them keeps every factor.
+    if _steps is None:
+        kept = {compiled.index[nid]
+                for nid in _bfs(model.graph, (query, *evidence), upward=True)}
+        factors = [f for i, f in enumerate(factors) if i in kept]
+        order = tuple(v for v in order if v in kept)
+    result = _eliminate(factors, order, (var,), steps=_steps)
     return _marginal(compiled, var, observed, result, lambda: evidence)
 
 
@@ -400,8 +417,10 @@ def posterior_update(model: BayesianModel, evidence=None) -> dict:
     Evidence nodes come back as indicator distributions, without a run of
     their own.  Raises :class:`ImpossibleEvidence` when the evidence has
     probability zero.  One :func:`_all_marginals` pass runs each other node's
-    :func:`eliminate_marginal` on from its state there: one elimination per
-    node, bit for bit, at about half the steps.
+    full elimination, every node summed out, on from its state there: bit
+    for bit one full elimination per node, at about half the steps.  It may
+    differ from :func:`eliminate_marginal`, which sums out only ancestors,
+    in the last bits, within ``ORACLE_TOL``.
     """
     compiled = model.compiled
     evidence, observed, factors = _reduced(model, evidence)

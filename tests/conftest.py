@@ -3,24 +3,32 @@
 ``random_model`` / ``random_temporal_model`` build arbitrary valid models for
 the equivalence suites; ``brute_posteriors`` is the slowest possible oracle
 (pure-python sum of joint_probability over every completion) used to anchor
-the faster paths on tiny models.  ``per_node_slice_posteriors`` answers a
-temporal query's slice with one full elimination per node.  The ``work``
-fixture names the compile and elimination calls a test makes, and ``steps``
-lists the variable of every elimination step.
+the faster paths on tiny models.  ``full_elimination`` answers a point
+query by summing out every node, and ``per_node_slice_posteriors`` answers a
+temporal query's slice with one full elimination per node.  ``wide_model``
+is the 80-node model whose full elimination outgrows memory, and
+``run_capped`` runs Python in a child with a capped address space.  The
+``work`` fixture names the compile and elimination calls a test makes, and
+``steps`` lists the variable of every elimination step.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from iotrisk import cascade, inference, temporal
 from iotrisk.graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain
-from iotrisk.inference import _eliminate, _marginal, joint_probability
-from iotrisk.model import BayesianModel, Cpt
+from iotrisk.inference import _eliminate, _marginal, _reduced, joint_probability
+from iotrisk.model import BayesianModel, Cpt, Marginal
 from iotrisk.temporal import SliceTemplate, TemporalEdge, TemporalModel
 
 TF = StateDomain(["T", "F"])
@@ -203,6 +211,30 @@ def random_temporal_model(rng: random.Random, max_template_nodes: int = 4,
     return TemporalModel(SliceTemplate(template), edges, initial_cpts)
 
 
+def wide_model() -> BayesianModel:
+    """80 binary nodes, 149 edges, at most 3 parents each.  Summing out every
+    node in reverse topological order multiplies factors of up to 2^29
+    entries; no node's ancestors need more than 2^19."""
+    return random_model(random.Random(1), min_nodes=80, max_nodes=80, max_states=2,
+                        max_joint=2 ** 80, edge_p=0.06, max_parents=3)
+
+
+# ------------------------------------------------------------ exact oracles
+
+def full_elimination(model: BayesianModel, query: str, evidence=None) -> Marginal:
+    """P(query | evidence) by summing every node of ``model`` but the query
+    out of all its reduced factors, in ``compiled.elimination``.
+
+    The unpruned per-node run that ``posterior_update`` and
+    ``rank_criticality`` must match bit for bit.
+    """
+    compiled = model.compiled
+    evidence, observed, factors = _reduced(model, evidence)
+    var = compiled.index[query]
+    return _marginal(compiled, var, observed,
+                     _eliminate(factors, compiled.elimination, (var,)), lambda: evidence)
+
+
 def per_node_slice_posteriors(tm: TemporalModel, obs, k: int, last: int) -> dict:
     """P(node@k | evidence in slices 0..last) by one full elimination of slice
     k's tables per template node, with the messages of the queries' own sweeps.
@@ -220,6 +252,29 @@ def per_node_slice_posteriors(tm: TemporalModel, obs, k: int, last: int) -> dict
     return {nid: _marginal(compiled, i, evidence.get(k, {}),
                            _eliminate(factors, slices.order, (i,)), obs.unrolled_evidence)
             for i, nid in enumerate(compiled.ids)}
+
+
+# ------------------------------------------------------------- child process
+
+CAP_BYTES = 1536 << 20
+TESTS = Path(__file__).resolve().parent
+
+
+def run_capped(*args, timeout: float = 120) -> subprocess.CompletedProcess:
+    """``python *args`` in a child whose address space is capped at 1.5 GiB.
+
+    The child imports the checkout's ``src`` and this directory first, and
+    OpenBLAS is held to one thread so its per-thread buffers stay out of the
+    cap.  A query that outgrows the cap fails in the child with a
+    ``MemoryError``, not on the host.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES)))
 
 
 # ------------------------------------------------------------- brute oracle

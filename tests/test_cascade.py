@@ -29,10 +29,10 @@ from iotrisk.graph import (
     dependency_order,
     descendants,
 )
-from iotrisk.inference import eliminate_marginal, enumerate_marginal, posterior_update
+from iotrisk.inference import enumerate_marginal, posterior_update
 from iotrisk.model import BayesianModel, Cpt
 
-from conftest import random_model
+from conftest import full_elimination, random_model
 
 TF = StateDomain(["T", "F"])
 
@@ -364,9 +364,9 @@ class TestRankCriticality:
 
     def test_scores_equal_one_elimination_per_pair(self):
         # On the acceptance suite's random models, every score is == the one
-        # the per-(candidate, service node) eliminations give, candidates that
-        # are service nodes too, a candidate of probability 0 and a lone
-        # candidate included.
+        # the per-(candidate, service node) full eliminations give,
+        # candidates that are service nodes too, a candidate of probability
+        # 0 and a lone candidate included.
         rng = random.Random(20260810)
         seen_service_candidate = False
         for _ in range(60):
@@ -399,7 +399,7 @@ class TestRankCriticality:
                 for nid, state in candidates:
                     entry = got[nid, state]
                     try:
-                        ps = [sum(eliminate_marginal(model, s, {nid: state}).p(d)
+                        ps = [sum(full_elimination(model, s, {nid: state}).p(d)
                                   for d in degraded.get(s, (model.domain(s).states[-1],)))
                               for s in service]
                     except ImpossibleEvidence as exc:
@@ -414,7 +414,7 @@ class TestRankCriticality:
 
     def test_ranking_shares_elimination_steps(self, layered, steps):
         # One evidence-free pass per service node lends its steps to every
-        # candidate's run: fewer steps than one elimination per pair.
+        # candidate's run: fewer steps than one full elimination per pair.
         model = layered.model
         ids = model.graph.node_ids
         service = ("a1", "a2", "a3", "a4")
@@ -427,7 +427,7 @@ class TestRankCriticality:
         def per_pair(candidates, service_nodes):
             for nid, state in candidates:
                 for s in service_nodes:
-                    eliminate_marginal(model, s, {nid: state})
+                    full_elimination(model, s, {nid: state})
 
         candidates = [(nid, "impaired") for nid in ids]
         shared = count(rank_criticality, model, candidates, service)

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,9 +20,13 @@ from hypothesis import strategies as st
 from iotrisk import temporal
 from iotrisk.bundled import load_bundled_model
 from iotrisk.cli import main
-from iotrisk.documents import serialize_model
+from iotrisk.documents import ModelDocument, serialize_model
+from iotrisk.graph import ancestors
+from iotrisk.inference import ORACLE_TOL
 from iotrisk.model import BayesianModel
 from iotrisk.reporting import input_digest
+
+from conftest import run_capped, wide_model
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -455,8 +460,6 @@ class TestBoundary:
         # 24 binary roots feed one node with no CPT, so its catalogue-backed
         # table would have 2^24 rows.  The address-space cap turns a build of
         # them into a MemoryError rather than a drain on the host.
-        import resource
-
         roots = [f"r{i:02d}" for i in range(24)]
         doc = {
             "schema_version": 1,
@@ -468,16 +471,29 @@ class TestBoundary:
         }
         path = tmp_path / "gap.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        cap = (1536 << 20, 1536 << 20)
-        proc = subprocess.run(
-            [sys.executable, "-m", "iotrisk.cli", "infer", "--model", str(path)],
-            env=child_env(), capture_output=True, text=True, timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+        proc = run_capped("-m", "iotrisk.cli", "infer", "--model", str(path), timeout=60)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr == ("iotrisk: error: uncontrollable node 'gap' has 16777216 "
                                "parent-state combinations; a catalogue-backed table may "
                                "have at most 65536\n")
+
+    def test_wide_model_point_query_exits_zero(self, tmp_path):
+        # Summing out every node of this model multiplies 2^29-entry
+        # factors, beyond the child's 1.5 GiB cap; the query's ancestors fit.
+        model = wide_model()
+        path = tmp_path / "wide.json"
+        path.write_text(serialize_model(ModelDocument(model.graph, model.cpts)),
+                        encoding="utf-8")
+        query = max(model.graph.node_ids, key=lambda nid: len(ancestors(model.graph, nid)))
+        proc = run_capped("-m", "iotrisk.cli", "infer", "--model", str(path),
+                          "--query", query, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "Traceback" not in proc.stderr
+        result = json.loads(proc.stdout)["result"]
+        assert result["query"] == query
+        assert math.fsum(result["marginal"]["distribution"].values()) == \
+            pytest.approx(1.0, abs=ORACLE_TOL)
 
     @pytest.mark.parametrize("max_horizon", ["abc", 1.9, True, "64"])
     def test_non_integer_max_horizon_exits_one(self, tmp_path, model_files, max_horizon):

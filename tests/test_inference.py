@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -33,6 +34,7 @@ from iotrisk.graph import (
     topological_order,
 )
 from iotrisk.inference import (
+    ORACLE_TOL,
     compile_model,
     eliminate_marginal,
     enumerate_marginal,
@@ -51,13 +53,40 @@ from iotrisk.temporal import (
 
 from conftest import (
     brute_posteriors,
+    full_elimination,
     per_node_slice_posteriors,
     random_evidence,
     random_model,
     random_temporal_model,
+    run_capped,
+    wide_model,
 )
 
 TF = StateDomain(["T", "F"])
+
+# Evidence-free point queries on every node of the wide model, one JSON
+# object of node id -> probabilities.
+WIDE_QUERIES = """
+import json
+from conftest import wide_model
+from iotrisk.inference import eliminate_marginal
+model = wide_model()
+print(json.dumps({nid: eliminate_marginal(model, nid).probabilities
+                  for nid in model.graph.node_ids}))
+"""
+
+
+def acceptance_models():
+    """The models and evidence of acceptance criterion 1, drawn alike."""
+    rng = random.Random(20260810)
+    for _ in range(500):
+        model = random_model(rng, max_nodes=12, max_states=4, max_joint=2 ** 16)
+        yield model, random_evidence(rng, model)
+    for seed in (101, 202, 303):
+        rng2 = random.Random(seed)
+        model = random_model(rng2, max_nodes=12, min_nodes=12, max_states=4,
+                             min_states=4, max_joint=4 ** 12, edge_p=0.25)
+        yield model, random_evidence(rng2, model)
 
 
 class TestJointProbability:
@@ -156,6 +185,36 @@ class TestEliminateMarginal:
                 for state, p in zip(got.states, got.probabilities):
                     assert p == pytest.approx(expected[node.id].p(state), abs=1e-9)
 
+    def test_pruned_agrees_with_full_elimination_and_enumeration(self):
+        # Only the query's and the evidence's ancestors are summed out; the
+        # other nodes' sums are 1, so the answers move by last bits at most.
+        for model, evidence in acceptance_models():
+            oracle = enumerate_posteriors(model, evidence)
+            for nid in model.graph.node_ids:
+                got = eliminate_marginal(model, nid, evidence).probabilities
+                for want in (full_elimination(model, nid, evidence), oracle[nid]):
+                    assert got == pytest.approx(want.probabilities, abs=ORACLE_TOL), nid
+
+    def test_evidence_free_root_makes_no_step(self, chain3, steps):
+        assert eliminate_marginal(chain3, "A").probabilities == (0.3, 0.7)
+        assert steps == []
+        # B's query sums out A alone, not the barren C.
+        eliminate_marginal(chain3, "B")
+        assert steps == [chain3.compiled.index["A"]]
+
+    def test_wide_model_answers_every_point_query(self):
+        # The full elimination's 2^29-entry factors raise MemoryError under
+        # the child's 1.5 GiB cap; each node's ancestors fit.
+        proc = run_capped("-c", WIDE_QUERIES)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        got = json.loads(proc.stdout)
+        model = wide_model()
+        assert tuple(got) == model.graph.node_ids
+        for nid, probabilities in got.items():
+            assert math.fsum(probabilities) == pytest.approx(1.0, abs=ORACLE_TOL), nid
+            if not model.graph.parents(nid):
+                assert probabilities == pytest.approx(model.cpt(nid).row(()), abs=ORACLE_TOL)
+
     def test_impossible_evidence_raised_by_both_paths(self):
         graph = DependencyGraph(
             [ComponentNode("A", "network", TF), ComponentNode("B", "network", TF)],
@@ -205,26 +264,13 @@ class TestPosteriorUpdate:
                 assert all(p >= 0.0 for p in marginal.probabilities)
                 assert math.fsum(marginal.probabilities) == pytest.approx(1.0, abs=1e-12)
 
-    @staticmethod
-    def acceptance_models():
-        """The models and evidence of acceptance criterion 1, drawn alike."""
-        rng = random.Random(20260810)
-        for _ in range(500):
-            model = random_model(rng, max_nodes=12, max_states=4, max_joint=2 ** 16)
-            yield model, random_evidence(rng, model)
-        for seed in (101, 202, 303):
-            rng2 = random.Random(seed)
-            model = random_model(rng2, max_nodes=12, min_nodes=12, max_states=4,
-                                 min_states=4, max_joint=4 ** 12, edge_p=0.25)
-            yield model, random_evidence(rng2, model)
-
     def test_equals_one_elimination_per_node_bit_for_bit(self):
-        for model, evidence in self.acceptance_models():
+        for model, evidence in acceptance_models():
             for ev in ({}, evidence):
                 got = posterior_update(model, ev)
                 assert tuple(got) == model.graph.node_ids
                 for nid, marginal in got.items():
-                    alone = eliminate_marginal(model, nid, ev)
+                    alone = full_elimination(model, nid, ev)
                     if nid in ev:
                         assert marginal is alone
                     else:
@@ -264,7 +310,7 @@ class TestPosteriorUpdate:
             for evidence in ({}, random_evidence(rng, model)):
                 steps.clear()
                 for nid in model.graph.node_ids:
-                    eliminate_marginal(model, nid, evidence)
+                    full_elimination(model, nid, evidence)
                 one_per_node = len(steps)
                 steps.clear()
                 posterior_update(model, evidence)
