@@ -204,7 +204,7 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
 
     Each candidate's factors are reduced once.  Per service node, one
     evidence-free pass, the node's prior marginal with every node summed
-    out, records its steps (see :func:`~iotrisk.inference._eliminate`), and
+    out, records its steps (see :func:`~iotrisk.inference._run`), and
     each candidate's run for that node takes from them every step whose
     factors its evidence leaves untouched.  A run records its own steps in a copy of the pass's
     table, dropped when the run ends, so no table outlives its service node.
@@ -273,6 +273,7 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     runs = [_reduced(model, {node_id: state}) for node_id, state in candidates]
     per_service = [[] for _ in candidates]
     errors = [None] * len(candidates)
+    broadcasts: dict = {}  # shared by the plans of every run: one model's axes
     for s in service_nodes:
         var = compiled.index[s]
         shared = None
@@ -283,7 +284,8 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
             if errors[i] is not None:
                 continue
             result = _eliminate(factors, compiled.elimination, (var,),
-                                steps=None if shared is None else dict(shared))
+                                steps=None if shared is None else dict(shared),
+                                broadcasts=broadcasts)
             try:
                 marg = _marginal(compiled, var, observed, result, lambda: evidence)
             except ImpossibleEvidence as exc:

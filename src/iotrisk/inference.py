@@ -36,19 +36,38 @@ a CPT, builds it on a model's first numeric query, and the model keeps it
 later queries on the same model build no table.  Integer ids follow the
 ascending node ids, so every factor's axes, and with them the results, are
 those of elimination over the string ids.  The temporal interface passes
-share this core: :func:`_cpt_factor` builds their tables, :func:`_eliminate`
-sums out one order per compiled form, and :func:`_all_marginals` answers each node.
+share this core: :func:`_cpt_factor` builds their tables, :func:`_plan` and
+:func:`_run` sum out one order per compiled form, and :func:`_all_marginals`
+answers each node.
+
+Every elimination is split in two.  :func:`_plan` works on factor scopes and
+axis lengths alone: it does the bucket bookkeeping and records each step's
+operand slots, reshapes, summed axis and result scope.  :func:`_run`, the one
+executor, then multiplies and sums the tables as the plan says.  A plan
+depends on which variables are observed, since those leave the reduced
+factors' scopes, but never on their observed states, which only pick the
+entries that reduction keeps.  So :func:`eliminate_marginal` keeps each
+plan on the :class:`CompiledModel`, keyed by ``(query id, frozenset of
+observed ids)``, and a later query with the same key replays it under any
+states: no ancestor walk, no reduction of factors that pruning drops, no
+bucket or scope work.  Holding no answer, the memo cannot return one made
+under other evidence.  Every other caller plans on each call; within one
+call, a temporal sweep plans each pattern of observed nodes once, and
+ranking's plans share their bucket shapes.
 
 Evidence with zero probability raises :class:`ImpossibleEvidence` rather than
 returning NaNs: it means the model and the observation contradict each other.
 All functions are pure and models are immutable, so concurrent use is safe.
+The one shared mutable state, the plan memo, only ever maps a key to its
+immutable plan, and a lock guards its insertion and eviction.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+import threading
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ImpossibleEvidence, IncompleteAssignment
 from .graph import _bfs, topological_order
@@ -93,6 +112,11 @@ def _cpt_factor(cpt, domain, axes: tuple[int, ...]) -> _Factor:
     return _Factor(order, values.transpose([axes.index(v) for v in order]))
 
 
+# The most point-query plans one CompiledModel keeps; past it, each new
+# plan evicts the oldest.
+_MAX_PLANS = 256
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class CompiledModel:
     """A model's numeric form, shared by every numeric query on it.
@@ -104,6 +128,12 @@ class CompiledModel:
     its ``k``-th state, one instance every query returns.  ``topological`` is
     :func:`~iotrisk.graph.topological_order` in ids, and ``elimination`` its
     reverse, the order variable elimination sums out in.
+
+    ``plans`` is :func:`eliminate_marginal`'s memo: ``(query id, frozenset of
+    observed ids)`` -> that query's immutable plan.  It holds at most 256
+    plans (``_MAX_PLANS``, a fixed bound on its memory), and adding one to a
+    full table evicts the oldest.  ``lock`` guards insertion and eviction; a
+    lookup reads without it.
     """
 
     ids: tuple[str, ...]
@@ -112,6 +142,8 @@ class CompiledModel:
     indicators: tuple    # of tuple[Marginal, ...], one per node
     topological: tuple[int, ...]
     elimination: tuple[int, ...]
+    plans: dict = field(default_factory=dict)
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 def compile_model(model: BayesianModel) -> CompiledModel:
@@ -214,30 +246,6 @@ class _Factor:
     vars: tuple[int, ...]
     values: np.ndarray
 
-    def sum_out(self, var: int) -> "_Factor":
-        import numpy as np
-
-        ax = self.vars.index(var)
-        return _Factor(self.vars[:ax] + self.vars[ax + 1:], np.add.reduce(self.values, ax))
-
-
-def _product(factors: list, cards: dict) -> _Factor:
-    """The product of ``factors`` over the ascending union of their variables.
-
-    Each operand is broadcast to that scope and the operands are multiplied
-    left to right, so every entry is the same left-to-right product, held in
-    the same memory layout, as a chain of pairwise products gives.  ``cards``
-    maps a variable to its axis length.
-    """
-    if len(factors) == 1:
-        return factors[0]
-    scope = tuple(sorted({v for f in factors for v in f.vars}))
-    values = None
-    for f in factors:
-        operand = f.values.reshape([cards[v] if v in f.vars else 1 for v in scope])
-        values = operand if values is None else values * operand
-    return _Factor(scope, values)
-
 
 def _reduce_factor(f: _Factor, evidence: dict) -> _Factor:
     """``f`` at the observed states; ``evidence`` maps a variable to its
@@ -255,89 +263,258 @@ def _reduce_factor(f: _Factor, evidence: dict) -> _Factor:
     return _Factor(tuple(keep_vars), f.values[tuple(index)])
 
 
-def _eliminate(factors: list, order, keep, visit=None, steps=None) -> _Factor:
-    """Sum the variables in ``order`` but those in ``keep`` out of the factor
-    product, one at a time.
+def _multiply(arrays: list, shapes) -> np.ndarray:
+    """The product of ``arrays`` left to right, each reshaped to its entry
+    of ``shapes`` so that all broadcast to one scope; with ``shapes`` None,
+    the lone array itself.  Every entry is the same left-to-right product,
+    held in the same memory layout, as a chain of pairwise products gives."""
+    if shapes is None:
+        return arrays[0]
+    values = None
+    for a, shape in zip(arrays, shapes):
+        operand = a.reshape(shape)
+        values = operand if values is None else values * operand
+    return values
 
-    The factor-level core of variable elimination, shared by
-    :func:`eliminate_marginal` and the temporal interface passes, each of
-    which passes its compiled form's one order.  Returns the product of what
-    is left, over ``keep`` and every variable not in ``order``.
 
-    Bucket elimination (Dechter 1999): each factor has a key, its position in
-    ``factors`` and then one more for each factor a step makes, and each
-    variable a bucket, the keys of the factors that hold it in ascending
-    order.  A step takes the live factors in its variable's bucket, multiplies
-    them in key order, sums the variable out and files the result under the
-    next key.  So the products and sums are those of rescanning a factor list
-    that keeps its order and appends each step's result.
+def _broadcast(scopes: list, cards: dict) -> tuple:
+    """``(scope, shapes)`` for the product of factors over ``scopes``: the
+    ascending union of their variables and each one's reshape to it, or the
+    lone scope and None.  ``cards`` maps a variable to its axis length."""
+    if len(scopes) == 1:
+        return scopes[0], None
+    scope = tuple(sorted(set().union(*scopes)))
+    axis = {v: k for k, v in enumerate(scope)}
+    ones = [1] * len(scope)
+    shapes = []
+    for s in scopes:
+        shape = ones[:]
+        for v in s:
+            shape[axis[v]] = cards[v]
+        shapes.append(tuple(shape))
+    return scope, tuple(shapes)
 
-    Only the order of the keys matters, so the live factors in key order are
-    a pass's whole state.  ``visit(i, live)``, if given, is called with that
-    list before the step of ``order[i]``.  For any ``other`` that agrees with
-    ``keep`` on ``order[:i]``, ``_eliminate(live, order[i:], other)`` returns
+
+def _apply(step: tuple, arrays: list) -> np.ndarray:
+    """The result of ``step``, one of a :class:`_Plan`'s, from ``arrays``,
+    its operands' values in slot order: their product, with its variable
+    summed out."""
+    import numpy as np
+
+    return np.add.reduce(_multiply(arrays, step[2]), step[3])
+
+
+class _Plan(NamedTuple):
+    """A symbolic elimination, built from factor scopes and axis lengths
+    alone.  Immutable.
+
+    Each step is a tuple ``(var, operands, shapes, axis, scope, position, live)``:
+    multiply the factors in the ``operands`` slots, ascending, each reshaped
+    as ``shapes`` says (see :func:`_broadcast`), sum ``var`` out of the
+    product's axis ``axis``, and file the result, a factor over ``scope``,
+    in the next slot.  ``position`` is ``var``'s position in the order, and
+    ``live`` the live slots before the step if the plan records them, else
+    None.  After the steps comes the product of the unit scalar and the
+    factors in ``live``, broadcast to ``scope`` by ``shapes``.
+    """
+
+    steps: tuple
+    live: tuple
+    shapes: tuple | None
+    scope: tuple
+
+
+def _plan(scopes, dims, order, keep, visits: bool = False,
+          broadcasts: dict | None = None) -> _Plan:
+    """The plan that sums the variables in ``order`` but those in ``keep``
+    out of the product of factors over ``scopes``, one at a time;
+    ``dims[k]`` is the axis lengths of the factor over ``scopes[k]``.
+
+    Bucket elimination (Dechter 1999): each factor has a slot, its position
+    in ``scopes`` and then one more for each factor a step makes, and each
+    variable a bucket, the slots of the factors that hold it in ascending
+    order.  A step takes the live factors in its variable's bucket,
+    multiplies them in slot order, sums the variable out and files the
+    result under the next slot.  So the products and sums are those of
+    rescanning a factor list that keeps its order and appends each step's
+    result.  With ``visits``, every variable summed out has a step, one with
+    no operands if no live factor holds it, and each step records the live
+    slots before it, for :func:`_run`'s ``visit``.
+
+    ``broadcasts``, if given, maps a bucket's operand scopes to their
+    :func:`_broadcast`, for plans whose variables have the same axis
+    lengths: a caller that plans many eliminations of one model lends it to
+    each, which then works out the shapes of a bucket met before once.
+    """
+    scopes = list(scopes)
+    live = dict.fromkeys(range(len(scopes)), True)  # the live slots, ascending
+    buckets: dict = {}
+    cards: dict = {}
+    for slot, (scope, shape) in enumerate(zip(scopes, dims)):
+        for v, card in zip(scope, shape):
+            buckets.setdefault(v, []).append(slot)
+            cards[v] = card
+    steps = []
+    for i, var in enumerate(order):
+        if var in keep:
+            continue
+        before = tuple(live) if visits else None
+        # A slot whose factor an earlier step consumed is no longer live.
+        bucket = tuple([slot for slot in buckets.pop(var, ()) if live.pop(slot, False)])
+        if not bucket:
+            if visits:
+                steps.append((var, (), None, None, None, i, before))
+            continue
+        if len(bucket) == 1:
+            product, shapes = scopes[bucket[0]], None
+        elif broadcasts is None:
+            product, shapes = _broadcast([scopes[slot] for slot in bucket], cards)
+        else:
+            operands = tuple([scopes[slot] for slot in bucket])
+            known = broadcasts.get(operands)
+            if known is None:
+                known = broadcasts[operands] = _broadcast(operands, cards)
+            product, shapes = known
+        axis = product.index(var)
+        scope = product[:axis] + product[axis + 1:]
+        slot = len(scopes)
+        for v in scope:
+            buckets[v].append(slot)
+        live[slot] = True
+        scopes.append(scope)
+        steps.append((var, bucket, shapes, axis, scope, i, before))
+    rest = tuple(live)
+    if len(rest) == 1:  # the common end: one factor, over what is kept
+        scope = scopes[rest[0]]
+        shapes = ((1,) * len(scope), tuple([cards[v] for v in scope]))
+    else:
+        scope, shapes = _broadcast([(), *[scopes[slot] for slot in rest]], cards)
+    return _Plan(tuple(steps), rest, shapes, scope)
+
+
+def _run(plan: _Plan, factors: list, visit=None, steps=None) -> _Factor:
+    """Run ``plan`` on ``factors``, one per slot of the scopes it was built
+    from: the one elimination executor.  Returns the product of what is
+    left.
+
+    Only the order of the slots matters, so the live factors in slot order
+    are a pass's whole state.  ``visit(i, live)``, if given, is called with
+    that list before the step of ``order[i]``; the plan must record its live
+    slots.  For any ``other`` that agrees with ``keep`` on ``order[:i]``,
+    ``_eliminate(live, order[i:], other)`` returns
     ``_eliminate(factors, order, other)`` bit for bit, because the steps
     before ``i`` are the same.  :func:`_all_marginals`, the one user of
     ``visit``, resumes each node's own elimination from one pass this way.
 
     ``steps``, if given, is a table of steps shared between runs: the key
-    ``(var, *map(id, bucket))`` maps to ``(result, bucket)``.  A step whose
-    key is in the table takes its result from there, and every other step is
-    recorded in it.  A key names the same operands, the same objects in the
-    same order, so a step found there has the bits it would have had if it
-    had been computed again.  Each entry holds its bucket, which keeps every
-    keyed object alive, so no id is reused while the table lives.
-    :func:`~iotrisk.cascade.rank_criticality`, the one user of ``steps``,
-    lends one evidence-free elimination's steps to the run of every candidate.
+    ``(var, *map(id, operands))`` maps to ``(result, operands)``, all
+    tables.  A step whose key is in the table takes its result from there,
+    and every other step is recorded in it.  A key names the same operands,
+    the same objects in the same order, so a step found there has the bits
+    it would have had if it had been computed again.  Each entry holds its
+    operands, which keeps every keyed object alive, so no id is reused while
+    the table lives.  :func:`~iotrisk.cascade.rank_criticality`, the one
+    user of ``steps``, lends one evidence-free elimination's steps to the
+    run of every candidate.
     """
     import numpy as np
 
-    live = dict(enumerate(factors))
-    buckets: dict = {}
-    cards = {}
-    for key, f in live.items():
-        for v, card in zip(f.vars, f.values.shape):
-            buckets.setdefault(v, []).append(key)
-            cards[v] = card
-    key = len(live)
-    for i, var in enumerate(order):
-        if var in keep:
-            continue
+    values = [f.values for f in factors]
+    if visit is not None:
+        factors = list(factors)
+    for step in plan.steps:
+        var, operands, _, _, scope, position, live = step
         if visit is not None:
-            visit(i, list(live.values()))
-        # A key whose factor an earlier step consumed is no longer live.
-        bucket = [live.pop(k) for k in buckets.pop(var, ()) if k in live]
-        if not bucket:
+            visit(position, [factors[slot] for slot in live])
+        if not operands:
             continue
+        arrays = [values[slot] for slot in operands]
         if steps is None:
-            summed = _product(bucket, cards).sum_out(var)
+            result = _apply(step, arrays)
         else:
-            step = (var, *map(id, bucket))
-            hit = steps.get(step)
+            key = (var, *map(id, arrays))
+            hit = steps.get(key)
             if hit is None:
-                hit = steps[step] = (_product(bucket, cards).sum_out(var), bucket)
-            summed = hit[0]
-        live[key] = summed
-        for v in summed.vars:
-            buckets[v].append(key)
-        key += 1
+                hit = steps[key] = (_apply(step, arrays), arrays)
+            result = hit[0]
+        values.append(result)
+        if visit is not None:
+            factors.append(_Factor(scope, result))
+    rest = [np.float64(1.0), *[values[slot] for slot in plan.live]]
+    return _Factor(plan.scope, _multiply(rest, plan.shapes))
 
-    return _product([_Factor((), np.float64(1.0)), *live.values()], cards)
+
+def _eliminate(factors: list, order, keep, visit=None, steps=None,
+               broadcasts=None) -> _Factor:
+    """Sum the variables in ``order`` but those in ``keep`` out of the factor
+    product, one at a time: :func:`_plan` over the factors' scopes, then
+    :func:`_run` (see both for ``visit``, ``steps`` and ``broadcasts``).
+
+    Shared by :func:`_all_marginals` and :func:`_resume`, and by ranking,
+    each of which passes its compiled form's one order.  Returns the product
+    of what is left, over ``keep`` and every variable not in ``order``.
+    """
+    plan = _plan([f.vars for f in factors], [f.values.shape for f in factors], order, keep,
+                 visit is not None, broadcasts)
+    return _run(plan, factors, visit, steps)
+
+
+def _observed(model: BayesianModel, evidence) -> tuple[dict, dict]:
+    """``(evidence, observed)``: ``evidence`` checked, and ``observed``
+    variable -> state index."""
+    evidence = model.validate_evidence(evidence or {})
+    index = model.compiled.index
+    return evidence, {index[nid]: model.domain(nid).index(state)
+                      for nid, state in evidence.items()}
 
 
 def _reduced(model: BayesianModel, evidence) -> tuple[dict, dict, list]:
-    """``(evidence, observed, factors)``: ``evidence`` checked, ``observed``
-    variable -> state index, and the compiled factors, those over an observed
-    node (its own and its children's) reduced to the observed states."""
-    evidence = model.validate_evidence(evidence or {})
+    """``(evidence, observed, factors)``: as from :func:`_observed`, and the
+    compiled factors, those over an observed node (its own and its
+    children's) reduced to the observed states."""
+    evidence, observed = _observed(model, evidence)
     compiled = model.compiled
-    observed = {compiled.index[nid]: model.domain(nid).index(state)
-                for nid, state in evidence.items()}
     factors = list(compiled.factors)
     children = model.graph._children
     for i in {compiled.index[h] for nid in evidence for h in (nid, *children.get(nid, ()))}:
         factors[i] = _reduce_factor(factors[i], observed)
     return evidence, observed, factors
+
+
+class _PointPlan(NamedTuple):
+    """A point query's memoized plan, for one query and one set of observed
+    variables.  ``kept`` holds ``(i, reduced)`` per factor the query keeps,
+    ``i`` ascending: ``reduced`` is whether an observed variable is among
+    the factor's, so that the query reduces it to the observed states.
+    ``plan`` eliminates those factors.  Immutable."""
+
+    kept: tuple
+    plan: _Plan
+
+
+def _point_plan(model: BayesianModel, var: int, evidence: dict, observed: dict) -> _PointPlan:
+    """The :class:`_PointPlan` of ``var`` under ``observed``: the factors of
+    the ancestors of the query and the evidence, and the reverse
+    topological order restricted to them."""
+    compiled = model.compiled
+    index = compiled.index
+    kept = sorted([index[nid] for nid in _bfs(model.graph, (compiled.ids[var], *evidence),
+                                                 upward=True)])
+    inputs, scopes, dims = [], [], []
+    for i in kept:
+        f = compiled.factors[i]
+        reduced = not observed.keys().isdisjoint(f.vars)
+        inputs.append((i, reduced))
+        if reduced:
+            axes = [(v, card) for v, card in zip(f.vars, f.values.shape) if v not in observed]
+            scopes.append(tuple([v for v, _ in axes]))
+            dims.append(tuple([card for _, card in axes]))
+        else:
+            scopes.append(f.vars)
+            dims.append(f.values.shape)
+    members = set(kept)
+    order = tuple([v for v in compiled.elimination if v in members])
+    return _PointPlan(tuple(inputs), _plan(scopes, dims, order, (var,)))
 
 
 def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
@@ -351,30 +528,44 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
     with :func:`posterior_update`, to within ``ORACLE_TOL``.  An observed
     query returns the model's shared indicator marginal.
 
+    The plan of that elimination depends only on the query and on which
+    nodes are observed, so the first call with a pair builds it, and the
+    model's :class:`CompiledModel` keeps it for later calls with the same
+    pair, whatever the observed states.  Every call checks its query and
+    evidence, and its total, as the first does.
+
     ``_pass`` is private to :func:`posterior_update`: ``(observed, rest, live)``,
     its :func:`_all_marginals` pass's state before it sums out ``rest``, from
     which :func:`_resume` answers the query.  ``_steps`` is private to
     :func:`~iotrisk.cascade.rank_criticality`: a step table, as in
-    :func:`_eliminate`, that records the steps of the query's full
-    elimination, every node summed out.
+    :func:`_run`, that records the steps of the query's full elimination,
+    every node summed out, planned on each call.
     """
     compiled = model.compiled
     if _pass is not None:
         observed, rest, live = _pass
         return _resume(compiled, compiled.index[query], observed, rest, live, lambda: evidence)
     model.graph.node(query)  # raises UnknownNode
-    evidence, observed, factors = _reduced(model, evidence)
     var = compiled.index[query]
-    order = compiled.elimination
-    # Ranking's runs borrow the steps of this full elimination, so a pass
-    # that records them keeps every factor.
-    if _steps is None:
-        kept = {compiled.index[nid]
-                for nid in _bfs(model.graph, (query, *evidence), upward=True)}
-        factors = [f for i, f in enumerate(factors) if i in kept]
-        order = tuple(v for v in order if v in kept)
-    result = _eliminate(factors, order, (var,), steps=_steps)
-    return _marginal(compiled, var, observed, result, lambda: evidence)
+    if _steps is not None:
+        # Ranking's runs borrow the steps of this full elimination, so a pass
+        # that records them keeps every factor.
+        evidence, observed, factors = _reduced(model, evidence)
+        result = _eliminate(factors, compiled.elimination, (var,), steps=_steps)
+        return _marginal(compiled, var, observed, result, lambda: evidence)
+    evidence, observed = _observed(model, evidence)
+    key = (var, frozenset(observed))
+    point = compiled.plans.get(key)
+    if point is None:
+        point = _point_plan(model, var, evidence, observed)
+        with compiled.lock:
+            if len(compiled.plans) >= _MAX_PLANS:
+                del compiled.plans[next(iter(compiled.plans))]  # the oldest
+            compiled.plans[key] = point
+    factors = compiled.factors
+    inputs = [_reduce_factor(factors[i], observed) if reduced else factors[i]
+              for i, reduced in point.kept]
+    return _marginal(compiled, var, observed, _run(point.plan, inputs), lambda: evidence)
 
 
 def _total(result: _Factor, evidence) -> float:
@@ -405,7 +596,7 @@ def _resume(compiled: CompiledModel, var: int, observed: dict, rest, live: list,
             evidence) -> Marginal:
     """Node ``var``'s answer from ``live``, a pass's factors before it sums
     out ``rest``: an observed node's indicator, with no elimination, else the
-    rest of the node's own, bit for bit the whole (see :func:`_eliminate`)."""
+    rest of the node's own, bit for bit the whole (see :func:`_run`)."""
     if var in observed:
         return compiled.indicators[var][observed[var]]
     return _marginal(compiled, var, observed, _eliminate(live, rest, (var,)), evidence)

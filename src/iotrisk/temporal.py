@@ -51,10 +51,11 @@ from .inference import (
     eliminate_marginal,
     _all_marginals,
     _cpt_factor,
-    _eliminate,
     _Factor,
+    _plan,
     _reduce_factor,
     _resume,
+    _run,
     _total,
 )
 from .model import BayesianModel, Cpt, Marginal, _check_int, _is_int, _table_issues
@@ -384,10 +385,21 @@ def _sweep(slices: _Slices, evidence: dict, obs: ObservationSeries, steps,
            keep: frozenset, shift: int) -> _Factor | None:
     """One message pass: eliminate each slice of ``steps`` in turn with the
     message so far, keeping ``keep``; normalize the result to sum 1 and move
-    every id by ``shift`` to give the next message.  None for no steps."""
+    every id by ``shift`` to give the next message.  None for no steps.
+
+    A slice's plan depends only on its factors' scopes, that is on which
+    nodes are observed at it and at the slice before, so slices that agree
+    on those share one plan within the pass."""
     message = None
+    plans: dict = {}
     for s in steps:
-        result = _eliminate(_slice_factors(slices, evidence, s, [message]), slices.order, keep)
+        factors = _slice_factors(slices, evidence, s, [message])
+        scopes = tuple([f.vars for f in factors])
+        plan = plans.get(scopes)
+        if plan is None:
+            plan = plans[scopes] = _plan(scopes, [f.values.shape for f in factors],
+                                         slices.order, keep)
+        result = _run(plan, factors)
         z = _total(result, obs.unrolled_evidence)
         message = _Factor(tuple(v + shift for v in result.vars), result.values / z)
     return message

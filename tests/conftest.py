@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from iotrisk import cascade, inference, temporal
+from iotrisk import inference, temporal
 from iotrisk.graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain
 from iotrisk.inference import _eliminate, _marginal, _reduced, joint_probability
 from iotrisk.model import BayesianModel, Cpt, Marginal
@@ -86,24 +86,26 @@ def work(monkeypatch) -> list:
 
     monkeypatch.setattr(inference, "compile_model",
                         counted("compile_model", inference.compile_model))
-    eliminate = counted("_eliminate", inference._eliminate)
-    for module in (inference, temporal, cascade):
-        monkeypatch.setattr(module, "_eliminate", eliminate)
+    # _run is the one elimination executor: every query's runs go through it.
+    run = counted("_run", inference._run)
+    for module in (inference, temporal):
+        monkeypatch.setattr(module, "_run", run)
     return calls
 
 
 @pytest.fixture
 def steps(monkeypatch) -> list:
     """The variable of every elimination step made while the test runs, one
-    entry per :meth:`_Factor.sum_out <iotrisk.inference._Factor.sum_out>` call."""
+    entry per :func:`~iotrisk.inference._apply` call: each step the runner
+    computes, not one it takes from a step table."""
     summed = []
-    sum_out = inference._Factor.sum_out
+    apply = inference._apply
 
-    def counted(factor, var):
-        summed.append(var)
-        return sum_out(factor, var)
+    def counted(step, arrays):
+        summed.append(step[0])
+        return apply(step, arrays)
 
-    monkeypatch.setattr(inference._Factor, "sum_out", counted)
+    monkeypatch.setattr(inference, "_apply", counted)
     return summed
 
 

@@ -432,6 +432,7 @@ class TestRankCriticality:
         candidates = [(nid, "impaired") for nid in ids]
         shared = count(rank_criticality, model, candidates, service)
         single = count(per_pair, candidates, service)
+        assert single > 0  # the fixture counts steps
         assert shared < 0.7 * single, (shared, single)
         # A lone candidate makes no pass: its runs are the per-pair ones.
         candidates = [("a14", "impaired")]

@@ -12,6 +12,8 @@ import itertools
 import json
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -201,6 +203,12 @@ class TestEliminateMarginal:
         # B's query sums out A alone, not the barren C.
         eliminate_marginal(chain3, "B")
         assert steps == [chain3.compiled.index["A"]]
+        # A plan hit makes the same steps.
+        steps.clear()
+        assert eliminate_marginal(chain3, "A").probabilities == (0.3, 0.7)
+        assert steps == []
+        eliminate_marginal(chain3, "B")
+        assert steps == [chain3.compiled.index["A"]]
 
     def test_wide_model_answers_every_point_query(self):
         # The full elimination's 2^29-entry factors raise MemoryError under
@@ -227,6 +235,154 @@ class TestEliminateMarginal:
             eliminate_marginal(model, "A", {"B": "F"})
         with pytest.raises(ImpossibleEvidence):
             eliminate_marginal(model, "B", {"B": "F"})
+
+
+def _answer(model, query, evidence):
+    """``eliminate_marginal``'s answer, or the type and text of its error."""
+    try:
+        return eliminate_marginal(model, query, evidence)
+    except ImpossibleEvidence as exc:
+        return type(exc), str(exc)
+
+
+def _cold(model, query, evidence):
+    """The answer of a twin of ``model`` that has memoized no plan."""
+    return _answer(dataclasses.replace(model, cpts=dict(model.cpts)), query, evidence)
+
+
+def _states(model, observed, rng):
+    return {nid: rng.choice(model.domain(nid).states) for nid in observed}
+
+
+class TestPointPlans:
+    """eliminate_marginal's plans, memoized per (query, observed set)."""
+
+    def test_answers_track_the_states_of_one_observed_set(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            model = random_model(rng, min_nodes=5, max_nodes=10)
+            ids = model.graph.node_ids
+            query = rng.choice(ids)
+            observed = rng.sample([nid for nid in ids if nid != query],
+                                  rng.randint(1, min(3, len(ids) - 1)))
+            for _ in range(12):
+                evidence = _states(model, observed, rng)
+                assert _answer(model, query, evidence) == _cold(model, query, evidence)
+                # Another key in between: another query, another observed set.
+                other = rng.choice(ids)
+                evidence = random_evidence(rng, model)
+                assert _answer(model, other, evidence) == _cold(model, other, evidence)
+
+    def test_hits_agree_with_enumeration(self):
+        # Each node's plan is built under the drawn evidence, then replayed
+        # under new states of the same observed nodes.
+        rng = random.Random(43)
+        for model, evidence in acceptance_models():
+            ids = model.graph.node_ids
+            for nid in ids:
+                _answer(model, nid, evidence)
+            evidence = _states(model, evidence, rng)
+            try:
+                oracle = enumerate_posteriors(model, evidence)
+            except ImpossibleEvidence:
+                for nid in ids:
+                    with pytest.raises(ImpossibleEvidence):
+                        eliminate_marginal(model, nid, evidence)
+                continue
+            for nid in ids:
+                got = eliminate_marginal(model, nid, evidence).probabilities
+                assert got == pytest.approx(oracle[nid].probabilities, abs=ORACLE_TOL), nid
+
+    def test_hit_walks_no_ancestors(self, monkeypatch):
+        walks = []
+        bfs = inference._bfs
+
+        def recorded(graph, sources, upward=False):
+            walks.append((tuple(sorted(sources)), upward))
+            return bfs(graph, sources, upward)
+
+        monkeypatch.setattr(inference, "_bfs", recorded)
+        model = load_bundled_model("layered_iot").model
+        first = eliminate_marginal(model, "a2", {"a14": "impaired", "a7": "operational"})
+        assert walks == [(("a14", "a2", "a7"), True)]
+        again = eliminate_marginal(model, "a2", {"a7": "impaired", "a14": "operational"})
+        assert walks == [(("a14", "a2", "a7"), True)]
+        assert again != first
+        assert eliminate_marginal(model, "a2", {"a14": "impaired", "a7": "operational"}) == first
+        eliminate_marginal(model, "a1", {"a14": "impaired", "a7": "operational"})
+        assert walks == [(("a14", "a2", "a7"), True), (("a1", "a14", "a7"), True)]
+
+    def test_hit_checks_evidence_as_the_first_call(self):
+        # A is T for certain and B copies it, so B = F has probability 0.
+        graph = DependencyGraph(
+            [ComponentNode("A", "network", TF), ComponentNode("B", "network", TF)],
+            [InfluenceEdge("A", "B")])
+        model = BayesianModel(graph, {
+            "A": Cpt.prior("A", (1.0, 0.0)),
+            "B": Cpt("B", ("A",), {("T",): (1.0, 0.0), ("F",): (0.0, 1.0)}),
+        })
+        assert eliminate_marginal(model, "A", {"B": "T"}).probabilities == (1.0, 0.0)
+        assert len(model.compiled.plans) == 1
+        with pytest.raises(ImpossibleEvidence, match=r"^evidence \{'B': 'F'\} has probability 0$"):
+            eliminate_marginal(model, "A", {"B": "F"})
+        with pytest.raises(UnknownState):
+            eliminate_marginal(model, "A", {"B": "maybe"})
+        with pytest.raises(UnknownNode):
+            eliminate_marginal(model, "ghost", {"B": "maybe"})
+        with pytest.raises(UnknownNode):
+            eliminate_marginal(model, "A", {"ghost": "T"})
+        assert len(model.compiled.plans) == 1
+
+    def test_table_stays_within_its_cap(self):
+        rng = random.Random(47)
+        model = random_model(rng, min_nodes=10, max_nodes=10, max_states=2)
+        ids = model.graph.node_ids
+        keys = [(q, observed) for q in ids
+                for observed in itertools.combinations([n for n in ids if n != q], 2)]
+        keys += [(q, observed) for q in ids
+                 for observed in itertools.combinations([n for n in ids if n != q], 3)]
+        assert len(keys) > inference._MAX_PLANS
+        plans = model.compiled.plans
+        asked = []
+        for query, observed in keys[:inference._MAX_PLANS + 40]:
+            evidence = _states(model, observed, rng)
+            asked.append((query, evidence, _answer(model, query, evidence)))
+            assert len(plans) <= inference._MAX_PLANS
+        assert len(plans) == inference._MAX_PLANS
+        # The first keys' plans were evicted and are built again.
+        for query, evidence, answer in asked[:50] + asked[-10:]:
+            assert _answer(model, query, evidence) == answer
+            assert answer == _cold(model, query, evidence)
+            assert len(plans) <= inference._MAX_PLANS
+
+    def test_threads_get_single_threaded_answers(self, monkeypatch):
+        # More threads than cores on one model, each under its own evidence,
+        # with a cap small enough that insertions evict all the while.
+        monkeypatch.setattr(inference, "_MAX_PLANS", 8)
+        rng = random.Random(53)
+        model = random_model(rng, min_nodes=10, max_nodes=10)
+        ids = model.graph.node_ids
+        work = [[(rng.choice(ids), random_evidence(rng, model)) for _ in range(40)]
+                for _ in range(8)]
+        want = [[_cold(model, q, ev) for q, ev in jobs] for jobs in work]
+        got = [None] * len(work)
+
+        def ask(n: int) -> None:
+            got[n] = [_answer(model, q, ev) for _ in range(5) for q, ev in work[n]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(n,)) for n in range(len(work))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [answers * 5 for answers in want]
+        assert len(model.compiled.plans) <= 8
 
 
 class TestPosteriorUpdate:
@@ -312,6 +468,7 @@ class TestPosteriorUpdate:
                 for nid in model.graph.node_ids:
                     full_elimination(model, nid, evidence)
                 one_per_node = len(steps)
+                assert one_per_node > 0  # the fixture counts steps
                 steps.clear()
                 posterior_update(model, evidence)
                 assert len(steps) <= 0.6 * one_per_node, (seed, evidence)
@@ -358,7 +515,7 @@ class TestPosteriorUpdate:
         # A node observed at slice k gets its indicator from the shared pass,
         # as in posterior_update: no step is made with it kept.
         keeps, steps = [], []
-        eliminate, sum_out, sweep = inference._eliminate, inference._Factor.sum_out, temporal._sweep
+        eliminate, apply, sweep = inference._eliminate, inference._apply, temporal._sweep
 
         def tracked(factors, order, keep, visit=None):
             keeps.append(tuple(keep))
@@ -367,9 +524,11 @@ class TestPosteriorUpdate:
             finally:
                 keeps.pop()
 
-        def counted(factor, var):
-            steps.append(keeps[-1])
-            return sum_out(factor, var)
+        def counted(step, arrays):
+            # A sweep runs its plans outside _eliminate; uncounted_sweep
+            # drops its steps.
+            steps.append(keeps[-1] if keeps else None)
+            return apply(step, arrays)
 
         def uncounted_sweep(*args):
             start = len(steps)
@@ -378,8 +537,7 @@ class TestPosteriorUpdate:
             return message
 
         monkeypatch.setattr(inference, "_eliminate", tracked)
-        monkeypatch.setattr(temporal, "_eliminate", tracked)
-        monkeypatch.setattr(inference._Factor, "sum_out", counted)
+        monkeypatch.setattr(inference, "_apply", counted)
         monkeypatch.setattr(temporal, "_sweep", uncounted_sweep)
 
         def check(tm, obs, k, t) -> int:
