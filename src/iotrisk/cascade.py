@@ -206,8 +206,8 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     evidence-free pass, the node's prior marginal with every node summed
     out, records its steps (see :func:`~iotrisk.inference._run`), and
     each candidate's run for that node takes from them every step whose
-    factors its evidence leaves untouched.  A run records its own steps in a copy of the pass's
-    table, dropped when the run ends, so no table outlives its service node.
+    factors its evidence leaves untouched.  A run only reads the pass's
+    table, which is dropped with its service node.
     A lone candidate has nothing to share and makes no pass.
 
     Raises :class:`InvalidArgument` (a ``ValueError``) for no candidates, a
@@ -284,8 +284,7 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
             if errors[i] is not None:
                 continue
             result = _eliminate(factors, compiled.elimination, (var,),
-                                steps=None if shared is None else dict(shared),
-                                broadcasts=broadcasts)
+                                steps=shared, broadcasts=broadcasts)
             try:
                 marg = _marginal(compiled, var, observed, result, lambda: evidence)
             except ImpossibleEvidence as exc:

@@ -250,7 +250,7 @@ class _Factor:
 def _reduce_factor(f: _Factor, evidence: dict) -> _Factor:
     """``f`` at the observed states; ``evidence`` maps a variable to its
     state index."""
-    if not any(v in evidence for v in f.vars):
+    if evidence.keys().isdisjoint(f.vars):
         return f
     keep_vars = []
     index = []
@@ -263,18 +263,18 @@ def _reduce_factor(f: _Factor, evidence: dict) -> _Factor:
     return _Factor(tuple(keep_vars), f.values[tuple(index)])
 
 
-def _multiply(arrays: list, shapes) -> np.ndarray:
-    """The product of ``arrays`` left to right, each reshaped to its entry
-    of ``shapes`` so that all broadcast to one scope; with ``shapes`` None,
-    the lone array itself.  Every entry is the same left-to-right product,
-    held in the same memory layout, as a chain of pairwise products gives."""
+def _multiply(values: list, slots, shapes) -> np.ndarray:
+    """The product of the tables in ``slots`` of ``values``, left to right,
+    each reshaped to its entry of ``shapes`` so that all broadcast to one
+    scope; with ``shapes`` None, the lone table itself.  Every entry is the
+    same left-to-right product, held in the same memory layout, as a chain
+    of pairwise products gives."""
     if shapes is None:
-        return arrays[0]
-    values = None
-    for a, shape in zip(arrays, shapes):
-        operand = a.reshape(shape)
-        values = operand if values is None else values * operand
-    return values
+        return values[slots[0]]
+    product = values[slots[0]].reshape(shapes[0])
+    for k in range(1, len(slots)):
+        product = product * values[slots[k]].reshape(shapes[k])
+    return product
 
 
 def _broadcast(scopes: list, cards: dict) -> tuple:
@@ -295,27 +295,26 @@ def _broadcast(scopes: list, cards: dict) -> tuple:
     return scope, tuple(shapes)
 
 
-def _apply(step: tuple, arrays: list) -> np.ndarray:
-    """The result of ``step``, one of a :class:`_Plan`'s, from ``arrays``,
-    its operands' values in slot order: their product, with its variable
+def _apply(step: tuple, values: list) -> np.ndarray:
+    """The result of ``step``, one of a :class:`_Plan`'s, from ``values``,
+    the tables in slot order: the product of its operands, with its variable
     summed out."""
     import numpy as np
 
-    return np.add.reduce(_multiply(arrays, step[2]), step[3])
+    return np.add.reduce(_multiply(values, step[1], step[2]), step[3])
 
 
 class _Plan(NamedTuple):
     """A symbolic elimination, built from factor scopes and axis lengths
     alone.  Immutable.
 
-    Each step is a tuple ``(var, operands, shapes, axis, scope, position, live)``:
+    Each step is a tuple ``(var, operands, shapes, axis, scope, position)``:
     multiply the factors in the ``operands`` slots, ascending, each reshaped
     as ``shapes`` says (see :func:`_broadcast`), sum ``var`` out of the
     product's axis ``axis``, and file the result, a factor over ``scope``,
-    in the next slot.  ``position`` is ``var``'s position in the order, and
-    ``live`` the live slots before the step if the plan records them, else
-    None.  After the steps comes the product of the unit scalar and the
-    factors in ``live``, broadcast to ``scope`` by ``shapes``.
+    in the next slot.  ``position`` is ``var``'s position in the order.
+    After the steps comes the product of the unit scalar and the factors in
+    ``live``, broadcast to ``scope`` by ``shapes``.
     """
 
     steps: tuple
@@ -324,46 +323,45 @@ class _Plan(NamedTuple):
     scope: tuple
 
 
-def _plan(scopes, dims, order, keep, visits: bool = False,
+def _plan(factors, order, keep, visits: bool = False,
           broadcasts: dict | None = None) -> _Plan:
     """The plan that sums the variables in ``order`` but those in ``keep``
-    out of the product of factors over ``scopes``, one at a time;
-    ``dims[k]`` is the axis lengths of the factor over ``scopes[k]``.
+    out of the product of ``factors``, one at a time.  It reads only their
+    scopes and axis lengths, so it fits any factors that have them.
 
     Bucket elimination (Dechter 1999): each factor has a slot, its position
-    in ``scopes`` and then one more for each factor a step makes, and each
+    in ``factors`` and then one more for each factor a step makes, and each
     variable a bucket, the slots of the factors that hold it in ascending
     order.  A step takes the live factors in its variable's bucket,
     multiplies them in slot order, sums the variable out and files the
     result under the next slot.  So the products and sums are those of
     rescanning a factor list that keeps its order and appends each step's
     result.  With ``visits``, every variable summed out has a step, one with
-    no operands if no live factor holds it, and each step records the live
-    slots before it, for :func:`_run`'s ``visit``.
+    no operands if no live factor holds it, for :func:`_run`'s ``visit``.
 
     ``broadcasts``, if given, maps a bucket's operand scopes to their
     :func:`_broadcast`, for plans whose variables have the same axis
     lengths: a caller that plans many eliminations of one model lends it to
     each, which then works out the shapes of a bucket met before once.
     """
-    scopes = list(scopes)
-    live = dict.fromkeys(range(len(scopes)), True)  # the live slots, ascending
+    scopes = []
     buckets: dict = {}
     cards: dict = {}
-    for slot, (scope, shape) in enumerate(zip(scopes, dims)):
-        for v, card in zip(scope, shape):
+    for slot, f in enumerate(factors):
+        scopes.append(f.vars)
+        for v, card in zip(f.vars, f.values.shape):
             buckets.setdefault(v, []).append(slot)
             cards[v] = card
+    live = dict.fromkeys(range(len(scopes)), True)  # the live slots, ascending
     steps = []
     for i, var in enumerate(order):
         if var in keep:
             continue
-        before = tuple(live) if visits else None
         # A slot whose factor an earlier step consumed is no longer live.
         bucket = tuple([slot for slot in buckets.pop(var, ()) if live.pop(slot, False)])
         if not bucket:
             if visits:
-                steps.append((var, (), None, None, None, i, before))
+                steps.append((var, (), None, None, None, i))
             continue
         if len(bucket) == 1:
             product, shapes = scopes[bucket[0]], None
@@ -382,7 +380,7 @@ def _plan(scopes, dims, order, keep, visits: bool = False,
             buckets[v].append(slot)
         live[slot] = True
         scopes.append(scope)
-        steps.append((var, bucket, shapes, axis, scope, i, before))
+        steps.append((var, bucket, shapes, axis, scope, i))
     rest = tuple(live)
     if len(rest) == 1:  # the common end: one factor, over what is kept
         scope = scopes[rest[0]]
@@ -392,71 +390,78 @@ def _plan(scopes, dims, order, keep, visits: bool = False,
     return _Plan(tuple(steps), rest, shapes, scope)
 
 
-def _run(plan: _Plan, factors: list, visit=None, steps=None) -> _Factor:
+def _run(plan: _Plan, factors: list, visit=None, steps=None, record=False) -> _Factor:
     """Run ``plan`` on ``factors``, one per slot of the scopes it was built
     from: the one elimination executor.  Returns the product of what is
     left.
 
     Only the order of the slots matters, so the live factors in slot order
     are a pass's whole state.  ``visit(i, live)``, if given, is called with
-    that list before the step of ``order[i]``; the plan must record its live
-    slots.  For any ``other`` that agrees with ``keep`` on ``order[:i]``,
-    ``_eliminate(live, order[i:], other)`` returns
+    that list before the step of ``order[i]``; the plan must have a step for
+    every variable it sums out.  For any ``other`` that agrees with ``keep``
+    on ``order[:i]``, ``_eliminate(live, order[i:], other)`` returns
     ``_eliminate(factors, order, other)`` bit for bit, because the steps
     before ``i`` are the same.  :func:`_all_marginals`, the one user of
     ``visit``, resumes each node's own elimination from one pass this way.
 
     ``steps``, if given, is a table of steps shared between runs: the key
     ``(var, *map(id, operands))`` maps to ``(result, operands)``, all
-    tables.  A step whose key is in the table takes its result from there,
-    and every other step is recorded in it.  A key names the same operands,
-    the same objects in the same order, so a step found there has the bits
-    it would have had if it had been computed again.  Each entry holds its
-    operands, which keeps every keyed object alive, so no id is reused while
-    the table lives.  :func:`~iotrisk.cascade.rank_criticality`, the one
-    user of ``steps``, lends one evidence-free elimination's steps to the
-    run of every candidate.
+    tables.  A step whose key is in the table takes its result from there;
+    with ``record``, every other step is recorded in it.  A key names the
+    same operands, the same objects in the same order, so a step found there
+    has the bits it would have had if it had been computed again.  Each
+    entry holds its operands, which keeps every keyed object alive, so no id
+    is reused while the table lives.
+    :func:`~iotrisk.cascade.rank_criticality`, the one user of ``steps``,
+    records one evidence-free elimination's steps and lends them to the run
+    of every candidate, which only reads them: no step of a run can match an
+    entry the same run made, since each key holds its variable and a run
+    sums each variable once.
     """
     import numpy as np
 
     values = [f.values for f in factors]
     if visit is not None:
-        factors = list(factors)
+        live = dict(enumerate(factors))  # the live slots, ascending
     for step in plan.steps:
-        var, operands, _, _, scope, position, live = step
         if visit is not None:
-            visit(position, [factors[slot] for slot in live])
-        if not operands:
-            continue
-        arrays = [values[slot] for slot in operands]
+            visit(step[5], list(live.values()))
+            if not step[1]:
+                continue
+            for slot in step[1]:
+                del live[slot]
         if steps is None:
-            result = _apply(step, arrays)
+            result = _apply(step, values)
         else:
-            key = (var, *map(id, arrays))
+            arrays = [values[slot] for slot in step[1]]
+            key = (step[0], *map(id, arrays))
             hit = steps.get(key)
-            if hit is None:
-                hit = steps[key] = (_apply(step, arrays), arrays)
-            result = hit[0]
+            if hit is not None:
+                result = hit[0]
+            else:
+                result = _apply(step, values)
+                if record:
+                    steps[key] = (result, arrays)
         values.append(result)
         if visit is not None:
-            factors.append(_Factor(scope, result))
+            live[len(values) - 1] = _Factor(step[4], result)
     rest = [np.float64(1.0), *[values[slot] for slot in plan.live]]
-    return _Factor(plan.scope, _multiply(rest, plan.shapes))
+    return _Factor(plan.scope, _multiply(rest, range(len(rest)), plan.shapes))
 
 
 def _eliminate(factors: list, order, keep, visit=None, steps=None,
-               broadcasts=None) -> _Factor:
+               broadcasts=None, record=False) -> _Factor:
     """Sum the variables in ``order`` but those in ``keep`` out of the factor
     product, one at a time: :func:`_plan` over the factors' scopes, then
-    :func:`_run` (see both for ``visit``, ``steps`` and ``broadcasts``).
+    :func:`_run` (see both for ``visit``, ``steps``, ``record`` and
+    ``broadcasts``).
 
     Shared by :func:`_all_marginals` and :func:`_resume`, and by ranking,
     each of which passes its compiled form's one order.  Returns the product
     of what is left, over ``keep`` and every variable not in ``order``.
     """
-    plan = _plan([f.vars for f in factors], [f.values.shape for f in factors], order, keep,
-                 visit is not None, broadcasts)
-    return _run(plan, factors, visit, steps)
+    plan = _plan(factors, order, keep, visit is not None, broadcasts)
+    return _run(plan, factors, visit, steps, record)
 
 
 def _observed(model: BayesianModel, evidence) -> tuple[dict, dict]:
@@ -492,29 +497,20 @@ class _PointPlan(NamedTuple):
     plan: _Plan
 
 
-def _point_plan(model: BayesianModel, var: int, evidence: dict, observed: dict) -> _PointPlan:
-    """The :class:`_PointPlan` of ``var`` under ``observed``: the factors of
-    the ancestors of the query and the evidence, and the reverse
-    topological order restricted to them."""
+def _point_plan(model: BayesianModel, var: int, evidence: dict, observed: dict) -> tuple:
+    """``(point, factors)``: the :class:`_PointPlan` of ``var`` under
+    ``observed``, over the factors of the ancestors of the query and the
+    evidence and the reverse topological order restricted to them, and
+    those factors, reduced to the observed states."""
     compiled = model.compiled
     index = compiled.index
     kept = sorted([index[nid] for nid in _bfs(model.graph, (compiled.ids[var], *evidence),
                                                  upward=True)])
-    inputs, scopes, dims = [], [], []
-    for i in kept:
-        f = compiled.factors[i]
-        reduced = not observed.keys().isdisjoint(f.vars)
-        inputs.append((i, reduced))
-        if reduced:
-            axes = [(v, card) for v, card in zip(f.vars, f.values.shape) if v not in observed]
-            scopes.append(tuple([v for v, _ in axes]))
-            dims.append(tuple([card for _, card in axes]))
-        else:
-            scopes.append(f.vars)
-            dims.append(f.values.shape)
+    factors = [_reduce_factor(compiled.factors[i], observed) for i in kept]
+    inputs = tuple([(i, f is not compiled.factors[i]) for i, f in zip(kept, factors)])
     members = set(kept)
     order = tuple([v for v in compiled.elimination if v in members])
-    return _PointPlan(tuple(inputs), _plan(scopes, dims, order, (var,)))
+    return _PointPlan(inputs, _plan(factors, order, (var,))), factors
 
 
 def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
@@ -551,20 +547,21 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
         # Ranking's runs borrow the steps of this full elimination, so a pass
         # that records them keeps every factor.
         evidence, observed, factors = _reduced(model, evidence)
-        result = _eliminate(factors, compiled.elimination, (var,), steps=_steps)
+        result = _eliminate(factors, compiled.elimination, (var,), steps=_steps, record=True)
         return _marginal(compiled, var, observed, result, lambda: evidence)
     evidence, observed = _observed(model, evidence)
     key = (var, frozenset(observed))
     point = compiled.plans.get(key)
     if point is None:
-        point = _point_plan(model, var, evidence, observed)
+        point, inputs = _point_plan(model, var, evidence, observed)
         with compiled.lock:
             if len(compiled.plans) >= _MAX_PLANS:
                 del compiled.plans[next(iter(compiled.plans))]  # the oldest
             compiled.plans[key] = point
-    factors = compiled.factors
-    inputs = [_reduce_factor(factors[i], observed) if reduced else factors[i]
-              for i, reduced in point.kept]
+    else:
+        factors = compiled.factors
+        inputs = [_reduce_factor(factors[i], observed) if reduced else factors[i]
+                  for i, reduced in point.kept]
     return _marginal(compiled, var, observed, _run(point.plan, inputs), lambda: evidence)
 
 
@@ -589,7 +586,7 @@ def _marginal(compiled: CompiledModel, var: int, observed: dict, result: _Factor
         raise AssertionError(f"elimination left unexpected variables {result.vars!r}")
     dist = result.values / z
     dist = dist / dist.sum()
-    return Marginal(compiled.ids[var], indicators[0].states, tuple(float(p) for p in dist))
+    return Marginal(compiled.ids[var], indicators[0].states, tuple(dist.tolist()))
 
 
 def _resume(compiled: CompiledModel, var: int, observed: dict, rest, live: list,

@@ -397,8 +397,7 @@ def _sweep(slices: _Slices, evidence: dict, obs: ObservationSeries, steps,
         scopes = tuple([f.vars for f in factors])
         plan = plans.get(scopes)
         if plan is None:
-            plan = plans[scopes] = _plan(scopes, [f.values.shape for f in factors],
-                                         slices.order, keep)
+            plan = plans[scopes] = _plan(factors, slices.order, keep)
         result = _run(plan, factors)
         z = _total(result, obs.unrolled_evidence)
         message = _Factor(tuple(v + shift for v in result.vars), result.values / z)

@@ -101,9 +101,9 @@ def steps(monkeypatch) -> list:
     summed = []
     apply = inference._apply
 
-    def counted(step, arrays):
+    def counted(step, values):
         summed.append(step[0])
-        return apply(step, arrays)
+        return apply(step, values)
 
     monkeypatch.setattr(inference, "_apply", counted)
     return summed

@@ -524,11 +524,11 @@ class TestPosteriorUpdate:
             finally:
                 keeps.pop()
 
-        def counted(step, arrays):
+        def counted(step, values):
             # A sweep runs its plans outside _eliminate; uncounted_sweep
             # drops its steps.
             steps.append(keeps[-1] if keeps else None)
-            return apply(step, arrays)
+            return apply(step, values)
 
         def uncounted_sweep(*args):
             start = len(steps)
