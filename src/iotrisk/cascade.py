@@ -24,8 +24,8 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .errors import ImpossibleEvidence, InvalidArgument, UnknownNode
-from .graph import DependencyGraph, _bfs, _check_states
-from .inference import _eliminate, _marginal, _reduced, eliminate_marginal, posterior_update
+from .graph import DependencyGraph, _assignment, _bfs, _check_states
+from .inference import _eliminate, _observed, _reduce_factor, eliminate_marginal, posterior_update
 from .model import BayesianModel, Marginal
 
 
@@ -53,7 +53,7 @@ class IncidentScenario:
     origins: dict
 
     def __init__(self, origins):
-        origins = dict(origins)
+        origins = _assignment(origins, "scenario origins")
         if not origins:
             raise InvalidArgument("scenario needs at least one origin")
         object.__setattr__(self, "origins", origins)
@@ -197,18 +197,17 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     score and sort last.  Ties break by ascending node id.
 
     Each score is bit for bit that of one full elimination, every node
-    summed out, per (candidate, service node) pair, but no distinct
-    elimination step is made twice for one service node.  A point
+    summed out, per (candidate, service node) pair.  A point
     :func:`~iotrisk.inference.eliminate_marginal` sums out only ancestors
     and may differ in the last bits, within ``ORACLE_TOL``.
 
-    Each candidate's factors are reduced once.  Per service node, one
-    evidence-free pass, the node's prior marginal with every node summed
-    out, records its steps (see :func:`~iotrisk.inference._run`), and
-    each candidate's run for that node takes from them every step whose
-    factors its evidence leaves untouched.  A run only reads the pass's
-    table, which is dropped with its service node.
-    A lone candidate has nothing to share and makes no pass.
+    Per service node, one evidence-free pass, the node's prior marginal with
+    every node summed out, runs the steps the pairs share.  A candidate's
+    evidence reduces the factors that hold it, its own and its children's,
+    so its elimination repeats the pass's steps up to the first over one of
+    those factors.  Its run resumes from the pass's live factors there,
+    those factors reduced (see :func:`~iotrisk.inference._run`), and checks
+    its own total.  A lone candidate has nothing to share and makes no pass.
 
     Raises :class:`InvalidArgument` (a ``ValueError``) for no candidates, a
     candidate that is not a pair, an unknown ``aggregate``, bad weights, or a
@@ -226,11 +225,12 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     if isinstance(service_nodes, str):
         raise InvalidArgument(f"service_nodes must be a collection of node ids, "
                               f"got {service_nodes!r}")
-    service_nodes = sorted(service_nodes)
+    service_nodes = list(service_nodes)
     if not service_nodes:
         raise UnknownNode("no service nodes: flag is_service_goal or pass service_nodes")
     for s in service_nodes:
         graph.node(s)
+    service_nodes.sort()
     degraded_states = dict(degraded_states or {})
     for node_id, states in degraded_states.items():
         graph.node(node_id)
@@ -267,26 +267,35 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     for candidate in candidates:
         if not isinstance(candidate, (tuple, list)) or len(candidate) != 2:
             raise InvalidArgument(f"candidate must be a (node, state) pair, got {candidate!r}")
+        graph.node(candidate[0])
         _check_states(graph, {candidate[0]: candidate[1]})
 
     compiled = model.compiled
-    runs = [_reduced(model, {node_id: state}) for node_id, state in candidates]
+    order = compiled.elimination
+    position = {v: i for i, v in enumerate(order)}
+    runs = [_observed(model, {node_id: state}) for node_id, state in candidates]
+    # The variables of the factors each candidate's evidence reduces: its
+    # own and its children's, the factors that hold it.
+    touched = [set().union(*[f.vars for f in compiled.factors if compiled.index[nid] in f.vars])
+               for nid, _ in candidates]
     per_service = [[] for _ in candidates]
     errors = [None] * len(candidates)
     broadcasts: dict = {}  # shared by the plans of every run: one model's axes
     for s in service_nodes:
         var = compiled.index[s]
-        shared = None
-        if len(runs) > 1:  # a lone candidate's run would be the only borrower
-            shared = {}
-            eliminate_marginal(model, s, _steps=shared)
-        for i, (evidence, observed, factors) in enumerate(runs):
+        states = {0: compiled.factors}  # position -> the pass's live factors there
+        starts = [0] * len(runs)
+        if len(runs) > 1:  # a lone candidate's run would be the pass's only user
+            starts = [min([position[v] for v in scope if v != var], default=0)
+                      for scope in touched]
+            _eliminate(compiled.factors, order, (var,), states.__setitem__, broadcasts)
+        for i, (evidence, observed) in enumerate(runs):
             if errors[i] is not None:
                 continue
-            result = _eliminate(factors, compiled.elimination, (var,),
-                                steps=shared, broadcasts=broadcasts)
+            live = [_reduce_factor(f, observed) for f in states[starts[i]]]
             try:
-                marg = _marginal(compiled, var, observed, result, lambda: evidence)
+                marg = eliminate_marginal(model, s, evidence, _pass=(
+                    observed, order[starts[i]:], live, broadcasts))
             except ImpossibleEvidence as exc:
                 errors[i] = str(exc)
                 continue

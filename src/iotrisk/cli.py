@@ -253,7 +253,7 @@ def _cmd_infer(args) -> int:
         records, digest = _read_evidence(args, model, model_raw)
         evidence = {r.node: r.state for r in sorted(records, key=lambda r: r.timestamp_ms)}
     evidence.update(dict(args.observe))
-    if args.query:
+    if args.query is not None:
         result = {"query": args.query,
                   "evidence": evidence,
                   "marginal": eliminate_marginal(model, args.query, evidence)}
@@ -312,7 +312,7 @@ def _cmd_iotmm(args) -> int:
     doc, digest, _ = _load_document(args)
     model = doc.model
     uncontrollable = sorted(detect_uncontrollable(model))
-    if args.resolve:
+    if args.resolve is not None:
         marginal = resolve_uncontrollable(model, args.resolve, dict(args.observe),
                                           doc.catalogues)
         result = {"resolved": args.resolve,
@@ -359,9 +359,9 @@ def _read_tiers(path: str) -> dict:
 def _cmd_roadmap(args) -> int:
     from .roadmap import DEFAULT_TIER_SCALE, gap_report
 
-    if bool(args.model) == bool(args.roadmap):
+    if (args.model is None) == (args.roadmap is None):
         raise UsageError("give exactly one of --model or --roadmap")
-    if args.model:
+    if args.model is not None:
         doc, digest, _ = _load_document(args)
         if doc.roadmap is None:
             raise ValidationFailed([("$.roadmap", "document has no roadmap section")])

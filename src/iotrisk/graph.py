@@ -18,7 +18,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import CyclicGraph, UnknownNode, UnknownState
+from .errors import CyclicGraph, InvalidArgument, UnknownNode, UnknownState
 
 # Built-in layer names; any other non-empty string is a custom layer label.
 PERCEPTION = "perception"
@@ -147,7 +147,7 @@ class DependencyGraph:
     def node(self, node_id: str) -> ComponentNode:
         try:
             return self._by_id[node_id]
-        except KeyError:
+        except (KeyError, TypeError):  # a TypeError for an unhashable id
             raise UnknownNode(f"unknown node {node_id!r}") from None
 
     def __contains__(self, node_id: str) -> bool:
@@ -295,10 +295,19 @@ def _bfs(graph: DependencyGraph, sources, upward: bool = False) -> dict[str, int
     return dist
 
 
+def _assignment(value, what: str) -> dict:
+    """``value`` as a plain dict, or InvalidArgument naming ``what``."""
+    try:
+        return dict(value)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"{what} must map node ids to states, got {value!r}") from None
+
+
 def _check_states(graph: DependencyGraph, assignment) -> dict:
-    """``assignment`` (node id -> state label) as a plain dict; raises
-    :class:`UnknownNode` or :class:`UnknownState` for a label ``graph`` lacks."""
-    checked = dict(assignment)
+    """``assignment`` (node id -> state label) as a plain dict; raises as
+    :func:`_assignment`, or :class:`UnknownNode` or :class:`UnknownState`
+    for a label ``graph`` lacks."""
+    checked = _assignment(assignment, "evidence")
     for node_id, state in checked.items():
         domain = graph.node(node_id).domain
         if state not in domain:

@@ -22,9 +22,12 @@ P(node | parents), and every query here evaluates that product exactly:
   repeats the steps of one pass up to that node's position, so
   :func:`_all_marginals` hands one pass's state there to :func:`_resume`,
   which runs only the rest of an unobserved node's order: the same products
-  and sums, hence the same bits, at about half the steps.  A point answer
-  leaves out the barren sums (each about 1), so it may differ from this one
-  in its last bits, within ``ORACLE_TOL``.
+  and sums, hence the same bits, at about half the steps.  Criticality
+  ranking resumes each candidate's elimination the same way, from one
+  evidence-free pass per service node, before the first step over a factor
+  the candidate's evidence reduces.  A point answer leaves out the barren
+  sums (each about 1), so it may differ from these in its last bits, within
+  ``ORACLE_TOL``.
 
 The numeric queries, and the Monte Carlo sampler, read one
 :class:`CompiledModel`: integer node ids, one read-only table per CPT, the
@@ -390,7 +393,7 @@ def _plan(factors, order, keep, visits: bool = False,
     return _Plan(tuple(steps), rest, shapes, scope)
 
 
-def _run(plan: _Plan, factors: list, visit=None, steps=None, record=False) -> _Factor:
+def _run(plan: _Plan, factors: list, visit=None) -> _Factor:
     """Run ``plan`` on ``factors``, one per slot of the scopes it was built
     from: the one elimination executor.  Returns the product of what is
     left.
@@ -398,25 +401,12 @@ def _run(plan: _Plan, factors: list, visit=None, steps=None, record=False) -> _F
     Only the order of the slots matters, so the live factors in slot order
     are a pass's whole state.  ``visit(i, live)``, if given, is called with
     that list before the step of ``order[i]``; the plan must have a step for
-    every variable it sums out.  For any ``other`` that agrees with ``keep``
-    on ``order[:i]``, ``_eliminate(live, order[i:], other)`` returns
-    ``_eliminate(factors, order, other)`` bit for bit, because the steps
-    before ``i`` are the same.  :func:`_all_marginals`, the one user of
-    ``visit``, resumes each node's own elimination from one pass this way.
-
-    ``steps``, if given, is a table of steps shared between runs: the key
-    ``(var, *map(id, operands))`` maps to ``(result, operands)``, all
-    tables.  A step whose key is in the table takes its result from there;
-    with ``record``, every other step is recorded in it.  A key names the
-    same operands, the same objects in the same order, so a step found there
-    has the bits it would have had if it had been computed again.  Each
-    entry holds its operands, which keeps every keyed object alive, so no id
-    is reused while the table lives.
-    :func:`~iotrisk.cascade.rank_criticality`, the one user of ``steps``,
-    records one evidence-free elimination's steps and lends them to the run
-    of every candidate, which only reads them: no step of a run can match an
-    entry the same run made, since each key holds its variable and a run
-    sums each variable once.
+    every variable it sums out.  A run that keeps ``other``, which agrees
+    with ``keep`` on ``order[:i]``, over factors that differ only in ones
+    over no variable of ``order[:i]``, makes this pass's steps before ``i``.
+    So ``_eliminate(live, order[i:], other)``, those factors swapped into
+    ``live``, returns that run's result bit for bit: :func:`_all_marginals`
+    resumes each node this way, and ranking each candidate.
     """
     import numpy as np
 
@@ -430,38 +420,24 @@ def _run(plan: _Plan, factors: list, visit=None, steps=None, record=False) -> _F
                 continue
             for slot in step[1]:
                 del live[slot]
-        if steps is None:
-            result = _apply(step, values)
-        else:
-            arrays = [values[slot] for slot in step[1]]
-            key = (step[0], *map(id, arrays))
-            hit = steps.get(key)
-            if hit is not None:
-                result = hit[0]
-            else:
-                result = _apply(step, values)
-                if record:
-                    steps[key] = (result, arrays)
-        values.append(result)
+        values.append(_apply(step, values))
         if visit is not None:
-            live[len(values) - 1] = _Factor(step[4], result)
+            live[len(values) - 1] = _Factor(step[4], values[-1])
     rest = [np.float64(1.0), *[values[slot] for slot in plan.live]]
     return _Factor(plan.scope, _multiply(rest, range(len(rest)), plan.shapes))
 
 
-def _eliminate(factors: list, order, keep, visit=None, steps=None,
-               broadcasts=None, record=False) -> _Factor:
+def _eliminate(factors: list, order, keep, visit=None, broadcasts=None) -> _Factor:
     """Sum the variables in ``order`` but those in ``keep`` out of the factor
     product, one at a time: :func:`_plan` over the factors' scopes, then
-    :func:`_run` (see both for ``visit``, ``steps``, ``record`` and
-    ``broadcasts``).
+    :func:`_run` (see both for ``visit`` and ``broadcasts``).
 
-    Shared by :func:`_all_marginals` and :func:`_resume`, and by ranking,
-    each of which passes its compiled form's one order.  Returns the product
-    of what is left, over ``keep`` and every variable not in ``order``.
+    Shared by :func:`_all_marginals`, :func:`_resume` and ranking's passes,
+    each of which passes its compiled form's one order or a tail of it.
+    Returns the product of what is left, over ``keep`` and every variable
+    not in ``order``.
     """
-    plan = _plan(factors, order, keep, visit is not None, broadcasts)
-    return _run(plan, factors, visit, steps, record)
+    return _run(_plan(factors, order, keep, visit is not None, broadcasts), factors, visit)
 
 
 def _observed(model: BayesianModel, evidence) -> tuple[dict, dict]:
@@ -514,7 +490,7 @@ def _point_plan(model: BayesianModel, var: int, evidence: dict, observed: dict) 
 
 
 def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
-                       _pass=None, _steps=None) -> Marginal:
+                       _pass=None) -> Marginal:
     """Exact P(query | evidence) by variable elimination.
 
     Only the ancestors of the query and the evidence are summed out, in an
@@ -530,25 +506,19 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
     pair, whatever the observed states.  Every call checks its query and
     evidence, and its total, as the first does.
 
-    ``_pass`` is private to :func:`posterior_update`: ``(observed, rest, live)``,
-    its :func:`_all_marginals` pass's state before it sums out ``rest``, from
-    which :func:`_resume` answers the query.  ``_steps`` is private to
-    :func:`~iotrisk.cascade.rank_criticality`: a step table, as in
-    :func:`_run`, that records the steps of the query's full elimination,
-    every node summed out, planned on each call.
+    ``_pass`` is private to :func:`posterior_update` and
+    :func:`~iotrisk.cascade.rank_criticality`: ``(observed, rest, live,
+    broadcasts)``, the state of a pass over every node before it sums out
+    ``rest``, from which :func:`_resume` answers the query, its plan sharing
+    ``broadcasts`` (see :func:`_plan`).
     """
     compiled = model.compiled
     if _pass is not None:
-        observed, rest, live = _pass
-        return _resume(compiled, compiled.index[query], observed, rest, live, lambda: evidence)
+        observed, rest, live, broadcasts = _pass
+        return _resume(compiled, compiled.index[query], observed, rest, live,
+                       lambda: evidence, broadcasts)
     model.graph.node(query)  # raises UnknownNode
     var = compiled.index[query]
-    if _steps is not None:
-        # Ranking's runs borrow the steps of this full elimination, so a pass
-        # that records them keeps every factor.
-        evidence, observed, factors = _reduced(model, evidence)
-        result = _eliminate(factors, compiled.elimination, (var,), steps=_steps, record=True)
-        return _marginal(compiled, var, observed, result, lambda: evidence)
     evidence, observed = _observed(model, evidence)
     key = (var, frozenset(observed))
     point = compiled.plans.get(key)
@@ -590,13 +560,12 @@ def _marginal(compiled: CompiledModel, var: int, observed: dict, result: _Factor
 
 
 def _resume(compiled: CompiledModel, var: int, observed: dict, rest, live: list,
-            evidence) -> Marginal:
+            evidence, broadcasts=None) -> Marginal:
     """Node ``var``'s answer from ``live``, a pass's factors before it sums
-    out ``rest``: an observed node's indicator, with no elimination, else the
-    rest of the node's own, bit for bit the whole (see :func:`_run`)."""
-    if var in observed:
-        return compiled.indicators[var][observed[var]]
-    return _marginal(compiled, var, observed, _eliminate(live, rest, (var,)), evidence)
+    out ``rest``: the rest of the node's own elimination, bit for bit the
+    whole (see :func:`_run`), its total checked as in :func:`_marginal`."""
+    return _marginal(compiled, var, observed,
+                     _eliminate(live, rest, (var,), broadcasts=broadcasts), evidence)
 
 
 def posterior_update(model: BayesianModel, evidence=None) -> dict:
@@ -614,7 +583,10 @@ def posterior_update(model: BayesianModel, evidence=None) -> dict:
     evidence, observed, factors = _reduced(model, evidence)
 
     def finish(q: int, rest, live: list) -> Marginal:
-        return eliminate_marginal(model, compiled.ids[q], evidence, _pass=(observed, rest, live))
+        if q in observed:  # the pass checks the total: its indicator needs no step
+            rest, live = (), []
+        return eliminate_marginal(model, compiled.ids[q], evidence,
+                                  _pass=(observed, rest, live, None))
 
     return _all_marginals(compiled, factors, compiled.elimination, lambda: evidence, finish)
 
@@ -625,7 +597,9 @@ def _all_marginals(compiled: CompiledModel, factors: list, order, evidence, fini
     One pass sums ``order`` out of ``factors``.  Before the step of each node
     ``q = order[i]``, ``finish(q, order[i:], live)`` answers q from the
     pass's factors there, by :func:`_resume`.  Ids beyond the nodes, the
-    previous-slice copies, get no answer; the total is checked once.
+    previous-slice copies, get no answer.  The pass checks the total, so
+    ``finish`` may answer an observed node with its indicator and no
+    elimination: the rest of that node's own is the rest of the pass.
     """
     answers = {}
 

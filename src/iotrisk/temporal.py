@@ -420,9 +420,12 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
     beta = _sweep(slices, evidence, obs, range(last, k, -1), slices.previous, -slices.size)
 
     compiled = model.template.model.compiled
+    observed = evidence.get(k, {})
 
     def finish(q: int, rest, live: list) -> Marginal:
-        return _resume(compiled, q, evidence.get(k, {}), rest, live, obs.unrolled_evidence)
+        if q in observed:  # the pass checks the total
+            return compiled.indicators[q][observed[q]]
+        return _resume(compiled, q, observed, rest, live, obs.unrolled_evidence)
 
     return _all_marginals(compiled, _slice_factors(slices, evidence, k, [alpha, beta]),
                           slices.order, obs.unrolled_evidence, finish)

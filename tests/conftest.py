@@ -96,8 +96,8 @@ def work(monkeypatch) -> list:
 @pytest.fixture
 def steps(monkeypatch) -> list:
     """The variable of every elimination step made while the test runs, one
-    entry per :func:`~iotrisk.inference._apply` call: each step the runner
-    computes, not one it takes from a step table."""
+    entry per :func:`~iotrisk.inference._apply` call, that is per step the
+    runner computes."""
     summed = []
     apply = inference._apply
 

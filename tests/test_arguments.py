@@ -4,8 +4,9 @@ Each row is one integer argument of one entry point.  A float, a bool, a
 numeric string, ``None`` and a value below the argument's minimum must each
 raise the entry point's typed error before any table is compiled or any
 variable eliminated; a numpy integer must give the answer a plain ``int``
-gives, bit for bit.  Two smaller tables pin the typed errors of malformed
-evidence entries and of the table builders' arguments.
+gives, bit for bit.  Three smaller tables pin the typed errors of malformed
+evidence entries, of malformed query arguments and of the table builders'
+arguments.
 """
 
 from __future__ import annotations
@@ -14,16 +15,20 @@ import numpy as np
 import pytest
 
 from iotrisk import temporal
+from iotrisk.bundled import load_bundled_model
+from iotrisk.cascade import IncidentScenario, rank_criticality
 from iotrisk.cvss import prior_cpt_from_score
 from iotrisk.documents import EvidenceRecord, ingest_evidence
 from iotrisk.errors import (
     InvalidArgument,
     InvalidHorizon,
     ObservationBeyondHorizon,
+    UnknownNode,
     UnknownState,
     ValidationFailed,
 )
 from iotrisk.graph import StateDomain
+from iotrisk.inference import eliminate_marginal, posterior_update
 from iotrisk.sampling import monte_carlo_sample
 from iotrisk.temporal import (
     ObservationSeries,
@@ -151,6 +156,36 @@ def test_unrolled_slice_beyond_horizon_refused_before_any_work(work, monkeypatch
 def test_malformed_entry_refused_before_any_work(work, call, text):
     with pytest.raises(InvalidArgument) as err:
         call()
+    assert str(err.value) == text
+    assert work == []
+
+
+# Query arguments of the wrong shape: evidence or origins that map no node
+# ids to states are an InvalidArgument, an unhashable node id an
+# UnknownNode, each raised before any variable is eliminated.  The model is
+# compiled first: a query's first check is that it compiles.
+@pytest.mark.parametrize("call,error,text", [
+    (lambda m: posterior_update(m, "a1"), InvalidArgument,
+     "evidence must map node ids to states, got 'a1'"),
+    (lambda m: posterior_update(m, [("a1",)]), InvalidArgument,
+     "evidence must map node ids to states, got [('a1',)]"),
+    (lambda m: IncidentScenario("a1"), InvalidArgument,
+     "scenario origins must map node ids to states, got 'a1'"),
+    (lambda m: eliminate_marginal(m, ["a1"]), UnknownNode, "unknown node ['a1']"),
+    (lambda m: rank_criticality(m, [(["a1"], "impaired")]), UnknownNode,
+     "unknown node ['a1']"),
+    (lambda m: rank_criticality(m, [("a14", "impaired")], service_nodes=[["a1"]]),
+     UnknownNode, "unknown node ['a1']"),
+], ids=["posterior_update-string", "posterior_update-pair", "IncidentScenario-string",
+        "eliminate_marginal-query", "rank_criticality-candidate",
+        "rank_criticality-service_nodes"])
+def test_malformed_query_argument_refused_before_any_work(work, call, error, text):
+    model = load_bundled_model("layered_iot").model
+    model.compiled
+    work.clear()
+    with pytest.raises(error) as err:
+        call(model)
+    assert type(err.value) is error
     assert str(err.value) == text
     assert work == []
 

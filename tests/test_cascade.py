@@ -32,7 +32,7 @@ from iotrisk.graph import (
 from iotrisk.inference import enumerate_marginal, posterior_update
 from iotrisk.model import BayesianModel, Cpt
 
-from conftest import full_elimination, random_model
+from conftest import full_elimination, make_chain3, random_model
 
 TF = StateDomain(["T", "F"])
 
@@ -362,13 +362,11 @@ class TestRankCriticality:
         assert message in str(err.value)
         assert work == []
 
-    def test_scores_equal_one_elimination_per_pair(self):
-        # On the acceptance suite's random models, every score is == the one
-        # the per-(candidate, service node) full eliminations give,
-        # candidates that are service nodes too, a candidate of probability
-        # 0 and a lone candidate included.
+    @staticmethod
+    def _pair_cases():
+        """``(model, service, degraded, candidates, weights)`` cases for
+        :meth:`test_scores_equal_one_elimination_per_pair`."""
         rng = random.Random(20260810)
-        seen_service_candidate = False
         for _ in range(60):
             model = random_model(rng, max_nodes=12, max_states=4, max_joint=2 ** 16)
             graph = model.graph
@@ -383,10 +381,28 @@ class TestRankCriticality:
             candidates = [(nid, rng.choice(model.domain(nid).states))
                           for nid in rng.sample(ids, rng.randint(1, len(ids)))]
             candidates.append((root, states[-1]))
-            seen_service_candidate |= any(nid in service for nid, _ in candidates)
-
             weights = {s: rng.uniform(0.0, 2.0) for s in service}
             weights[service[0]] += 1.0
+            yield model, service, degraded, candidates, weights
+        # The candidate of probability 0 is the only service node: its
+        # resumed run must still check the total.
+        model = make_chain3().with_cpts({"A": Cpt.prior("A", (1.0, 0.0))})
+        yield model, ["A"], {}, [("A", "F"), ("B", "T"), ("C", "F")], {"A": 1.0}
+        model = load_bundled_model("layered_iot").model
+        service = ["a1", "a2", "a3", "a4"]
+        yield (model, service, {}, [(nid, "impaired") for nid in model.graph.node_ids],
+               {s: 1.0 + k for k, s in enumerate(service)})
+
+    def test_scores_equal_one_elimination_per_pair(self):
+        # On the acceptance suite's random models, every score is == the one
+        # the per-(candidate, service node) full eliminations give,
+        # candidates that are service nodes too, a candidate of probability
+        # 0 and a lone candidate included; then on a candidate of
+        # probability 0 that is the only service node, and on layered_iot
+        # with every node a candidate.
+        seen_service_candidate = False
+        for model, service, degraded, candidates, weights in self._pair_cases():
+            seen_service_candidate |= any(nid in service for nid, _ in candidates)
             total = sum(weights[s] for s in service)
             for aggregate in ("mean", "max", "weighted"):
                 got = {(e.node, e.impaired_state): e for e in rank_criticality(
@@ -413,11 +429,16 @@ class TestRankCriticality:
         assert seen_service_candidate
 
     def test_ranking_shares_elimination_steps(self, layered, steps):
-        # One evidence-free pass per service node lends its steps to every
-        # candidate's run: fewer steps than one full elimination per pair.
+        # Per service node, one evidence-free pass; each candidate's run
+        # resumes from its state before the first step over a factor the
+        # candidate's evidence reduces.  So ranking makes at most the passes'
+        # steps and each pair's own from its resume position on: fewer than
+        # one full elimination per pair.
         model = layered.model
+        compiled = model.compiled
         ids = model.graph.node_ids
         service = ("a1", "a2", "a3", "a4")
+        position = {v: i for i, v in enumerate(compiled.elimination)}
 
         def count(call, *args) -> int:
             steps.clear()
@@ -429,11 +450,23 @@ class TestRankCriticality:
                 for s in service_nodes:
                     full_elimination(model, s, {nid: state})
 
+        def resumed(nid: str, s: str) -> int:
+            # The pair's own steps at or after its resume position.
+            v, var = compiled.index[nid], compiled.index[s]
+            touched = {u for f in compiled.factors if v in f.vars for u in f.vars}
+            start = min([position[u] for u in touched if u != var], default=0)
+            steps.clear()
+            full_elimination(model, s, {nid: "impaired"})
+            return sum(1 for u in steps if position[u] >= start)
+
         candidates = [(nid, "impaired") for nid in ids]
         shared = count(rank_criticality, model, candidates, service)
         single = count(per_pair, candidates, service)
         assert single > 0  # the fixture counts steps
-        assert shared < 0.7 * single, (shared, single)
+        bound = sum(count(full_elimination, model, s) for s in service) + \
+            sum(resumed(nid, s) for nid, _ in candidates for s in service)
+        assert shared <= bound, (shared, bound)
+        assert shared < single, (shared, single)
         # A lone candidate makes no pass: its runs are the per-pair ones.
         candidates = [("a14", "impaired")]
         assert count(rank_criticality, model, candidates, service) == \

@@ -456,6 +456,23 @@ class TestBoundary:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"iotrisk: error: {message}\n"
 
+    # An empty option value is a value given: a node id no node has, or a
+    # second source for the roadmap.
+    @pytest.mark.parametrize("argv,code,message", [
+        (("infer", "--model", "layered_iot", "--query", ""), 1,
+         "iotrisk: error: unknown node ''\n"),
+        (("iotmm", "--model", "uncontrolled_sensor", "--resolve", ""), 1,
+         "iotrisk: error: unknown node ''\n"),
+        (("roadmap", "--model", "", "--roadmap", "roadmap", "--current", "current",
+          "--target", "target"), 2,
+         "iotrisk: usage error: give exactly one of --model or --roadmap\n"),
+    ], ids=["infer-query", "iotmm-resolve", "roadmap-model"])
+    def test_empty_value_is_a_given_value(self, capsys, model_files, argv, code, message):
+        assert main(with_paths(argv, model_files)) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
     def test_wide_gap_node_exits_one(self, tmp_path):
         # 24 binary roots feed one node with no CPT, so its catalogue-backed
         # table would have 2^24 rows.  The address-space cap turns a build of

@@ -517,10 +517,10 @@ class TestPosteriorUpdate:
         keeps, steps = [], []
         eliminate, apply, sweep = inference._eliminate, inference._apply, temporal._sweep
 
-        def tracked(factors, order, keep, visit=None):
+        def tracked(factors, order, keep, visit=None, broadcasts=None):
             keeps.append(tuple(keep))
             try:
-                return eliminate(factors, order, keep, visit)
+                return eliminate(factors, order, keep, visit, broadcasts)
             finally:
                 keeps.pop()
 
