@@ -148,8 +148,11 @@ def impact_probabilities(model: BayesianModel, scenario: IncidentScenario) -> Im
     downstream nodes show the forward cascade, ancestors show the diagnostic
     update, and nodes sharing no ancestry with any origin keep their priors.
     Each entry carries the shortest influence distance from an origin (0 for
-    origins themselves).
+    origins themselves).  A ``scenario`` that is not an
+    :class:`IncidentScenario` raises :class:`InvalidArgument`.
     """
+    if not isinstance(scenario, IncidentScenario):
+        raise InvalidArgument(f"scenario must be an IncidentScenario, got {scenario!r}")
     graph = model.graph
     scenario.check_against(graph)
     distances = _bfs(graph, scenario.origins)
@@ -182,6 +185,14 @@ def default_degraded_states(model: BayesianModel, node_id: str) -> frozenset:
     return frozenset({tuple(model.domain(node_id))[-1]})
 
 
+def _collection(value, what: str, of: str) -> list:
+    """``value``, a collection other than a string, as a list; else
+    InvalidArgument naming ``what`` and what it holds, ``of``."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise InvalidArgument(f"{what} must be a collection of {of}, got {value!r}")
+    return list(value)
+
+
 def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
                      degraded_states=None, aggregate: str = "mean",
                      weights=None) -> tuple:
@@ -209,37 +220,33 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     those factors reduced (see :func:`~iotrisk.inference._run`), and checks
     its own total.  A lone candidate has nothing to share and makes no pass.
 
-    Raises :class:`InvalidArgument` (a ``ValueError``) for no candidates, a
-    candidate that is not a pair, an unknown ``aggregate``, bad weights, or a
-    ``degraded_states`` entry other than a service node and a collection of states,
+    Raises :class:`InvalidArgument` (a ``ValueError``) for candidates or
+    service nodes that are not a collection, no candidates, a candidate that
+    is not a pair, an unknown ``aggregate``, bad weights, or
+    ``degraded_states`` that map anything but service nodes to collections
+    of states,
     :class:`UnknownNode` for no or unknown service, candidate or degraded nodes,
     and :class:`UnknownState` for a candidate or degraded state the node lacks
     -- all before any elimination.
     """
-    candidates = list(candidates)
+    candidates = _collection(candidates, "candidates", "(node, state) pairs")
     if not candidates:
         raise InvalidArgument("at least one candidate is required")
     graph = model.graph
     if service_nodes is None:
         service_nodes = _service_nodes(graph)
-    if isinstance(service_nodes, str):
-        raise InvalidArgument(f"service_nodes must be a collection of node ids, "
-                              f"got {service_nodes!r}")
-    service_nodes = list(service_nodes)
+    service_nodes = _collection(service_nodes, "service_nodes", "node ids")
     if not service_nodes:
         raise UnknownNode("no service nodes: flag is_service_goal or pass service_nodes")
     for s in service_nodes:
         graph.node(s)
     service_nodes.sort()
-    degraded_states = dict(degraded_states or {})
+    degraded_states = _assignment(degraded_states or {}, "degraded_states")
     for node_id, states in degraded_states.items():
         graph.node(node_id)
         if node_id not in service_nodes:
             raise InvalidArgument(f"degraded_states names {node_id!r}, not a service node")
-        if isinstance(states, str) or not isinstance(states, Iterable):
-            raise InvalidArgument(f"degraded_states[{node_id!r}] must be a collection of "
-                                  f"states, got {states!r}")
-        for state in states:
+        for state in _collection(states, f"degraded_states[{node_id!r}]", "states"):
             _check_states(graph, {node_id: state})
     for s in service_nodes:
         degraded_states.setdefault(s, default_degraded_states(model, s))

@@ -185,7 +185,7 @@ def _render_text(kind: str, result) -> str:
 
 
 def _write(args, text: str) -> None:
-    if args.output:
+    if args.output is not None:
         try:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
@@ -249,7 +249,7 @@ def _cmd_infer(args) -> int:
     doc, digest, model_raw = _load_document(args)
     model = doc.completed_model()
     evidence = {}
-    if args.evidence:
+    if args.evidence is not None:
         records, digest = _read_evidence(args, model, model_raw)
         evidence = {r.node: r.state for r in sorted(records, key=lambda r: r.timestamp_ms)}
     evidence.update(dict(args.observe))
@@ -282,7 +282,7 @@ def _cmd_cascade(args) -> int:
 def _cmd_dbn(args) -> int:
     doc, digest, model_raw = _load_document(args)
     tm = doc.temporal_model()
-    if args.evidence:
+    if args.evidence is not None:
         records, digest = _read_evidence(args, tm.template.model, model_raw)
         obs = ingest_evidence(records, args.bucket_ms)
     else:

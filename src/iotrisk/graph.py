@@ -151,7 +151,10 @@ class DependencyGraph:
             raise UnknownNode(f"unknown node {node_id!r}") from None
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._by_id
+        try:
+            return node_id in self._by_id
+        except TypeError:  # an unhashable value names no node
+            return False
 
     def parents(self, node_id: str) -> tuple[str, ...]:
         """Direct providers of ``node_id``, ascending by id."""

@@ -54,9 +54,9 @@ plan on the :class:`CompiledModel`, keyed by ``(query id, frozenset of
 observed ids)``, and a later query with the same key replays it under any
 states: no ancestor walk, no reduction of factors that pruning drops, no
 bucket or scope work.  Holding no answer, the memo cannot return one made
-under other evidence.  Every other caller plans on each call; within one
-call, a temporal sweep plans each pattern of observed nodes once, and
-ranking's plans share their bucket shapes.
+under other evidence.  Every other caller plans on each call, ranking's
+plans sharing their bucket shapes.  Every plan has one step per variable
+summed out, even one that no live factor holds.
 
 Evidence with zero probability raises :class:`ImpossibleEvidence` rather than
 returning NaNs: it means the model and the observation contradict each other.
@@ -311,13 +311,14 @@ class _Plan(NamedTuple):
     """A symbolic elimination, built from factor scopes and axis lengths
     alone.  Immutable.
 
-    Each step is a tuple ``(var, operands, shapes, axis, scope, position)``:
-    multiply the factors in the ``operands`` slots, ascending, each reshaped
-    as ``shapes`` says (see :func:`_broadcast`), sum ``var`` out of the
-    product's axis ``axis``, and file the result, a factor over ``scope``,
-    in the next slot.  ``position`` is ``var``'s position in the order.
-    After the steps comes the product of the unit scalar and the factors in
-    ``live``, broadcast to ``scope`` by ``shapes``.
+    Each step is a tuple ``(var, operands, shapes, axis, scope, position)``,
+    one per variable summed out: multiply the factors in the ``operands``
+    slots, ascending, each reshaped as ``shapes`` says (see
+    :func:`_broadcast`), sum ``var`` out of the product's axis ``axis``, and
+    file the result, a factor over ``scope``, in the next slot; with no
+    operands, make nothing.  ``position`` is ``var``'s position in the
+    order.  After the steps comes the product of the factors in ``live``,
+    broadcast to ``scope`` by ``shapes``.
     """
 
     steps: tuple
@@ -326,8 +327,7 @@ class _Plan(NamedTuple):
     scope: tuple
 
 
-def _plan(factors, order, keep, visits: bool = False,
-          broadcasts: dict | None = None) -> _Plan:
+def _plan(factors, order, keep, broadcasts: dict | None = None) -> _Plan:
     """The plan that sums the variables in ``order`` but those in ``keep``
     out of the product of ``factors``, one at a time.  It reads only their
     scopes and axis lengths, so it fits any factors that have them.
@@ -339,8 +339,8 @@ def _plan(factors, order, keep, visits: bool = False,
     multiplies them in slot order, sums the variable out and files the
     result under the next slot.  So the products and sums are those of
     rescanning a factor list that keeps its order and appends each step's
-    result.  With ``visits``, every variable summed out has a step, one with
-    no operands if no live factor holds it, for :func:`_run`'s ``visit``.
+    result.  Every variable summed out has a step, one with no operands if
+    no live factor holds it, so that :func:`_run`'s ``visit`` sees each.
 
     ``broadcasts``, if given, maps a bucket's operand scopes to their
     :func:`_broadcast`, for plans whose variables have the same axis
@@ -363,8 +363,7 @@ def _plan(factors, order, keep, visits: bool = False,
         # A slot whose factor an earlier step consumed is no longer live.
         bucket = tuple([slot for slot in buckets.pop(var, ()) if live.pop(slot, False)])
         if not bucket:
-            if visits:
-                steps.append((var, (), None, None, None, i))
+            steps.append((var, (), None, None, None, i))
             continue
         if len(bucket) == 1:
             product, shapes = scopes[bucket[0]], None
@@ -385,28 +384,24 @@ def _plan(factors, order, keep, visits: bool = False,
         scopes.append(scope)
         steps.append((var, bucket, shapes, axis, scope, i))
     rest = tuple(live)
-    if len(rest) == 1:  # the common end: one factor, over what is kept
-        scope = scopes[rest[0]]
-        shapes = ((1,) * len(scope), tuple([cards[v] for v in scope]))
-    else:
-        scope, shapes = _broadcast([(), *[scopes[slot] for slot in rest]], cards)
+    scope, shapes = _broadcast([scopes[slot] for slot in rest], cards) if rest else ((), None)
     return _Plan(tuple(steps), rest, shapes, scope)
 
 
 def _run(plan: _Plan, factors: list, visit=None) -> _Factor:
     """Run ``plan`` on ``factors``, one per slot of the scopes it was built
     from: the one elimination executor.  Returns the product of what is
-    left.
+    left, the scalar 1 if nothing is.
 
     Only the order of the slots matters, so the live factors in slot order
     are a pass's whole state.  ``visit(i, live)``, if given, is called with
-    that list before the step of ``order[i]``; the plan must have a step for
-    every variable it sums out.  A run that keeps ``other``, which agrees
-    with ``keep`` on ``order[:i]``, over factors that differ only in ones
-    over no variable of ``order[:i]``, makes this pass's steps before ``i``.
-    So ``_eliminate(live, order[i:], other)``, those factors swapped into
-    ``live``, returns that run's result bit for bit: :func:`_all_marginals`
-    resumes each node this way, and ranking each candidate.
+    that list before the step of ``order[i]``.  A run that keeps ``other``,
+    which agrees with ``keep`` on ``order[:i]``, over factors that differ
+    only in ones over no variable of ``order[:i]``, makes this pass's steps
+    before ``i``.  So ``_eliminate(live, order[i:], other)``, those factors
+    swapped into ``live``, returns that run's result bit for bit:
+    :func:`_all_marginals` resumes each node this way, and ranking each
+    candidate.
     """
     import numpy as np
 
@@ -416,15 +411,16 @@ def _run(plan: _Plan, factors: list, visit=None) -> _Factor:
     for step in plan.steps:
         if visit is not None:
             visit(step[5], list(live.values()))
-            if not step[1]:
-                continue
-            for slot in step[1]:
-                del live[slot]
+        if not step[1]:
+            continue
         values.append(_apply(step, values))
         if visit is not None:
+            for slot in step[1]:
+                del live[slot]
             live[len(values) - 1] = _Factor(step[4], values[-1])
-    rest = [np.float64(1.0), *[values[slot] for slot in plan.live]]
-    return _Factor(plan.scope, _multiply(rest, range(len(rest)), plan.shapes))
+    if not plan.live:
+        return _Factor((), np.float64(1.0))
+    return _Factor(plan.scope, _multiply(values, plan.live, plan.shapes))
 
 
 def _eliminate(factors: list, order, keep, visit=None, broadcasts=None) -> _Factor:
@@ -437,7 +433,7 @@ def _eliminate(factors: list, order, keep, visit=None, broadcasts=None) -> _Fact
     Returns the product of what is left, over ``keep`` and every variable
     not in ``order``.
     """
-    return _run(_plan(factors, order, keep, visit is not None, broadcasts), factors, visit)
+    return _run(_plan(factors, order, keep, broadcasts), factors, visit)
 
 
 def _observed(model: BayesianModel, evidence) -> tuple[dict, dict]:
@@ -464,10 +460,10 @@ def _reduced(model: BayesianModel, evidence) -> tuple[dict, dict, list]:
 
 class _PointPlan(NamedTuple):
     """A point query's memoized plan, for one query and one set of observed
-    variables.  ``kept`` holds ``(i, reduced)`` per factor the query keeps,
-    ``i`` ascending: ``reduced`` is whether an observed variable is among
-    the factor's, so that the query reduces it to the observed states.
-    ``plan`` eliminates those factors.  Immutable."""
+    variables.  ``kept`` holds the ids of the factors the query keeps,
+    ascending; the query reduces each to the observed states, which leaves
+    one over no observed variable as it is.  ``plan`` eliminates those
+    factors.  Immutable."""
 
     kept: tuple
     plan: _Plan
@@ -483,10 +479,9 @@ def _point_plan(model: BayesianModel, var: int, evidence: dict, observed: dict) 
     kept = sorted([index[nid] for nid in _bfs(model.graph, (compiled.ids[var], *evidence),
                                                  upward=True)])
     factors = [_reduce_factor(compiled.factors[i], observed) for i in kept]
-    inputs = tuple([(i, f is not compiled.factors[i]) for i, f in zip(kept, factors)])
     members = set(kept)
     order = tuple([v for v in compiled.elimination if v in members])
-    return _PointPlan(inputs, _plan(factors, order, (var,))), factors
+    return _PointPlan(tuple(kept), _plan(factors, order, (var,))), factors
 
 
 def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
@@ -529,9 +524,7 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
                 del compiled.plans[next(iter(compiled.plans))]  # the oldest
             compiled.plans[key] = point
     else:
-        factors = compiled.factors
-        inputs = [_reduce_factor(factors[i], observed) if reduced else factors[i]
-                  for i, reduced in point.kept]
+        inputs = [_reduce_factor(compiled.factors[i], observed) for i in point.kept]
     return _marginal(compiled, var, observed, _run(point.plan, inputs), lambda: evidence)
 
 

@@ -357,6 +357,8 @@ def _check_horizon(model: TemporalModel, last: int, requested: str) -> None:
 
 def _prepare(model: TemporalModel, obs: ObservationSeries, last_obs_time: int) -> dict:
     """Validate ``obs``; return slice -> {template id: state index}."""
+    if not isinstance(obs, ObservationSeries):
+        raise InvalidArgument(f"observations must be an ObservationSeries, got {obs!r}")
     template = model.template.model
     by_slice: dict[int, dict[int, int]] = {}
     for t, node_id, state in obs:
@@ -386,19 +388,11 @@ def _sweep(slices: _Slices, evidence: dict, obs: ObservationSeries, steps,
     """One message pass: eliminate each slice of ``steps`` in turn with the
     message so far, keeping ``keep``; normalize the result to sum 1 and move
     every id by ``shift`` to give the next message.  None for no steps.
-
-    A slice's plan depends only on its factors' scopes, that is on which
-    nodes are observed at it and at the slice before, so slices that agree
-    on those share one plan within the pass."""
+    Each slice plans its own factors and runs that plan."""
     message = None
-    plans: dict = {}
     for s in steps:
         factors = _slice_factors(slices, evidence, s, [message])
-        scopes = tuple([f.vars for f in factors])
-        plan = plans.get(scopes)
-        if plan is None:
-            plan = plans[scopes] = _plan(factors, slices.order, keep)
-        result = _run(plan, factors)
+        result = _run(_plan(factors, slices.order, keep), factors)
         z = _total(result, obs.unrolled_evidence)
         message = _Factor(tuple(v + shift for v in result.vars), result.values / z)
     return message

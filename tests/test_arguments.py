@@ -16,7 +16,7 @@ import pytest
 
 from iotrisk import temporal
 from iotrisk.bundled import load_bundled_model
-from iotrisk.cascade import IncidentScenario, rank_criticality
+from iotrisk.cascade import IncidentScenario, impact_probabilities, rank_criticality
 from iotrisk.cvss import prior_cpt_from_score
 from iotrisk.documents import EvidenceRecord, ingest_evidence
 from iotrisk.errors import (
@@ -176,9 +176,24 @@ def test_malformed_entry_refused_before_any_work(work, call, text):
      "unknown node ['a1']"),
     (lambda m: rank_criticality(m, [("a14", "impaired")], service_nodes=[["a1"]]),
      UnknownNode, "unknown node ['a1']"),
+    (lambda m: rank_criticality(m, None), InvalidArgument,
+     "candidates must be a collection of (node, state) pairs, got None"),
+    (lambda m: rank_criticality(m, [("a14", "impaired")], service_nodes=5), InvalidArgument,
+     "service_nodes must be a collection of node ids, got 5"),
+    (lambda m: rank_criticality(m, [("a14", "impaired")], degraded_states=[("a1",)]),
+     InvalidArgument,
+     "degraded_states must map node ids to states, got [('a1',)]"),
+    (lambda m: impact_probabilities(m, {"a14": "impaired"}), InvalidArgument,
+     "scenario must be an IncidentScenario, got {'a14': 'impaired'}"),
+    (lambda m: filter_marginals(make_sensor_dbn(), "x", 0), InvalidArgument,
+     "observations must be an ObservationSeries, got 'x'"),
+    (lambda m: smooth_marginals(make_sensor_dbn(), {0: {}}, 0, 0), InvalidArgument,
+     "observations must be an ObservationSeries, got {0: {}}"),
 ], ids=["posterior_update-string", "posterior_update-pair", "IncidentScenario-string",
         "eliminate_marginal-query", "rank_criticality-candidate",
-        "rank_criticality-service_nodes"])
+        "rank_criticality-service_nodes", "rank_criticality-no-candidates",
+        "rank_criticality-service_nodes-int", "rank_criticality-degraded_states",
+        "impact_probabilities-scenario", "filter_marginals-obs", "smooth_marginals-obs"])
 def test_malformed_query_argument_refused_before_any_work(work, call, error, text):
     model = load_bundled_model("layered_iot").model
     model.compiled
@@ -188,6 +203,12 @@ def test_malformed_query_argument_refused_before_any_work(work, call, error, tex
     assert type(err.value) is error
     assert str(err.value) == text
     assert work == []
+
+
+def test_unhashable_value_is_not_in_graph():
+    graph = load_bundled_model("layered_iot").model.graph
+    assert "a1" in graph
+    assert ["a1"] not in graph
 
 
 # Arguments of the table builders: a bad gate or domain is an InvalidArgument

@@ -473,6 +473,18 @@ class TestBoundary:
         assert captured.out == ""
         assert captured.err == message
 
+    # An empty path is a path given: one that names no file to read or write.
+    @pytest.mark.parametrize("argv,message", [
+        (("infer", "--model", "layered_iot", "--evidence", ""), "cannot read input"),
+        (("dbn", "--model", "smart_home", "--evidence", ""), "cannot read input"),
+        (("validate", "--model", "layered_iot", "--output", ""), "cannot write output"),
+    ], ids=["infer-evidence", "dbn-evidence", "validate-output"])
+    def test_empty_path_is_a_given_path(self, capsys, model_files, argv, message):
+        assert main(with_paths(argv, model_files)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"iotrisk: {message}: ")
+
     def test_wide_gap_node_exits_one(self, tmp_path):
         # 24 binary roots feed one node with no CPT, so its catalogue-backed
         # table would have 2^24 rows.  The address-space cap turns a build of

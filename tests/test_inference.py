@@ -385,6 +385,39 @@ class TestPointPlans:
         assert len(model.compiled.plans) <= 8
 
 
+class TestPlanShape:
+    """Every plan has one step per variable it sums out, whoever asks."""
+
+    @staticmethod
+    def _check(plan, order, keep, factors):
+        summed = [i for i, v in enumerate(order) if v not in keep]
+        assert [step[5] for step in plan.steps] == summed
+        assert [step[0] for step in plan.steps] == [order[i] for i in summed]
+        # A visit that does nothing changes no bit of the result.
+        plain = inference._run(plan, factors)
+        visited = inference._run(plan, factors, lambda i, live: None)
+        assert visited.vars == plain.vars
+        assert visited.values.tobytes() == plain.values.tobytes()
+
+    def test_point_and_pass_plans_have_a_step_per_summed_variable(self):
+        for model, evidence in acceptance_models():
+            compiled = model.compiled
+            _, observed, factors = inference._reduced(model, evidence)
+            self._check(inference._plan(factors, compiled.elimination, ()),
+                        compiled.elimination, (), factors)
+            for var, nid in enumerate(compiled.ids):
+                try:
+                    eliminate_marginal(model, nid, evidence)
+                except ImpossibleEvidence:
+                    pass
+                point = compiled.plans[(var, frozenset(observed))]
+                kept = set(point.kept)
+                order = [v for v in compiled.elimination if v in kept]
+                self._check(point.plan, order, (var,),
+                            [inference._reduce_factor(compiled.factors[i], observed)
+                             for i in point.kept])
+
+
 class TestPosteriorUpdate:
     def test_bayes_update_from_child(self, chain2):
         posteriors = posterior_update(chain2, {"B": "T"})
