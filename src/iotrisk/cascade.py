@@ -102,15 +102,25 @@ def _service_nodes(graph: DependencyGraph) -> tuple[str, ...]:
     return flagged if flagged else graph.sinks()
 
 
+def _check_scenario(graph: DependencyGraph, scenario) -> None:
+    """``scenario`` checked against ``graph``; one that is not an
+    :class:`IncidentScenario` raises :class:`InvalidArgument`."""
+    if not isinstance(scenario, IncidentScenario):
+        raise InvalidArgument(f"scenario must be an IncidentScenario, got {scenario!r}")
+    scenario.check_against(graph)
+
+
 def classify_levels(graph: DependencyGraph, scenario: IncidentScenario) -> LevelClassification:
     """Assign each node its event level for the scenario.
 
     Origins are atomic (this wins every tie).  Service goals -- the flagged
     nodes, or all sinks when none are flagged -- are service level.  Everything
     else sitting on a directed path from an origin to a service node is
-    propagation.  Nodes on no such path are reported as unclassified.
+    propagation.  Nodes on no such path are reported as unclassified.  A
+    ``scenario`` that is not an :class:`IncidentScenario` raises
+    :class:`InvalidArgument`.
     """
-    scenario.check_against(graph)
+    _check_scenario(graph, scenario)
     return _classify_levels(graph, scenario.origins, _bfs(graph, scenario.origins))
 
 
@@ -136,8 +146,10 @@ def _classify_levels(graph: DependencyGraph, origins, downstream) -> LevelClassi
 
 
 def impact_set(graph: DependencyGraph, scenario: IncidentScenario) -> frozenset:
-    """Union of the origins' descendants; the origins themselves excluded."""
-    scenario.check_against(graph)
+    """Union of the origins' descendants; the origins themselves excluded.
+    A ``scenario`` that is not an :class:`IncidentScenario` raises
+    :class:`InvalidArgument`."""
+    _check_scenario(graph, scenario)
     return frozenset(_bfs(graph, scenario.origins)).difference(scenario.origins)
 
 
@@ -151,10 +163,8 @@ def impact_probabilities(model: BayesianModel, scenario: IncidentScenario) -> Im
     origins themselves).  A ``scenario`` that is not an
     :class:`IncidentScenario` raises :class:`InvalidArgument`.
     """
-    if not isinstance(scenario, IncidentScenario):
-        raise InvalidArgument(f"scenario must be an IncidentScenario, got {scenario!r}")
     graph = model.graph
-    scenario.check_against(graph)
+    _check_scenario(graph, scenario)
     distances = _bfs(graph, scenario.origins)
     classification = _classify_levels(graph, scenario.origins, distances)
     posteriors = posterior_update(model, scenario.origins)

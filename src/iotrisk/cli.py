@@ -13,6 +13,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -184,10 +185,18 @@ def _render_text(kind: str, result) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _path(path: str) -> Path:
+    """``Path(path)``; an empty ``path`` names no file, so it raises
+    FileNotFoundError naming ``''``, where ``Path('')`` would name ``.``."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    return Path(path)
+
+
 def _write(args, text: str) -> None:
     if args.output is not None:
         try:
-            Path(args.output).write_text(text, encoding="utf-8")
+            _path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise OutputError(exc) from exc
     else:
@@ -201,10 +210,13 @@ def _emit(args, kind: str, result, digest: str | None) -> None:
         _write(args, emit_report(kind, result, digest))
 
 
-def _decode(raw: bytes, path: str) -> str:
-    """``raw`` as UTF-8 text; bytes that are not UTF-8 are a located input error."""
+def _read(path: str) -> tuple[bytes, str]:
+    """``(raw, text)``: the bytes of the file at ``path``, read once, and
+    their UTF-8 text.  An empty ``path`` is a missing file (see
+    :func:`_path`); bytes that are not UTF-8 are a located input error."""
+    raw = _path(path).read_bytes()
     try:
-        return raw.decode("utf-8")
+        return raw, raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path}: not UTF-8 text: {exc.reason} at byte offset "
                             f"{exc.start}") from None
@@ -212,23 +224,23 @@ def _decode(raw: bytes, path: str) -> str:
 
 def _load_document(args):
     """The ``--model`` document, its report digest and its raw bytes."""
-    raw = Path(args.model).read_bytes()
-    return parse_model(_decode(raw, args.model)), input_digest(raw), raw
+    raw, text = _read(args.model)
+    return parse_model(text), input_digest(raw), raw
 
 
 def _read_evidence(args, model, model_raw: bytes):
     """The ``--evidence`` records, checked against ``model``, and the digest."""
-    raw = Path(args.evidence).read_bytes()
-    return read_evidence(_decode(raw, args.evidence), model), input_digest(model_raw, raw)
+    raw, text = _read(args.evidence)
+    return read_evidence(text, model), input_digest(model_raw, raw)
 
 
 # ------------------------------------------------------------------- commands
 
 def _cmd_validate(args) -> int:
-    raw = Path(args.model).read_bytes()
+    raw, text = _read(args.model)
     digest = input_digest(raw)
     try:
-        doc = parse_model(_decode(raw, args.model))
+        doc = parse_model(text)
     except ValidationFailed as exc:
         result = {"ok": False,
                   "issues": [{"path": path, "message": msg} for path, msg in exc.issues]}
@@ -312,18 +324,17 @@ def _cmd_iotmm(args) -> int:
     doc, digest, _ = _load_document(args)
     model = doc.model
     uncontrollable = sorted(detect_uncontrollable(model))
+    catalogues = {nid: doc.catalogues.get(nid) or catalogue(model, nid)
+                  for nid in uncontrollable}
     if args.resolve is not None:
         marginal = resolve_uncontrollable(model, args.resolve, dict(args.observe),
                                           doc.catalogues)
         result = {"resolved": args.resolve,
                   "evidence": dict(args.observe),
                   "posterior": marginal,
-                  "catalogue": doc.catalogues.get(args.resolve)
-                  or catalogue(model, args.resolve)}
+                  "catalogue": catalogues[args.resolve]}
     else:
-        result = {"uncontrollable": uncontrollable,
-                  "catalogues": {nid: doc.catalogues.get(nid) or catalogue(model, nid)
-                                 for nid in uncontrollable}}
+        result = {"uncontrollable": uncontrollable, "catalogues": catalogues}
     _emit(args, "uncontrollable", result, digest)
     return 0
 
@@ -352,7 +363,7 @@ def _cmd_cvss(args) -> int:
 
 def _read_tiers(path: str) -> dict:
     """A JSON file holding one object: control element id -> tier label."""
-    return _json_object(_decode(Path(path).read_bytes(), path), f"{path}: ",
+    return _json_object(_read(path)[1], f"{path}: ",
                         "expected an object mapping element ids to tiers")
 
 
@@ -367,17 +378,12 @@ def _cmd_roadmap(args) -> int:
             raise ValidationFailed([("$.roadmap", "document has no roadmap section")])
         roadmap = doc.roadmap
     else:
-        from .bundled import parse_roadmap_document
+        from .bundled import DEFAULT_ROADMAP_SECTION, parse_roadmap_document
 
-        raw = Path(args.roadmap).read_bytes()
+        raw, text = _read(args.roadmap)
         digest = input_digest(raw)
-        text = _decode(raw, args.roadmap)
-        if args.section is None:
-            roadmap = parse_roadmap_document(text)
-        elif args.section == "all":
-            roadmap = parse_roadmap_document(text, None)
-        else:
-            roadmap = parse_roadmap_document(text, args.section)
+        section = {None: DEFAULT_ROADMAP_SECTION, "all": None}.get(args.section, args.section)
+        roadmap = parse_roadmap_document(text, section)
     current = _read_tiers(args.current)
     target = _read_tiers(args.target)
     if args.scale is None:

@@ -238,7 +238,10 @@ def parse_model(text: str) -> ModelDocument:
 
     Raises :class:`ModelSyntaxError` for malformed JSON,
     :class:`SchemaVersionMismatch` for unknown versions, and
-    :class:`ValidationFailed` with every located issue otherwise.
+    :class:`ValidationFailed` with every located issue otherwise.  Each
+    binding's control element is looked up by
+    :meth:`~iotrisk.roadmap.RoadmapModel.element`; one the roadmap lacks is
+    the issue that lookup's :class:`UnknownNode` names.
     """
     raw = _json_object(text)
     version = raw.get("schema_version")
@@ -373,11 +376,12 @@ def parse_model(text: str) -> ModelDocument:
         if node_id not in graph:
             issues.append((path, f"binding target {node_id!r} is not a model node"))
             continue
-        known = {e.id for e in roadmap.elements()}
-        if element_id not in known:
-            issues.append((path, f"no control element {element_id!r} in the roadmap"))
+        try:
+            element = roadmap.element(element_id)
+        except UnknownNode as exc:
+            issues.append((path, str(exc)))
             continue
-        if not roadmap.element(element_id).measurable:
+        if not element.measurable:
             issues.append((path, f"element {element_id!r} is not measurable"))
             continue
         bindings[element_id] = node_id

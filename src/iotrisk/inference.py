@@ -447,15 +447,10 @@ def _observed(model: BayesianModel, evidence) -> tuple[dict, dict]:
 
 def _reduced(model: BayesianModel, evidence) -> tuple[dict, dict, list]:
     """``(evidence, observed, factors)``: as from :func:`_observed`, and the
-    compiled factors, those over an observed node (its own and its
-    children's) reduced to the observed states."""
+    compiled factors, each passed through :func:`_reduce_factor`, which
+    leaves one over no observed variable as it is."""
     evidence, observed = _observed(model, evidence)
-    compiled = model.compiled
-    factors = list(compiled.factors)
-    children = model.graph._children
-    for i in {compiled.index[h] for nid in evidence for h in (nid, *children.get(nid, ()))}:
-        factors[i] = _reduce_factor(factors[i], observed)
-    return evidence, observed, factors
+    return evidence, observed, [_reduce_factor(f, observed) for f in model.compiled.factors]
 
 
 class _PointPlan(NamedTuple):

@@ -325,6 +325,7 @@ def unrolled_marginals(model: TemporalModel, obs: ObservationSeries,
     if k >= horizon:
         raise InvalidHorizon(f"queried slice {k} is beyond horizon {horizon} "
                              f"(slices 0..{horizon - 1})")
+    _check_series(obs)
     if obs.max_time is not None and obs.max_time >= horizon:
         raise ObservationBeyondHorizon(f"observation at time {obs.max_time} is beyond "
                                        f"horizon {horizon} (slices 0..{horizon - 1})")
@@ -355,10 +356,16 @@ def _check_horizon(model: TemporalModel, last: int, requested: str) -> None:
                              f"(slices 0..{model.max_horizon - 1})")
 
 
-def _prepare(model: TemporalModel, obs: ObservationSeries, last_obs_time: int) -> dict:
-    """Validate ``obs``; return slice -> {template id: state index}."""
+def _check_series(obs) -> None:
+    """An ``obs`` that is not an :class:`ObservationSeries` raises
+    :class:`InvalidArgument`."""
     if not isinstance(obs, ObservationSeries):
         raise InvalidArgument(f"observations must be an ObservationSeries, got {obs!r}")
+
+
+def _prepare(model: TemporalModel, obs: ObservationSeries, last_obs_time: int) -> dict:
+    """Validate ``obs``; return slice -> {template id: state index}."""
+    _check_series(obs)
     template = model.template.model
     by_slice: dict[int, dict[int, int]] = {}
     for t, node_id, state in obs:

@@ -120,9 +120,9 @@ def resolve_uncontrollable(model: BayesianModel, node_id: str, evidence=None,
     :class:`UnresolvableNode`.  Other uncontrollable nodes in the model are
     completed from their own catalogues so exact inference can run.
     """
+    model.graph.node(node_id)  # raises UnknownNode
     uncontrollable = detect_uncontrollable(model)
     if node_id not in uncontrollable:
-        model.graph.node(node_id)
         raise NotUncontrollable(f"node {node_id!r} has a CPT; nothing to resolve")
     blocked = [c for c in model.graph.children(node_id) if c in uncontrollable]
     if blocked:

@@ -16,7 +16,13 @@ import pytest
 
 from iotrisk import temporal
 from iotrisk.bundled import load_bundled_model
-from iotrisk.cascade import IncidentScenario, impact_probabilities, rank_criticality
+from iotrisk.cascade import (
+    IncidentScenario,
+    classify_levels,
+    impact_probabilities,
+    impact_set,
+    rank_criticality,
+)
 from iotrisk.cvss import prior_cpt_from_score
 from iotrisk.documents import EvidenceRecord, ingest_evidence
 from iotrisk.errors import (
@@ -39,7 +45,7 @@ from iotrisk.temporal import (
     unroll,
     unrolled_marginals,
 )
-from iotrisk.uncontrollable import and_cpt, logic_gate_cpt, or_cpt
+from iotrisk.uncontrollable import and_cpt, logic_gate_cpt, or_cpt, resolve_uncontrollable
 
 from conftest import make_chain2, make_sensor_dbn
 
@@ -185,15 +191,24 @@ def test_malformed_entry_refused_before_any_work(work, call, text):
      "degraded_states must map node ids to states, got [('a1',)]"),
     (lambda m: impact_probabilities(m, {"a14": "impaired"}), InvalidArgument,
      "scenario must be an IncidentScenario, got {'a14': 'impaired'}"),
+    (lambda m: classify_levels(m.graph, {"a14": "impaired"}), InvalidArgument,
+     "scenario must be an IncidentScenario, got {'a14': 'impaired'}"),
+    (lambda m: impact_set(m.graph, {"a14": "impaired"}), InvalidArgument,
+     "scenario must be an IncidentScenario, got {'a14': 'impaired'}"),
     (lambda m: filter_marginals(make_sensor_dbn(), "x", 0), InvalidArgument,
      "observations must be an ObservationSeries, got 'x'"),
     (lambda m: smooth_marginals(make_sensor_dbn(), {0: {}}, 0, 0), InvalidArgument,
      "observations must be an ObservationSeries, got {0: {}}"),
+    (lambda m: unrolled_marginals(make_sensor_dbn(), None, 0, 1), InvalidArgument,
+     "observations must be an ObservationSeries, got None"),
+    (lambda m: resolve_uncontrollable(m, ["a1"]), UnknownNode, "unknown node ['a1']"),
 ], ids=["posterior_update-string", "posterior_update-pair", "IncidentScenario-string",
         "eliminate_marginal-query", "rank_criticality-candidate",
         "rank_criticality-service_nodes", "rank_criticality-no-candidates",
         "rank_criticality-service_nodes-int", "rank_criticality-degraded_states",
-        "impact_probabilities-scenario", "filter_marginals-obs", "smooth_marginals-obs"])
+        "impact_probabilities-scenario", "classify_levels-scenario", "impact_set-scenario",
+        "filter_marginals-obs", "smooth_marginals-obs", "unrolled_marginals-obs",
+        "resolve_uncontrollable-node"])
 def test_malformed_query_argument_refused_before_any_work(work, call, error, text):
     model = load_bundled_model("layered_iot").model
     model.compiled

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from iotrisk import temporal
-from iotrisk.bundled import load_bundled_model
+from iotrisk.bundled import load_bundled_model, parse_roadmap_document
 from iotrisk.cli import main
 from iotrisk.documents import ModelDocument, serialize_model
 from iotrisk.graph import ancestors
@@ -296,6 +296,41 @@ class TestRoadmap:
         assert captured.out == ""
         assert captured.err == "iotrisk: error: tier scale repeats label 'NotImplemented'\n"
 
+    # Tier files that cover every element of every section, so each section
+    # choice reports on its own elements alone.
+    @pytest.mark.parametrize("section,elements", [
+        (None, 3), ("training-and-awareness", 3), ("all", 7),
+        ("security-event-monitoring", 3),
+    ])
+    def test_section_chooses_the_elements(self, capsys, tmp_path, model_files,
+                                          section, elements):
+        ids = [e.id for e in parse_roadmap_document(
+            Path(model_files["roadmap"]).read_text(encoding="utf-8"), None).elements()]
+        tiers = {}
+        for name, tier in (("current", "NotImplemented"), ("target", "Evidenced")):
+            tiers[name] = tmp_path / f"{name}.json"
+            tiers[name].write_text(json.dumps(dict.fromkeys(ids, tier)), encoding="utf-8")
+        argv = ["roadmap", "--roadmap", model_files["roadmap"],
+                "--current", str(tiers["current"]), "--target", str(tiers["target"])]
+        if section is not None:
+            argv += ["--section", section]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["elements"] == elements
+        assert len(result["gaps"]) == elements
+
+    def test_unknown_section_exits_one(self, capsys, model_files):
+        code = main(["roadmap", "--roadmap", model_files["roadmap"], "--section", "nope",
+                     "--current", model_files["current"], "--target", model_files["target"]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "iotrisk: error: 1 validation issue(s): $.sections: no section 'nope'; "
+            "available: ['cyber-threat-intelligence', 'security-event-monitoring', "
+            "'training-and-awareness']\n")
+
     def test_model_and_roadmap_together_is_usage_error(self, capsys, model_files):
         code, _ = run(capsys, "roadmap", "--model", model_files["smart_home"],
                       "--roadmap", model_files["roadmap"],
@@ -478,12 +513,19 @@ class TestBoundary:
         (("infer", "--model", "layered_iot", "--evidence", ""), "cannot read input"),
         (("dbn", "--model", "smart_home", "--evidence", ""), "cannot read input"),
         (("validate", "--model", "layered_iot", "--output", ""), "cannot write output"),
-    ], ids=["infer-evidence", "dbn-evidence", "validate-output"])
+        (("validate", "--model", ""), "cannot read input"),
+        (("roadmap", "--roadmap", "", "--current", "current", "--target", "target"),
+         "cannot read input"),
+        (("roadmap", "--roadmap", "roadmap", "--current", "", "--target", "target"),
+         "cannot read input"),
+    ], ids=["infer-evidence", "dbn-evidence", "validate-output", "validate-model",
+            "roadmap-roadmap", "roadmap-current"])
     def test_empty_path_is_a_given_path(self, capsys, model_files, argv, message):
         assert main(with_paths(argv, model_files)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"iotrisk: {message}: ")
+        assert captured.err.endswith(": ''\n")
 
     def test_wide_gap_node_exits_one(self, tmp_path):
         # 24 binary roots feed one node with no CPT, so its catalogue-backed
@@ -635,6 +677,8 @@ NUMPY_FREE_REPORTS = [
      "17d9e5a778e163e442fc44aea0c85b3fa2d6d05427b8a78a46f17e1e94ebd543"),
     (("roadmap", "--roadmap", "roadmap", "--current", "current", "--target", "target"),
      "c1af265c67eefba05906d475419b283e15ec3be26da735ae4d6b52eb3b4a9e35"),
+    (("iotmm", "--model", "uncontrolled_sensor"),
+     "c543e452f66858236b5e1fd414ab441171c50ebe6e3f9280ffe3793180deb741"),
 ]
 
 

@@ -121,6 +121,16 @@ class TestParseModel:
             parse_model(json.dumps(raw))
         assert any("not measurable" in msg for _, msg in err.value.issues)
 
+    def test_binding_to_unknown_element_rejected(self):
+        raw = json.loads(doc_text())
+        raw["roadmap"] = {"goals": [{"id": "g1", "title": "g", "objectives": [
+            {"id": "o1", "title": "o", "elements": [
+                {"id": "e1", "title": "e", "measurable": True}]}]}]}
+        raw["bindings"] = {"e1": "A", "e9": "A"}
+        with pytest.raises(ValidationFailed) as err:
+            parse_model(json.dumps(raw))
+        assert err.value.issues == [("$.bindings.e9", "no control element 'e9' in the roadmap")]
+
     @pytest.mark.parametrize("patch,where", [
         (lambda raw: raw["edges"][0].update({"from": ["A"]}), "$.edges[0]"),
         (lambda raw: raw["edges"][0].update({"to": True}), "$.edges[0]"),
