@@ -219,8 +219,8 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
 
     Each score is bit for bit that of one full elimination, every node
     summed out, per (candidate, service node) pair.  A point
-    :func:`~iotrisk.inference.eliminate_marginal` sums out only ancestors
-    and may differ in the last bits, within ``ORACLE_TOL``.
+    :func:`~iotrisk.inference.eliminate_marginal` sums out only the
+    requisite nodes and may differ in the last bits, within ``ORACLE_TOL``.
 
     Per service node, one evidence-free pass, the node's prior marginal with
     every node summed out, runs the steps the pairs share.  A candidate's

@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", metavar="PATH", help="model document with an embedded roadmap")
     p.add_argument("--roadmap", metavar="PATH", help="standalone roadmap dataset")
     p.add_argument("--section", metavar="KEY",
-                   help="section of a standalone dataset; 'all' combines sections "
+                   help="section of a --roadmap dataset; 'all' combines sections "
                         "(default: iotrisk.bundled.DEFAULT_ROADMAP_SECTION)")
     p.add_argument("--current", required=True, metavar="PATH",
                    help="JSON file: element id -> current tier label")
@@ -372,6 +372,8 @@ def _cmd_roadmap(args) -> int:
 
     if (args.model is None) == (args.roadmap is None):
         raise UsageError("give exactly one of --model or --roadmap")
+    if args.model is not None and args.section is not None:
+        raise UsageError("--section applies only to --roadmap")
     if args.model is not None:
         doc, digest, _ = _load_document(args)
         if doc.roadmap is None:

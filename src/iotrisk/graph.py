@@ -298,6 +298,36 @@ def _bfs(graph: DependencyGraph, sources, upward: bool = False) -> dict[str, int
     return dist
 
 
+def _requisite(graph: DependencyGraph, query: str, observed) -> set[str]:
+    """The ids whose tables can change P(query | ``observed`` ids): the
+    nodes Bayes-Ball (Shachter 1998) marks on top, starting at ``query`` as
+    if from a child; ids unchecked.
+
+    A ball from a child passes through an unobserved node to its parents and
+    children, and stops at an observed one.  A ball from a parent passes
+    through an unobserved node to its children, and bounces off an observed
+    one back to its parents.  A node that sends to its parents is marked on
+    top, and its table can change the answer.  So every requisite node is an
+    ancestor of the query or of an observed node, and every unobserved
+    parent of one is requisite too.
+    """
+    top: set[str] = set()
+    bottom: set[str] = set()
+    queue = deque([(query, True)])  # (id, reached from a child)
+    while queue:
+        nid, from_child = queue.popleft()
+        is_observed = nid in observed
+        # To the parents: from a child through an unobserved node, or from a
+        # parent bounced off an observed one.
+        if from_child != is_observed and nid not in top:
+            top.add(nid)
+            queue.extend((p, True) for p in graph._parents.get(nid, ()))
+        if not is_observed and nid not in bottom:
+            bottom.add(nid)
+            queue.extend((c, False) for c in graph._children.get(nid, ()))
+    return top
+
+
 def _assignment(value, what: str) -> dict:
     """``value`` as a plain dict, or InvalidArgument naming ``what``."""
     try:

@@ -10,13 +10,15 @@ P(node | parents), and every query here evaluates that product exactly:
   count; intended for models up to roughly 14 nodes.
 * :func:`eliminate_marginal` -- variable elimination, the production path.
   Must agree with enumeration to 1e-9; the test suite holds it to that.
-  It sums out only the ancestors of the query and the evidence: any other
-  node is barren, its factors sum to 1 and cannot change the answer
-  (Shachter 1998, "Bayes-Ball").  Each variable has a bucket of the factors
-  over it (bucket elimination, Dechter 1999), and a bucket is multiplied in
-  one pass.  The products and sums are those of rescanning one factor list
-  per variable, in the same order, so the answers are bit for bit those of
-  that simpler algorithm.
+  It keeps only the requisite tables, those that Bayes-Ball (Shachter
+  1998) finds can change the answer: not a barren node's, which sums to 1,
+  nor one that observed nodes cut off from the query.  Where a table so
+  dropped holds a zero, it keeps the tables of every ancestor of the query
+  and the evidence instead, so that its total still checks the evidence.
+  Each variable has a bucket of the factors over it (bucket elimination,
+  Dechter 1999), and a bucket is multiplied in one pass.  The products and
+  sums are those of rescanning one factor list per variable, in the same
+  order, so the answers are bit for bit those of that simpler algorithm.
 * :func:`posterior_update` -- every node's marginal under one evidence set.
   Under one order, each node's full elimination, every node summed out,
   repeats the steps of one pass up to that node's position, so
@@ -25,9 +27,9 @@ P(node | parents), and every query here evaluates that product exactly:
   and sums, hence the same bits, at about half the steps.  Criticality
   ranking resumes each candidate's elimination the same way, from one
   evidence-free pass per service node, before the first step over a factor
-  the candidate's evidence reduces.  A point answer leaves out the barren
-  sums (each about 1), so it may differ from these in its last bits, within
-  ``ORACLE_TOL``.
+  the candidate's evidence reduces.  A point answer leaves out the tables
+  that are not requisite, so it may differ from these in its last bits,
+  within ``ORACLE_TOL``.
 
 The numeric queries, and the Monte Carlo sampler, read one
 :class:`CompiledModel`: integer node ids, one read-only table per CPT, the
@@ -52,7 +54,7 @@ factors' scopes, but never on their observed states, which only pick the
 entries that reduction keeps.  So :func:`eliminate_marginal` keeps each
 plan on the :class:`CompiledModel`, keyed by ``(query id, frozenset of
 observed ids)``, and a later query with the same key replays it under any
-states: no ancestor walk, no reduction of factors that pruning drops, no
+states: no graph walk, no reduction of factors that pruning drops, no
 bucket or scope work.  Holding no answer, the memo cannot return one made
 under other evidence.  Every other caller plans on each call, ranking's
 plans sharing their bucket shapes.  Every plan has one step per variable
@@ -73,7 +75,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ImpossibleEvidence, IncompleteAssignment
-from .graph import _bfs, topological_order
+from .graph import _bfs, _requisite, topological_order
 from .model import BayesianModel, Marginal
 
 if TYPE_CHECKING:
@@ -391,7 +393,8 @@ def _plan(factors, order, keep, broadcasts: dict | None = None) -> _Plan:
 def _run(plan: _Plan, factors: list, visit=None) -> _Factor:
     """Run ``plan`` on ``factors``, one per slot of the scopes it was built
     from: the one elimination executor.  Returns the product of what is
-    left, the scalar 1 if nothing is.
+    left, the scalar 1 if nothing is.  Each step drops the tables it
+    consumed, so beyond ``factors`` a run holds only its live tables.
 
     Only the order of the slots matters, so the live factors in slot order
     are a pass's whole state.  ``visit(i, live)``, if given, is called with
@@ -414,6 +417,8 @@ def _run(plan: _Plan, factors: list, visit=None) -> _Factor:
         if not step[1]:
             continue
         values.append(_apply(step, values))
+        for slot in step[1]:  # no later step reads it: free its table now
+            values[slot] = None
         if visit is not None:
             for slot in step[1]:
                 del live[slot]
@@ -456,9 +461,10 @@ def _reduced(model: BayesianModel, evidence) -> tuple[dict, dict, list]:
 class _PointPlan(NamedTuple):
     """A point query's memoized plan, for one query and one set of observed
     variables.  ``kept`` holds the ids of the factors the query keeps,
-    ascending; the query reduces each to the observed states, which leaves
-    one over no observed variable as it is.  ``plan`` eliminates those
-    factors.  Immutable."""
+    ascending: the requisite ones, or every ancestral one where a dropped
+    table holds a zero (see :func:`_point_plan`).  The query reduces each to
+    the observed states, which leaves one over no observed variable as it
+    is.  ``plan`` eliminates those factors.  Immutable."""
 
     kept: tuple
     plan: _Plan
@@ -466,13 +472,27 @@ class _PointPlan(NamedTuple):
 
 def _point_plan(model: BayesianModel, var: int, evidence: dict, observed: dict) -> tuple:
     """``(point, factors)``: the :class:`_PointPlan` of ``var`` under
-    ``observed``, over the factors of the ancestors of the query and the
-    evidence and the reverse topological order restricted to them, and
-    those factors, reduced to the observed states."""
+    ``observed``, and its factors, reduced to the observed states.
+
+    The plan keeps the factors of the requisite nodes, those whose tables
+    Bayes-Ball finds can change the answer (see
+    :func:`~iotrisk.graph._requisite`), and sums them out in the reverse
+    topological order restricted to them.  They are a subset of the
+    ancestors of the query and the evidence.  A dropped ancestral table can
+    still be the one that makes the evidence impossible, so the plan drops
+    them only if every one is strictly positive: then the kept product sums
+    to 0 exactly when P(evidence) is 0, and the total still checks the
+    evidence.  Otherwise it keeps every ancestor's factor.
+    """
     compiled = model.compiled
     index = compiled.index
-    kept = sorted([index[nid] for nid in _bfs(model.graph, (compiled.ids[var], *evidence),
-                                                 upward=True)])
+    query = compiled.ids[var]
+    nodes = _bfs(model.graph, (query, *evidence), upward=True)
+    requisite = _requisite(model.graph, query, evidence)
+    if all(compiled.factors[index[nid]].values.min() > 0
+           for nid in nodes if nid not in requisite):
+        nodes = requisite
+    kept = sorted([index[nid] for nid in nodes])
     factors = [_reduce_factor(compiled.factors[i], observed) for i in kept]
     members = set(kept)
     order = tuple([v for v in compiled.elimination if v in members])
@@ -483,12 +503,18 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
                        _pass=None) -> Marginal:
     """Exact P(query | evidence) by variable elimination.
 
-    Only the ancestors of the query and the evidence are summed out, in an
-    order fixed for reproducibility: reverse topological order over those
-    ancestors, ties broken by node id.  The factors of every other node are
-    left out; their sums are 1.  Agrees with :func:`enumerate_marginal`, and
-    with :func:`posterior_update`, to within ``ORACLE_TOL``.  An observed
-    query returns the model's shared indicator marginal.
+    Only the requisite nodes, those whose tables Bayes-Ball finds can
+    change the answer, are summed out, in an order fixed for
+    reproducibility: reverse topological order over those nodes, ties
+    broken by node id.  Each is an ancestor of the query or the evidence.
+    The other tables only scale the result, but a zero in one of them can
+    scale it to 0.  So they are left out only if every one is strictly
+    positive, and otherwise every ancestor's table is kept.  Either way the
+    total is 0 exactly when the evidence's probability is, and then
+    :class:`ImpossibleEvidence` is raised, as by enumeration.  Agrees with
+    :func:`enumerate_marginal`, and with :func:`posterior_update`, to within
+    ``ORACLE_TOL``.  An observed query returns the model's shared indicator
+    marginal.
 
     The plan of that elimination depends only on the query and on which
     nodes are observed, so the first call with a pair builds it, and the
@@ -564,8 +590,8 @@ def posterior_update(model: BayesianModel, evidence=None) -> dict:
     probability zero.  One :func:`_all_marginals` pass runs each other node's
     full elimination, every node summed out, on from its state there: bit
     for bit one full elimination per node, at about half the steps.  It may
-    differ from :func:`eliminate_marginal`, which sums out only ancestors,
-    in the last bits, within ``ORACLE_TOL``.
+    differ from :func:`eliminate_marginal`, which sums out only the
+    requisite nodes (see there), in the last bits, within ``ORACLE_TOL``.
     """
     compiled = model.compiled
     evidence, observed, factors = _reduced(model, evidence)

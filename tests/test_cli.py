@@ -338,6 +338,17 @@ class TestRoadmap:
                       "--target", model_files["target"])
         assert code == 2
 
+    @pytest.mark.parametrize("section", ["nope", "all", "training-and-awareness"])
+    def test_section_with_model_is_usage_error(self, capsys, tmp_path, model_files, section):
+        # Refused before any file is read: neither tier file exists.
+        code = main(["roadmap", "--model", model_files["smart_home"], "--section", section,
+                     "--current", str(tmp_path / "absent.json"),
+                     "--target", str(tmp_path / "absent.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "iotrisk: usage error: --section applies only to --roadmap\n"
+
 
 class TestSample:
     def test_seeded_run_is_reproducible(self, capsys, model_files):

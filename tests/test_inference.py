@@ -14,8 +14,12 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iotrisk.errors import (
     ImpossibleEvidence,
@@ -44,7 +48,7 @@ from iotrisk.inference import (
     joint_probability,
     posterior_update,
 )
-from iotrisk.model import BayesianModel, Cpt
+from iotrisk.model import BayesianModel, Cpt, Marginal
 from iotrisk.sampling import monte_carlo_sample
 from iotrisk.temporal import (
     ObservationSeries,
@@ -75,6 +79,24 @@ from iotrisk.inference import eliminate_marginal
 model = wide_model()
 print(json.dumps({nid: eliminate_marginal(model, nid).probabilities
                   for nid in model.graph.node_ids}))
+"""
+
+# Filter at t = 1 on sys.argv[1] independent binary device chains, nothing
+# observed; prints the first chain's probabilities.
+CHAINS_FILTER = """
+import json, sys
+from iotrisk.graph import ComponentNode, DependencyGraph, StateDomain
+from iotrisk.model import BayesianModel, Cpt
+from iotrisk.temporal import (ObservationSeries, SliceTemplate, TemporalEdge,
+                              TemporalModel, filter_marginals)
+TF = StateDomain(["T", "F"])
+ids = [f"d{i:02d}" for i in range(int(sys.argv[1]))]
+template = BayesianModel(DependencyGraph([ComponentNode(n, "perception", TF) for n in ids], []),
+                         {n: Cpt.prior(n, (0.9, 0.1)) for n in ids})
+stay = {("T",): (0.8, 0.2), ("F",): (0.05, 0.95)}
+model = TemporalModel(SliceTemplate(template),
+                      [TemporalEdge(n, n, Cpt(n, (n,), stay)) for n in ids])
+print(json.dumps(filter_marginals(model, ObservationSeries(), 1)[ids[0]].probabilities))
 """
 
 
@@ -188,8 +210,8 @@ class TestEliminateMarginal:
                     assert p == pytest.approx(expected[node.id].p(state), abs=1e-9)
 
     def test_pruned_agrees_with_full_elimination_and_enumeration(self):
-        # Only the query's and the evidence's ancestors are summed out; the
-        # other nodes' sums are 1, so the answers move by last bits at most.
+        # Only the requisite nodes are summed out; the other tables only
+        # scale the result, so the answers move by last bits at most.
         for model, evidence in acceptance_models():
             oracle = enumerate_posteriors(model, evidence)
             for nid in model.graph.node_ids:
@@ -383,6 +405,128 @@ class TestPointPlans:
         assert not any(t.is_alive() for t in threads)
         assert got == [answers * 5 for answers in want]
         assert len(model.compiled.plans) <= 8
+
+
+def _with_zeros(rng, model):
+    """``model`` with about a third of its CPT rows holding zeros, each such
+    row keeping at least one state possible."""
+    cpts = {}
+    for nid, cpt in model.cpts.items():
+        rows = {}
+        for key, row in cpt.rows.items():
+            if rng.random() < 0.35:
+                alive = set(rng.sample(range(len(row)), rng.randint(1, len(row) - 1)))
+                row = [p if k in alive else 0.0 for k, p in enumerate(row)]
+                total = math.fsum(row)
+                row = [p / total for p in row]
+            rows[key] = row
+        cpts[nid] = Cpt(nid, cpt.parent_order, rows)
+    return BayesianModel(model.graph, cpts)
+
+
+class TestRequisitePlans:
+    """Point plans keep the Bayes-Ball requisite factors when every other
+    ancestral table is strictly positive, and every ancestral one otherwise."""
+
+    def test_observed_middle_of_a_chain_blocks_its_ancestors(self, chain3):
+        compiled = chain3.compiled
+        a, b, c = (compiled.index[nid] for nid in "ABC")
+        assert eliminate_marginal(chain3, "C", {"B": "T"}).probabilities == (0.8, 0.2)
+        assert compiled.plans[(c, frozenset({b}))].kept == (c,)
+        # A is requisite above the observed B: its table weighs B's evidence.
+        eliminate_marginal(chain3, "A", {"B": "T"})
+        assert compiled.plans[(a, frozenset({b}))].kept == (a, b)
+
+    @pytest.mark.parametrize("a_row, b_rows", [
+        # B is never F: its own table holds the zero.
+        ((0.3, 0.7), {("T",): (1.0, 0.0), ("F",): (1.0, 0.0)}),
+        # B copies A, which is never F: A's table holds the zero.
+        ((1.0, 0.0), {("T",): (1.0, 0.0), ("F",): (0.0, 1.0)}),
+    ])
+    def test_a_zero_in_a_dropped_table_keeps_every_ancestor(self, a_row, b_rows):
+        graph = DependencyGraph(
+            [ComponentNode("A", "network", TF), ComponentNode("B", "network", TF),
+             ComponentNode("C", "network", TF)],
+            [InfluenceEdge("A", "B"), InfluenceEdge("B", "C")])
+        model = BayesianModel(graph, {
+            "A": Cpt.prior("A", a_row),
+            "B": Cpt("B", ("A",), b_rows),
+            "C": Cpt("C", ("B",), {("T",): (0.8, 0.2), ("F",): (0.2, 0.8)}),
+        })
+        assert eliminate_marginal(model, "C", {"B": "T"}).probabilities == pytest.approx(
+            (0.8, 0.2), abs=ORACLE_TOL)
+        compiled = model.compiled
+        assert compiled.plans[(2, frozenset({1}))].kept == (0, 1, 2)
+        # Only the dropped tables say that B = F is impossible.
+        for _ in range(2):  # cold, then on the plan
+            with pytest.raises(ImpossibleEvidence):
+                eliminate_marginal(model, "C", {"B": "F"})
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_impossible_exactly_when_enumeration_says_so(self, seed):
+        rng = random.Random(seed)
+        model = _with_zeros(rng, random_model(rng, max_nodes=8, max_states=3,
+                                              max_joint=2 ** 10))
+        ids = model.graph.node_ids
+        evidence = random_evidence(rng, model)
+        for nid in ids:  # each node's plan, built under the drawn states
+            _answer(model, nid, evidence)
+        for states in (evidence, _states(model, evidence, rng)):
+            try:
+                oracle = enumerate_posteriors(model, states)
+            except ImpossibleEvidence:
+                oracle = None
+            for nid in ids:
+                for got in (_cold(model, nid, states), _answer(model, nid, states)):
+                    if oracle is None:
+                        assert got[0] is ImpossibleEvidence, (nid, states)
+                    else:
+                        assert isinstance(got, Marginal), (nid, states, got)
+                        assert got.probabilities == pytest.approx(
+                            oracle[nid].probabilities, abs=ORACLE_TOL), (nid, states)
+
+
+class TestRunMemory:
+    """A run frees each table once a step has consumed it."""
+
+    def test_peak_is_a_small_multiple_of_the_largest_live_set(self):
+        # A message over k binary variables, and one two-entry table per
+        # variable, as a slice's interface meets its transitions: each of
+        # the k steps makes a 2^k-entry table, consumed by the next step.
+        k = 16
+        rng = np.random.default_rng(0)
+        factors = [inference._Factor(tuple(range(k)), rng.random((2,) * k))]
+        factors += [inference._Factor((i, k + i), rng.random((2, 2))) for i in range(k)]
+        plan = inference._plan(factors, tuple(range(k)), ())
+        # Entries a run must hold at once: the live tables, the step's
+        # product and its result.
+        sizes = [f.values.size for f in factors]
+        live = set(range(len(factors)))
+        largest = made = 0
+        for _, operands, shapes, _, scope, _ in plan.steps:
+            product = 2 ** (len(scope) + 1) if shapes else 0
+            sizes.append(2 ** len(scope))
+            largest = max(largest, sum(sizes[s] for s in live) + product + sizes[-1])
+            live.difference_update(operands)
+            live.add(len(sizes) - 1)
+            made += sizes[-1]
+        assert made > 3 * largest  # so a run that holds every table fails the bound
+        tracemalloc.start()
+        try:
+            inference._run(plan, factors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * largest * 8
+
+    def test_independent_chains_filter_under_the_cap(self):
+        # 23 binary chains: filter at t = 1 makes 23 tables of 2^23 entries
+        # (64 MiB each) one after the other.  Holding all of them outgrows
+        # the child's 1.5 GiB cap; freeing each once consumed needs ~350 MB.
+        proc = run_capped("-c", CHAINS_FILTER, "23")
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == pytest.approx([0.725, 0.275], abs=ORACLE_TOL)
 
 
 class TestPlanShape:
