@@ -214,6 +214,11 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     ``"max"``, or ``"weighted"``.  ``"weighted"`` needs ``weights``, a mapping
     that gives every service node a finite weight >= 0, with a finite sum
     above 0; each score is then the weight-normalised sum.
+    ``service_nodes`` and each node's collection in ``degraded_states`` (a
+    mapping of service node -> states; the domain's last state where none
+    is given) are sets: a node or state named twice counts once, so every
+    score is a probability, and a node's degraded states are summed in
+    domain order, so the order they are given in moves no bit.
     Candidates whose evidence is impossible get an error entry instead of a
     score and sort last.  Ties break by ascending node id.
 
@@ -250,14 +255,17 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
         raise UnknownNode("no service nodes: flag is_service_goal or pass service_nodes")
     for s in service_nodes:
         graph.node(s)
-    service_nodes.sort()
+    service_nodes = sorted(set(service_nodes))
     degraded_states = _assignment(degraded_states or {}, "degraded_states")
     for node_id, states in degraded_states.items():
         graph.node(node_id)
         if node_id not in service_nodes:
             raise InvalidArgument(f"degraded_states names {node_id!r}, not a service node")
-        for state in _collection(states, f"degraded_states[{node_id!r}]", "states"):
+        states = _collection(states, f"degraded_states[{node_id!r}]", "states")
+        for state in states:
             _check_states(graph, {node_id: state})
+        degraded_states[node_id] = tuple([state for state in model.domain(node_id).states
+                                          if state in states])
     for s in service_nodes:
         degraded_states.setdefault(s, default_degraded_states(model, s))
 

@@ -55,10 +55,19 @@ entries that reduction keeps.  So :func:`eliminate_marginal` keeps each
 plan on the :class:`CompiledModel`, keyed by ``(query id, frozenset of
 observed ids)``, and a later query with the same key replays it under any
 states: no graph walk, no reduction of factors that pruning drops, no
-bucket or scope work.  Holding no answer, the memo cannot return one made
+bucket or scope work.  A step whose every operand is a factor over no
+observed variable, or another such step's result, gives the same table
+under any states, so a point plan runs it once, when it is built (a query
+DAG compiled for its query and observed set, Darwiche & Provan 1997), and
+keeps the tables later steps read.  Every call, the first as each later
+one, reduces the factors the evidence touches and replays only the steps
+that remain, through :func:`_run`, with the same products and sums in the
+same order, so the same bits.  The memo holds plans and tables keyed by
+the observed set, never by states, and no answer: each call checks its
+total and builds its own :class:`Marginal`, so it cannot return one made
 under other evidence.  Every other caller plans on each call, ranking's
-plans sharing their bucket shapes.  Every plan has one step per variable
-summed out, even one that no live factor holds.
+plans sharing their bucket shapes, and runs every step.  Every plan has one
+step per variable summed out, even one that no live factor holds.
 
 Evidence with zero probability raises :class:`ImpossibleEvidence` rather than
 returning NaNs: it means the model and the observation contradict each other.
@@ -70,6 +79,7 @@ immutable plan, and a lock guards its insertion and eviction.
 from __future__ import annotations
 
 import itertools
+import logging
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -83,6 +93,8 @@ if TYPE_CHECKING:
 
 # Agreement tolerance between the two exact query paths.
 ORACLE_TOL = 1e-9
+
+logger = logging.getLogger(__name__)
 
 
 def joint_probability(model: BayesianModel, assignment) -> float:
@@ -135,10 +147,15 @@ class CompiledModel:
     reverse, the order variable elimination sums out in.
 
     ``plans`` is :func:`eliminate_marginal`'s memo: ``(query id, frozenset of
-    observed ids)`` -> that query's immutable plan.  It holds at most 256
-    plans (``_MAX_PLANS``, a fixed bound on its memory), and adding one to a
-    full table evicts the oldest.  ``lock`` guards insertion and eviction; a
-    lookup reads without it.
+    observed ids)`` -> that query's immutable plan (a ``_PointPlan``): the
+    ids of the factors it keeps, its steps, and the read-only tables of the
+    steps that no observed state reaches, run when it was built.  It holds at
+    most 256 plans (``_MAX_PLANS``), and adding one to a full table evicts
+    the oldest.  Each plan holds at most one table per kept factor over no
+    observed variable, each no larger than the largest table its own
+    elimination makes, so the memo's memory is bounded by 256 such plans.
+    It holds no answer.  ``lock`` guards insertion and eviction; a lookup
+    reads without it.
     """
 
     ids: tuple[str, ...]
@@ -460,19 +477,31 @@ def _reduced(model: BayesianModel, evidence) -> tuple[dict, dict, list]:
 
 class _PointPlan(NamedTuple):
     """A point query's memoized plan, for one query and one set of observed
-    variables.  ``kept`` holds the ids of the factors the query keeps,
-    ascending: the requisite ones, or every ancestral one where a dropped
-    table holds a zero (see :func:`_point_plan`).  The query reduces each to
-    the observed states, which leaves one over no observed variable as it
-    is.  ``plan`` eliminates those factors.  Immutable."""
+    variables.  Immutable.
+
+    ``kept`` holds the ids of the factors the query keeps, ascending: the
+    requisite ones, or every ancestral one where a dropped table holds a
+    zero (see :func:`_point_plan`).  ``plan`` eliminates those factors,
+    each reduced to the observed states.  Its steps that no observed state
+    reaches, those whose every operand is a factor over no observed
+    variable or another such step's result, ran when the plan was built.
+    ``folded`` holds, read-only, the tables over no observed variable that
+    the other steps or the final product read: those steps' results and
+    kept factors.  ``reduce`` holds the ids of the kept factors over an
+    observed variable.  ``replay`` is the rest of ``plan``, its slots
+    renumbered: ``folded``, then ``reduce``'s factors reduced, then each
+    remaining step's result.  It makes the same products and sums, in the
+    same order, as the same steps of ``plan``."""
 
     kept: tuple
     plan: _Plan
+    folded: tuple
+    reduce: tuple
+    replay: _Plan
 
 
-def _point_plan(model: BayesianModel, var: int, evidence: dict, observed: dict) -> tuple:
-    """``(point, factors)``: the :class:`_PointPlan` of ``var`` under
-    ``observed``, and its factors, reduced to the observed states.
+def _point_plan(model: BayesianModel, var: int, evidence: dict, observed: dict) -> _PointPlan:
+    """The :class:`_PointPlan` of ``var`` under ``observed``.
 
     The plan keeps the factors of the requisite nodes, those whose tables
     Bayes-Ball finds can change the answer (see
@@ -483,7 +512,14 @@ def _point_plan(model: BayesianModel, var: int, evidence: dict, observed: dict) 
     them only if every one is strictly positive: then the kept product sums
     to 0 exactly when P(evidence) is 0, and the total still checks the
     evidence.  Otherwise it keeps every ancestor's factor.
+
+    Each step that no observed state reaches runs here, once, through
+    :func:`_apply` as in :func:`_run`: its table is the same under every
+    state of ``observed``.  Like the plan, its tables depend on which
+    variables are observed and never on their states.
     """
+    import numpy as np
+
     compiled = model.compiled
     index = compiled.index
     query = compiled.ids[var]
@@ -496,7 +532,44 @@ def _point_plan(model: BayesianModel, var: int, evidence: dict, observed: dict) 
     factors = [_reduce_factor(compiled.factors[i], observed) for i in kept]
     members = set(kept)
     order = tuple([v for v in compiled.elimination if v in members])
-    return _PointPlan(tuple(kept), _plan(factors, order, (var,))), factors
+    plan = _plan(factors, order, (var,))
+
+    # values[slot] is the slot's table where no observed state reaches it,
+    # else None; scopes[slot] its variables.  _reduce_factor leaves a
+    # factor over no observed variable as it is.
+    values = [f.values if f is compiled.factors[i] else None for f, i in zip(factors, kept)]
+    scopes = [f.vars for f in factors]
+    replayed = []  # (step, its result's slot)
+    folds = []     # the variables of the steps run here
+    for step in plan.steps:
+        if not step[1]:
+            continue
+        if all(values[slot] is not None for slot in step[1]):
+            folds.append(step[0])
+            table = _apply(step, values)
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
+            for slot in step[1]:  # no later step reads it
+                values[slot] = None
+        else:
+            table = None
+            replayed.append((step, len(values)))
+        values.append(table)
+        scopes.append(step[4])
+    reads = sorted({slot for step, _ in replayed for slot in step[1]}.union(plan.live))
+    folded = [slot for slot in reads if values[slot] is not None]
+    reduce = [slot for slot in reads if slot < len(kept) and values[slot] is None]
+    renumber = {slot: k for k, slot in enumerate(folded + reduce + [made for _, made in replayed])}
+    steps = tuple([(v, tuple([renumber[slot] for slot in operands]), shapes, axis, scope, i)
+                   for (v, operands, shapes, axis, scope, i), _ in replayed])
+    replay = _Plan(steps, tuple([renumber[slot] for slot in plan.live]), plan.shapes, plan.scope)
+    ids = compiled.ids
+    logger.debug("point plan for %r given %r observed: keeps %r, folds %r, replays %r",
+                 query, sorted(evidence), [ids[i] for i in kept], [ids[v] for v in folds],
+                 [ids[step[0]] for step in steps])
+    return _PointPlan(tuple(kept), plan,
+                      tuple([_Factor(scopes[slot], values[slot]) for slot in folded]),
+                      tuple([kept[slot] for slot in reduce]), replay)
 
 
 def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
@@ -519,8 +592,12 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
     The plan of that elimination depends only on the query and on which
     nodes are observed, so the first call with a pair builds it, and the
     model's :class:`CompiledModel` keeps it for later calls with the same
-    pair, whatever the observed states.  Every call checks its query and
-    evidence, and its total, as the first does.
+    pair, whatever the observed states.  Building it also runs the steps
+    that no observed state reaches, whose tables are the same under every
+    state, and keeps the tables later steps read.  Every call, the first
+    included, then checks its query and evidence, reduces the factors the
+    evidence touches, runs the remaining steps, checks its total and
+    builds its own answer, bit for bit that of running every step.
 
     ``_pass`` is private to :func:`posterior_update` and
     :func:`~iotrisk.cascade.rank_criticality`: ``(observed, rest, live,
@@ -539,14 +616,14 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
     key = (var, frozenset(observed))
     point = compiled.plans.get(key)
     if point is None:
-        point, inputs = _point_plan(model, var, evidence, observed)
+        point = _point_plan(model, var, evidence, observed)
         with compiled.lock:
             if len(compiled.plans) >= _MAX_PLANS:
                 del compiled.plans[next(iter(compiled.plans))]  # the oldest
             compiled.plans[key] = point
-    else:
-        inputs = [_reduce_factor(compiled.factors[i], observed) for i in point.kept]
-    return _marginal(compiled, var, observed, _run(point.plan, inputs), lambda: evidence)
+    inputs = [*point.folded, *[_reduce_factor(compiled.factors[i], observed)
+                               for i in point.reduce]]
+    return _marginal(compiled, var, observed, _run(point.replay, inputs), lambda: evidence)
 
 
 def _total(result: _Factor, evidence) -> float:

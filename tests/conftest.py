@@ -97,7 +97,7 @@ def work(monkeypatch) -> list:
 def steps(monkeypatch) -> list:
     """The variable of every elimination step made while the test runs, one
     entry per :func:`~iotrisk.inference._apply` call, that is per step the
-    runner computes."""
+    runner computes or a point plan folds when it is built."""
     summed = []
     apply = inference._apply
 

@@ -302,6 +302,36 @@ class TestRankCriticality:
                                    weights={"a1": 0, "a4": 2})[0].score
         assert only_a4 == pytest.approx(p4, abs=1e-9)
 
+    def test_a_repeated_degraded_state_counts_once(self, layered):
+        candidates = [("a1", "impaired")]
+        once = rank_criticality(layered.model, candidates, ["a2"], {"a2": ["impaired"]})
+        twice = rank_criticality(layered.model, candidates, ["a2"],
+                                 {"a2": ["impaired", "impaired"]})
+        assert twice == once
+        assert 0.0 <= once[0].score <= 1.0
+        # Three states of four, given in any order or as a set (whose order
+        # follows the string hash), sum in domain order: the same bits.
+        model = random_model(random.Random(5), min_nodes=8, max_nodes=8,
+                             min_states=4, max_states=4)
+        ids = model.graph.node_ids
+        states = model.domain(ids[-1]).states[:3]
+        candidates = [(nid, model.domain(nid).states[0]) for nid in ids[:-1]]
+        want = rank_criticality(model, candidates, [ids[-1]], {ids[-1]: states})
+        for given in (states[::-1], set(states), [*states, states[0]]):
+            assert rank_criticality(model, candidates, [ids[-1]], {ids[-1]: given}) == want
+
+    def test_a_repeated_service_node_counts_once(self, layered):
+        candidates = [("a1", "impaired")]
+        service = ["a1", "a2", "a3", "a4"]  # layered_iot's service goals
+        once = rank_criticality(layered.model, candidates)
+        assert rank_criticality(layered.model, candidates, service) == once
+        for aggregate, weights in (("mean", None), ("max", None),
+                                   ("weighted", {s: 1.0 + k for k, s in enumerate(service)})):
+            want = rank_criticality(layered.model, candidates, service, None, aggregate, weights)
+            got = rank_criticality(layered.model, candidates, service + ["a1", "a3"], None,
+                                   aggregate, weights)
+            assert got == want, aggregate
+
     @pytest.mark.parametrize("candidates, kwargs, message", [
         ([], {}, "at least one candidate"),
         (None, {"aggregate": "median"}, "unknown aggregate 'median'"),

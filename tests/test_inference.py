@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import logging
 import math
 import random
 import sys
@@ -225,12 +226,13 @@ class TestEliminateMarginal:
         # B's query sums out A alone, not the barren C.
         eliminate_marginal(chain3, "B")
         assert steps == [chain3.compiled.index["A"]]
-        # A plan hit makes the same steps.
+        # No observed state reaches A's step, so B's plan ran it when it was
+        # built, and a plan hit makes no step.
         steps.clear()
         assert eliminate_marginal(chain3, "A").probabilities == (0.3, 0.7)
         assert steps == []
         eliminate_marginal(chain3, "B")
-        assert steps == [chain3.compiled.index["A"]]
+        assert steps == []
 
     def test_wide_model_answers_every_point_query(self):
         # The full elimination's 2^29-entry factors raise MemoryError under
@@ -405,6 +407,100 @@ class TestPointPlans:
         assert not any(t.is_alive() for t in threads)
         assert got == [answers * 5 for answers in want]
         assert len(model.compiled.plans) <= 8
+
+
+def _chain4(c_rows=None, d_rows=None) -> BayesianModel:
+    """A -> B -> C -> D, binary; ``c_rows`` and ``d_rows`` replace the
+    tables of C and D."""
+    graph = DependencyGraph(
+        [ComponentNode(nid, "network", TF) for nid in "ABCD"],
+        [InfluenceEdge("A", "B"), InfluenceEdge("B", "C"), InfluenceEdge("C", "D")])
+    copy = {("T",): (0.8, 0.2), ("F",): (0.3, 0.7)}
+    return BayesianModel(graph, {
+        "A": Cpt.prior("A", (0.4, 0.6)),
+        "B": Cpt("B", ("A",), {("T",): (0.9, 0.1), ("F",): (0.2, 0.8)}),
+        "C": Cpt("C", ("B",), c_rows or copy),
+        "D": Cpt("D", ("C",), d_rows or copy),
+    })
+
+
+class TestFoldedPlans:
+    """A point plan runs the steps that no observed state reaches once, when
+    it is built; every call, cold or a hit, replays the rest."""
+
+    def test_a_hit_replays_only_the_steps_the_evidence_reaches(self, steps):
+        model = _chain4()
+        a, b, c, d = (model.compiled.index[nid] for nid in "ABCD")
+        cold = eliminate_marginal(model, "B", {"D": "T"})
+        point = model.compiled.plans[(b, frozenset({d}))]
+        # The cold call makes every step of the plan once: A's, which no
+        # observed state reaches, and C's, over D's reduced table.
+        assert sorted(steps) == sorted(step[0] for step in point.plan.steps if step[1])
+        assert sorted(steps) == [a, c]
+        want = _cold(model, "B", {"D": "F"})
+        steps.clear()
+        assert eliminate_marginal(model, "B", {"D": "T"}) == cold
+        assert steps == [c]
+        steps.clear()
+        assert eliminate_marginal(model, "B", {"D": "F"}) == want
+        assert steps == [c]
+
+    def test_hits_of_a_folded_plan_build_their_own_answers(self, chain3):
+        cold = eliminate_marginal(chain3, "B")
+        point = chain3.compiled.plans[(chain3.compiled.index["B"], frozenset())]
+        assert (point.replay.steps, point.reduce) == ((), ())  # nothing left to run
+        first, second = eliminate_marginal(chain3, "B"), eliminate_marginal(chain3, "B")
+        assert first is not second
+        assert first.probabilities == second.probabilities == cold.probabilities
+        assert cold.probabilities == pytest.approx((0.34, 0.66), abs=1e-12)
+
+    def test_a_hit_raises_on_evidence_impossible_in_a_replayed_step(self):
+        # C is always T, and D is never F when C is: only the replayed step
+        # over C and D's reduced table sees that D = F is impossible.
+        model = _chain4(c_rows={("T",): (1.0, 0.0), ("F",): (1.0, 0.0)},
+                        d_rows={("T",): (1.0, 0.0), ("F",): (0.5, 0.5)})
+        assert eliminate_marginal(model, "B", {"D": "T"}) == _cold(model, "B", {"D": "T"})
+        point = model.compiled.plans[(1, frozenset({3}))]
+        assert [step[0] for step in point.replay.steps] == [2]
+        with pytest.raises(ImpossibleEvidence, match=r"^evidence \{'D': 'F'\} has probability 0$"):
+            eliminate_marginal(model, "B", {"D": "F"})
+        assert _cold(model, "B", {"D": "F"})[0] is ImpossibleEvidence
+
+    def test_folded_tables_are_read_only_and_bounded(self):
+        # At most one folded table per kept factor over no observed
+        # variable, each no larger than the plan's largest table.
+        for model, evidence in acceptance_models():
+            compiled = model.compiled
+            _, observed = inference._observed(model, evidence)
+            cards = {v: n for f in compiled.factors for v, n in zip(f.vars, f.values.shape)}
+            for var, nid in enumerate(compiled.ids):
+                _answer(model, nid, evidence)
+                point = compiled.plans[(var, frozenset(observed))]
+                free = [i for i in point.kept if observed.keys().isdisjoint(compiled.factors[i].vars)]
+                assert len(point.folded) <= len(free)
+                scopes = [inference._reduce_factor(compiled.factors[i], observed).vars
+                          for i in point.kept]
+                scopes += [step[4] for step in point.plan.steps if step[1]]
+                largest = max([math.prod(cards[v] for v in scope) for scope in scopes], default=1)
+                for table in point.folded:
+                    assert not table.values.flags.writeable
+                    assert table.values.size <= largest
+
+    def test_a_build_logs_once_and_a_hit_not_at_all(self, chain3, caplog):
+        caplog.set_level(logging.DEBUG, logger="iotrisk.inference")
+        eliminate_marginal(chain3, "A", {"C": "T"})
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("iotrisk.inference", logging.DEBUG,
+             "point plan for 'A' given ['C'] observed: keeps ['A', 'B', 'C'], "
+             "folds [], replays ['B']")]
+        caplog.clear()
+        eliminate_marginal(chain3, "A", {"C": "F"})
+        eliminate_marginal(chain3, "A", {"C": "T"})
+        assert caplog.records == []
+        eliminate_marginal(chain3, "C")
+        assert [r.getMessage() for r in caplog.records] == [
+            "point plan for 'C' given [] observed: keeps ['A', 'B', 'C'], "
+            "folds ['B', 'A'], replays []"]
 
 
 def _with_zeros(rng, model):
