@@ -231,9 +231,12 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     every node summed out, runs the steps the pairs share.  A candidate's
     evidence reduces the factors that hold it, its own and its children's,
     so its elimination repeats the pass's steps up to the first over one of
-    those factors.  Its run resumes from the pass's live factors there,
-    those factors reduced (see :func:`~iotrisk.inference._run`), and checks
-    its own total.  A lone candidate has nothing to share and makes no pass.
+    those factors.  Its run resumes inside the pass, from the pass's live
+    factors there, those factors reduced (see
+    :func:`~iotrisk.inference._run`), and checks its own total, so the pass
+    keeps no table it has consumed.  A candidate at the first position, a
+    lone one included, resumes before any step; the pass runs only if some
+    candidate starts later.
 
     Raises :class:`InvalidArgument` (a ``ValueError``) for candidates or
     service nodes that are not a collection, no candidates, a candidate that
@@ -308,23 +311,29 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     broadcasts: dict = {}  # shared by the plans of every run: one model's axes
     for s in service_nodes:
         var = compiled.index[s]
-        states = {0: compiled.factors}  # position -> the pass's live factors there
-        starts = [0] * len(runs)
-        if len(runs) > 1:  # a lone candidate's run would be the pass's only user
-            starts = [min([position[v] for v in scope if v != var], default=0)
-                      for scope in touched]
-            _eliminate(compiled.factors, order, (var,), states.__setitem__, broadcasts)
-        for i, (evidence, observed) in enumerate(runs):
-            if errors[i] is not None:
-                continue
-            live = [_reduce_factor(f, observed) for f in states[starts[i]]]
-            try:
-                marg = eliminate_marginal(model, s, evidence, _pass=(
-                    observed, order[starts[i]:], live, broadcasts))
-            except ImpossibleEvidence as exc:
-                errors[i] = str(exc)
-                continue
-            per_service[i].append(sum(marg.p(d) for d in degraded_states[s]))
+        starts: dict = {}  # position -> the candidates that resume there
+        for i, scope in enumerate(touched):
+            if errors[i] is None:
+                # A lone candidate's run would be the pass's only user.
+                start = 0 if len(runs) == 1 else min(
+                    [position[v] for v in scope if v != var], default=0)
+                starts.setdefault(start, []).append(i)
+
+        def visit(at: int, live: list) -> None:
+            for i in starts.pop(at, ()):
+                evidence, observed = runs[i]
+                try:
+                    marg = eliminate_marginal(model, s, evidence, _pass=(
+                        observed, order[at:], [_reduce_factor(f, observed) for f in live],
+                        broadcasts))
+                except ImpossibleEvidence as exc:
+                    errors[i] = str(exc)
+                    continue
+                per_service[i].append(sum(marg.p(d) for d in degraded_states[s]))
+
+        visit(0, compiled.factors)  # the pass has no visit at the service node's position
+        if starts:
+            _eliminate(compiled.factors, order, (var,), visit, broadcasts)
 
     entries = []
     for (node_id, state), ps, error in zip(candidates, per_service, errors):

@@ -3,8 +3,8 @@
 Verbs: ``validate``, ``infer``, ``cascade``, ``dbn``, ``iotmm``, ``cvss``,
 ``roadmap``, ``sample``, ``export-dot``.  Every analysis verb reads a model
 document (``--model``), emits a canonical JSON report by default
-(``--format text`` for a human summary), and writes to stdout unless
-``--output`` is given.
+(``--format text`` for a human summary; ``export-dot`` writes Graphviz DOT
+and has no ``--format``), and writes to stdout unless ``--output`` is given.
 
 Exit codes: 0 on success, 1 for validation/evidence/input errors, 2 for
 usage errors.
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="query time index (default: last observed slice)")
     p.add_argument("--slice", type=_int_at_least(0), dest="past_slice", metavar="K",
                    help="past slice to smooth (mode=smooth)")
-    p.add_argument("--horizon", type=_int_at_least(1), default=1, metavar="H",
+    p.add_argument("--horizon", type=_int_at_least(1), metavar="H",
                    help="prediction horizon (mode=predict, default 1)")
 
     p = sub.add_parser("iotmm", help="detect nodes without CPTs and resolve their "
@@ -148,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="RNG seed (default 0)")
 
     p = sub.add_parser("export-dot", help="Graphviz export, optionally impact-annotated")
-    _add_common(p)
+    p.add_argument("--model", required=True, metavar="PATH", help="model document (JSON)")
+    p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
     p.add_argument("--origin", metavar="NODE=STATE", action="append", default=[],
                    type=_parse_observation,
                    help="annotate with the posterior impact of this scenario")
@@ -292,6 +293,10 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_dbn(args) -> int:
+    if args.past_slice is not None and args.mode != "smooth":
+        raise UsageError("--slice applies only to --mode smooth")
+    if args.horizon is not None and args.mode != "predict":
+        raise UsageError("--horizon applies only to --mode predict")
     doc, digest, model_raw = _load_document(args)
     tm = doc.temporal_model()
     if args.evidence is not None:
@@ -311,8 +316,9 @@ def _cmd_dbn(args) -> int:
         marginals = smooth_marginals(tm, obs, args.past_slice, t)
         detail = {"mode": "smooth", "at": t, "slice": args.past_slice}
     else:
-        marginals = predict_marginals(tm, obs, t, args.horizon)
-        detail = {"mode": "predict", "at": t, "horizon": args.horizon}
+        horizon = args.horizon or 1
+        marginals = predict_marginals(tm, obs, t, horizon)
+        detail = {"mode": "predict", "at": t, "horizon": horizon}
 
     detail["observations"] = [{"slice": s, "node": n, "state": st} for s, n, st in obs]
     detail["marginals"] = marginals

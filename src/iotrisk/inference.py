@@ -22,10 +22,10 @@ P(node | parents), and every query here evaluates that product exactly:
 * :func:`posterior_update` -- every node's marginal under one evidence set.
   Under one order, each node's full elimination, every node summed out,
   repeats the steps of one pass up to that node's position, so
-  :func:`_all_marginals` hands one pass's state there to :func:`_resume`,
-  which runs only the rest of an unobserved node's order: the same products
-  and sums, hence the same bits, at about half the steps.  Criticality
-  ranking resumes each candidate's elimination the same way, from one
+  :func:`_all_marginals` resumes each unobserved node there, inside the
+  pass, and runs only the rest of its order: the same products and sums,
+  hence the same bits, at about half the steps.  Criticality ranking
+  resumes each candidate's elimination the same way, inside one
   evidence-free pass per service node, before the first step over a factor
   the candidate's evidence reduces.  A point answer leaves out the tables
   that are not requisite, so it may differ from these in its last bits,
@@ -41,9 +41,9 @@ a CPT, builds it on a model's first numeric query, and the model keeps it
 later queries on the same model build no table.  Integer ids follow the
 ascending node ids, so every factor's axes, and with them the results, are
 those of elimination over the string ids.  The temporal interface passes
-share this core: :func:`_cpt_factor` builds their tables, :func:`_plan` and
-:func:`_run` sum out one order per compiled form, and :func:`_all_marginals`
-answers each node.
+share this core: :func:`_cpt_factor` builds their tables,
+:func:`_eliminate` sums out one order per compiled form, and
+:func:`_all_marginals` answers each node.
 
 Every elimination is split in two.  :func:`_plan` works on factor scopes and
 axis lengths alone: it does the bucket bookkeeping and records each step's
@@ -419,9 +419,9 @@ def _run(plan: _Plan, factors: list, visit=None) -> _Factor:
     which agrees with ``keep`` on ``order[:i]``, over factors that differ
     only in ones over no variable of ``order[:i]``, makes this pass's steps
     before ``i``.  So ``_eliminate(live, order[i:], other)``, those factors
-    swapped into ``live``, returns that run's result bit for bit:
-    :func:`_all_marginals` resumes each node this way, and ranking each
-    candidate.
+    swapped into ``live``, returns that run's result bit for bit.
+    :func:`_all_marginals` resumes each node this way inside the visit, and
+    ranking each candidate, so a pass holds no table beyond its live ones.
     """
     import numpy as np
 
@@ -450,8 +450,8 @@ def _eliminate(factors: list, order, keep, visit=None, broadcasts=None) -> _Fact
     product, one at a time: :func:`_plan` over the factors' scopes, then
     :func:`_run` (see both for ``visit`` and ``broadcasts``).
 
-    Shared by :func:`_all_marginals`, :func:`_resume` and ranking's passes,
-    each of which passes its compiled form's one order or a tail of it.
+    Shared by every pass and every run that resumes one, each of which
+    passes its compiled form's one order or a tail of it.
     Returns the product of what is left, over ``keep`` and every variable
     not in ``order``.
     """
@@ -481,20 +481,19 @@ class _PointPlan(NamedTuple):
 
     ``kept`` holds the ids of the factors the query keeps, ascending: the
     requisite ones, or every ancestral one where a dropped table holds a
-    zero (see :func:`_point_plan`).  ``plan`` eliminates those factors,
-    each reduced to the observed states.  Its steps that no observed state
-    reaches, those whose every operand is a factor over no observed
-    variable or another such step's result, ran when the plan was built.
+    zero (see :func:`_point_plan`).  Of the plan that eliminates those
+    factors, each reduced to the observed states, the steps that no observed
+    state reaches, those whose every operand is a factor over no observed
+    variable or another such step's result, ran when it was built.
     ``folded`` holds, read-only, the tables over no observed variable that
     the other steps or the final product read: those steps' results and
     kept factors.  ``reduce`` holds the ids of the kept factors over an
-    observed variable.  ``replay`` is the rest of ``plan``, its slots
+    observed variable.  ``replay`` is the rest of that plan, its slots
     renumbered: ``folded``, then ``reduce``'s factors reduced, then each
-    remaining step's result.  It makes the same products and sums, in the
-    same order, as the same steps of ``plan``."""
+    remaining step's result, with the same products and sums in the same
+    order."""
 
     kept: tuple
-    plan: _Plan
     folded: tuple
     reduce: tuple
     replay: _Plan
@@ -567,7 +566,7 @@ def _point_plan(model: BayesianModel, var: int, evidence: dict, observed: dict) 
     logger.debug("point plan for %r given %r observed: keeps %r, folds %r, replays %r",
                  query, sorted(evidence), [ids[i] for i in kept], [ids[v] for v in folds],
                  [ids[step[0]] for step in steps])
-    return _PointPlan(tuple(kept), plan,
+    return _PointPlan(tuple(kept),
                       tuple([_Factor(scopes[slot], values[slot]) for slot in folded]),
                       tuple([kept[slot] for slot in reduce]), replay)
 
@@ -599,17 +598,23 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
     evidence touches, runs the remaining steps, checks its total and
     builds its own answer, bit for bit that of running every step.
 
-    ``_pass`` is private to :func:`posterior_update` and
+    ``_pass`` is private to the visits of :func:`_all_marginals` and
     :func:`~iotrisk.cascade.rank_criticality`: ``(observed, rest, live,
-    broadcasts)``, the state of a pass over every node before it sums out
-    ``rest``, from which :func:`_resume` answers the query, its plan sharing
-    ``broadcasts`` (see :func:`_plan`).
+    broadcasts)``, a pass's factors before it sums out ``rest``, reduced by
+    ``observed``.  The answer is the rest of the query's own elimination,
+    bit for bit the whole (see :func:`_run`), its plan sharing
+    ``broadcasts`` (see :func:`_plan`); ``evidence`` only names the
+    evidence in an error.  With no ``live``, the observed query's indicator
+    needs no plan or run: the pass checks the total.
     """
     compiled = model.compiled
     if _pass is not None:
         observed, rest, live, broadcasts = _pass
-        return _resume(compiled, compiled.index[query], observed, rest, live,
-                       lambda: evidence, broadcasts)
+        var = compiled.index[query]
+        if not live:
+            return compiled.indicators[var][observed[var]]
+        return _marginal(compiled, var, observed,
+                         _eliminate(live, rest, (var,), broadcasts=broadcasts), lambda: evidence)
     model.graph.node(query)  # raises UnknownNode
     var = compiled.index[query]
     evidence, observed = _observed(model, evidence)
@@ -650,15 +655,6 @@ def _marginal(compiled: CompiledModel, var: int, observed: dict, result: _Factor
     return Marginal(compiled.ids[var], indicators[0].states, tuple(dist.tolist()))
 
 
-def _resume(compiled: CompiledModel, var: int, observed: dict, rest, live: list,
-            evidence, broadcasts=None) -> Marginal:
-    """Node ``var``'s answer from ``live``, a pass's factors before it sums
-    out ``rest``: the rest of the node's own elimination, bit for bit the
-    whole (see :func:`_run`), its total checked as in :func:`_marginal`."""
-    return _marginal(compiled, var, observed,
-                     _eliminate(live, rest, (var,), broadcasts=broadcasts), evidence)
-
-
 def posterior_update(model: BayesianModel, evidence=None) -> dict:
     """Posterior marginal for every node given the evidence.
 
@@ -670,33 +666,30 @@ def posterior_update(model: BayesianModel, evidence=None) -> dict:
     differ from :func:`eliminate_marginal`, which sums out only the
     requisite nodes (see there), in the last bits, within ``ORACLE_TOL``.
     """
-    compiled = model.compiled
+    order = model.compiled.elimination  # the check for every CPT comes first
     evidence, observed, factors = _reduced(model, evidence)
-
-    def finish(q: int, rest, live: list) -> Marginal:
-        if q in observed:  # the pass checks the total: its indicator needs no step
-            rest, live = (), []
-        return eliminate_marginal(model, compiled.ids[q], evidence,
-                                  _pass=(observed, rest, live, None))
-
-    return _all_marginals(compiled, factors, compiled.elimination, lambda: evidence, finish)
+    return _all_marginals(model, factors, order, evidence, observed)
 
 
-def _all_marginals(compiled: CompiledModel, factors: list, order, evidence, finish) -> dict:
-    """Node id -> answer for every node of ``compiled``, the one all-node engine.
+def _all_marginals(model: BayesianModel, factors: list, order, evidence, observed: dict) -> dict:
+    """Node id -> answer for every node of ``model``, the one all-node engine.
 
-    One pass sums ``order`` out of ``factors``.  Before the step of each node
-    ``q = order[i]``, ``finish(q, order[i:], live)`` answers q from the
-    pass's factors there, by :func:`_resume`.  Ids beyond the nodes, the
-    previous-slice copies, get no answer.  The pass checks the total, so
-    ``finish`` may answer an observed node with its indicator and no
-    elimination: the rest of that node's own is the rest of the pass.
+    One pass sums ``order`` out of ``factors``, reduced by ``observed``
+    (variable -> state index).  Before the step of each node ``q =
+    order[i]``, :func:`eliminate_marginal` resumes q inside the pass, from
+    its live factors there (see ``_pass``).  The pass checks the total, so
+    an observed node gets its indicator with no live factors: the rest of
+    its own elimination is the rest of the pass.  Ids beyond the nodes, the
+    previous-slice copies, get no answer.  An error names ``evidence``.
     """
+    ids = model.compiled.ids
     answers = {}
 
     def visit(i: int, live: list) -> None:
-        if order[i] < len(compiled.ids):
-            answers[order[i]] = finish(order[i], order[i:], live)
+        q = order[i]
+        if q < len(ids):
+            answers[q] = eliminate_marginal(model, ids[q], evidence, _pass=(
+                observed, order[i:], [] if q in observed else live, None))
 
-    _total(_eliminate(factors, order, (), visit), evidence)
-    return {nid: answers[q] for q, nid in enumerate(compiled.ids)}
+    _total(_eliminate(factors, order, (), visit), lambda: evidence)
+    return {nid: answers[q] for q, nid in enumerate(ids)}

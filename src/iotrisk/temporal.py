@@ -51,11 +51,9 @@ from .inference import (
     eliminate_marginal,
     _all_marginals,
     _cpt_factor,
+    _eliminate,
     _Factor,
-    _plan,
     _reduce_factor,
-    _resume,
-    _run,
     _total,
 )
 from .model import BayesianModel, Cpt, Marginal, _check_int, _is_int, _table_issues
@@ -394,12 +392,11 @@ def _sweep(slices: _Slices, evidence: dict, obs: ObservationSeries, steps,
            keep: frozenset, shift: int) -> _Factor | None:
     """One message pass: eliminate each slice of ``steps`` in turn with the
     message so far, keeping ``keep``; normalize the result to sum 1 and move
-    every id by ``shift`` to give the next message.  None for no steps.
-    Each slice plans its own factors and runs that plan."""
+    every id by ``shift`` to give the next message.  None for no steps."""
     message = None
     for s in steps:
         factors = _slice_factors(slices, evidence, s, [message])
-        result = _run(_plan(factors, slices.order, keep), factors)
+        result = _eliminate(factors, slices.order, keep)
         z = _total(result, obs.unrolled_evidence)
         message = _Factor(tuple(v + shift for v in result.vars), result.values / z)
     return message
@@ -419,17 +416,9 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
     slices = model._slices
     alpha = _sweep(slices, evidence, obs, range(k), slices.interface, slices.size)
     beta = _sweep(slices, evidence, obs, range(last, k, -1), slices.previous, -slices.size)
-
-    compiled = model.template.model.compiled
-    observed = evidence.get(k, {})
-
-    def finish(q: int, rest, live: list) -> Marginal:
-        if q in observed:  # the pass checks the total
-            return compiled.indicators[q][observed[q]]
-        return _resume(compiled, q, observed, rest, live, obs.unrolled_evidence)
-
-    return _all_marginals(compiled, _slice_factors(slices, evidence, k, [alpha, beta]),
-                          slices.order, obs.unrolled_evidence, finish)
+    return _all_marginals(model.template.model,
+                          _slice_factors(slices, evidence, k, [alpha, beta]),
+                          slices.order, obs.unrolled_evidence(), evidence.get(k, {}))
 
 
 def filter_marginals(model: TemporalModel, obs: ObservationSeries, t: int) -> dict:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
-from iotrisk import cascade
+from iotrisk import cascade, inference
 from iotrisk import graph as graph_module
 from iotrisk.bundled import load_bundled_model
 from iotrisk.cascade import (
@@ -32,7 +33,7 @@ from iotrisk.graph import (
 from iotrisk.inference import enumerate_marginal, posterior_update
 from iotrisk.model import BayesianModel, Cpt
 
-from conftest import full_elimination, make_chain3, random_model
+from conftest import full_elimination, make_chain3, random_cpt, random_model
 
 TF = StateDomain(["T", "F"])
 
@@ -418,6 +419,19 @@ class TestRankCriticality:
         # resumed run must still check the total.
         model = make_chain3().with_cpts({"A": Cpt.prior("A", (1.0, 0.0))})
         yield model, ["A"], {}, [("A", "F"), ("B", "T"), ("C", "F")], {"A": 1.0}
+        # The service node S comes first in the elimination order, so a pass
+        # has no visit at position 0: candidates whose evidence touches only
+        # S's own factor resume before any step, with a pass for the others
+        # or with none.
+        model = BayesianModel(graph_of("S", []), {"S": Cpt.prior("S", (0.4, 0.6))})
+        yield model, ["S"], {}, [("S", "T"), ("S", "F")], {"S": 1.0}
+        model = BayesianModel(graph_of("ABS", [("A", "B")]), {
+            "A": Cpt.prior("A", (0.3, 0.7)),
+            "B": Cpt("B", ("A",), {("T",): (0.9, 0.1), ("F",): (0.2, 0.8)}),
+            "S": Cpt.prior("S", (1.0, 0.0)),
+        })
+        assert model.compiled.elimination[0] == model.compiled.index["S"]
+        yield model, ["S"], {}, [("S", "T"), ("S", "F"), ("A", "F"), ("B", "T")], {"S": 1.0}
         model = load_bundled_model("layered_iot").model
         service = ["a1", "a2", "a3", "a4"]
         yield (model, service, {}, [(nid, "impaired") for nid in model.graph.node_ids],
@@ -457,6 +471,30 @@ class TestRankCriticality:
                     assert entry.score == want, (nid, state, aggregate)
                     assert entry.error is None
         assert seen_service_candidate
+
+    def test_ranking_peaks_near_a_lone_candidate(self):
+        # 40 binary nodes, each the child of the 10 before it: each step of
+        # the pass makes a table of 2^11 entries and consumes the one before.
+        # Candidates resume inside the pass, which holds only its live
+        # tables, so several peak within a small multiple of a lone one.
+        ids = [f"x{i:02d}" for i in range(40)]
+        graph = graph_of(ids, [(ids[j], ids[i]) for i in range(40)
+                               for j in range(max(0, i - 10), i)])
+        rng = random.Random(7)
+        model = BayesianModel(graph, {nid: random_cpt(rng, graph, nid) for nid in ids})
+        compiled = model.compiled
+        peaks = []
+        for candidates in ([("x00", "F")], [(nid, "F") for nid in ids[::6]]):
+            tracemalloc.start()
+            try:
+                rank_criticality(model, candidates, ["x39"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        plan = inference._plan(compiled.factors, compiled.elimination, (compiled.index["x39"],))
+        made = sum(8 * 2 ** len(step[4]) for step in plan.steps if step[1])
+        assert made > 3 * peaks[0]  # so a ranking that holds every table fails the bound
+        assert peaks[1] <= 2 * peaks[0], peaks
 
     def test_ranking_shares_elimination_steps(self, layered, steps):
         # Per service node, one evidence-free pass; each candidate's run

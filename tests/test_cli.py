@@ -393,6 +393,23 @@ class TestUsage:
             main(["infer", "--model", model_files["layered_iot"], "--observe", "nope"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("args,flag,mode", [
+        (("--mode", "filter", "--slice", "3", "--at", "1"), "--slice", "smooth"),
+        (("--mode", "predict", "--slice", "0"), "--slice", "smooth"),
+        (("--horizon", "2"), "--horizon", "predict"),
+        (("--mode", "smooth", "--slice", "0", "--horizon", "1"), "--horizon", "predict"),
+    ])
+    def test_dbn_flag_of_another_mode_exits_two(self, capsys, model_files, args, flag, mode):
+        assert main(["dbn", "--model", model_files["smart_home"], *args]) == 2
+        assert capsys.readouterr().err == \
+            f"iotrisk: usage error: {flag} applies only to --mode {mode}\n"
+
+    def test_export_dot_takes_no_format(self, capsys, model_files):
+        with pytest.raises(SystemExit) as err:
+            main(["export-dot", "--model", model_files["layered_iot"], "--format", "text"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --format text" in capsys.readouterr().err
+
 
 def child_env() -> dict:
     """This environment, with the checkout's ``src`` first on the import path."""

@@ -274,6 +274,19 @@ def _cold(model, query, evidence):
     return _answer(dataclasses.replace(model, cpts=dict(model.cpts)), query, evidence)
 
 
+def _whole_plan(model, var, observed) -> tuple:
+    """``(plan, order, factors)``: the whole plan of ``var``'s memoized point
+    plan under ``observed`` (variable -> state index), every step included,
+    which the memo does not keep, and the order and reduced factors it
+    eliminates."""
+    compiled = model.compiled
+    kept = compiled.plans[(var, frozenset(observed))].kept
+    factors = [inference._reduce_factor(compiled.factors[i], observed) for i in kept]
+    members = set(kept)
+    order = tuple([v for v in compiled.elimination if v in members])
+    return inference._plan(factors, order, (var,)), order, factors
+
+
 def _states(model, observed, rng):
     return {nid: rng.choice(model.domain(nid).states) for nid in observed}
 
@@ -432,10 +445,10 @@ class TestFoldedPlans:
         model = _chain4()
         a, b, c, d = (model.compiled.index[nid] for nid in "ABCD")
         cold = eliminate_marginal(model, "B", {"D": "T"})
-        point = model.compiled.plans[(b, frozenset({d}))]
+        plan = _whole_plan(model, b, inference._observed(model, {"D": "T"})[1])[0]
         # The cold call makes every step of the plan once: A's, which no
         # observed state reaches, and C's, over D's reduced table.
-        assert sorted(steps) == sorted(step[0] for step in point.plan.steps if step[1])
+        assert sorted(steps) == sorted(step[0] for step in plan.steps if step[1])
         assert sorted(steps) == [a, c]
         want = _cold(model, "B", {"D": "F"})
         steps.clear()
@@ -480,7 +493,8 @@ class TestFoldedPlans:
                 assert len(point.folded) <= len(free)
                 scopes = [inference._reduce_factor(compiled.factors[i], observed).vars
                           for i in point.kept]
-                scopes += [step[4] for step in point.plan.steps if step[1]]
+                scopes += [step[4] for step in _whole_plan(model, var, observed)[0].steps
+                           if step[1]]
                 largest = max([math.prod(cards[v] for v in scope) for scope in scopes], default=1)
                 for table in point.folded:
                     assert not table.values.flags.writeable
@@ -650,12 +664,8 @@ class TestPlanShape:
                     eliminate_marginal(model, nid, evidence)
                 except ImpossibleEvidence:
                     pass
-                point = compiled.plans[(var, frozenset(observed))]
-                kept = set(point.kept)
-                order = [v for v in compiled.elimination if v in kept]
-                self._check(point.plan, order, (var,),
-                            [inference._reduce_factor(compiled.factors[i], observed)
-                             for i in point.kept])
+                plan, order, factors = _whole_plan(model, var, observed)
+                self._check(plan, order, (var,), factors)
 
 
 class TestPosteriorUpdate:
