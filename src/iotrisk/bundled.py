@@ -64,13 +64,9 @@ def parse_roadmap_document(text: str, section: str | None = DEFAULT_ROADMAP_SECT
     if raw.get("schema_version") != documents.SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"schema_version {raw.get('schema_version')!r} is not supported")
-    sections = raw.get("sections")
-    if not isinstance(sections, list):
+    if not isinstance(raw.get("sections"), list):
         raise ValidationFailed([("$.sections", "expected a list of sections")])
-    malformed = [(f"$.sections[{i}]", "expected an object")
-                 for i, s in enumerate(sections) if not isinstance(s, dict)]
-    if malformed:
-        raise ValidationFailed(malformed)
+    sections = [s for _, s in documents._objects(raw, "sections", "$")]
     by_key = {s["key"]: s for s in sections if isinstance(s.get("key"), str)}
     if section is not None:
         if section not in by_key:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ImpossibleEvidence, InvalidArgument, UnknownNode
 from .graph import DependencyGraph, _assignment, _bfs, _check_states
-from .inference import _eliminate, _observed, _reduce_factor, eliminate_marginal, posterior_update
+from .inference import _observed, _plan, _reduce_factor, _run, eliminate_marginal, posterior_update
 from .model import BayesianModel, Marginal
 
 
@@ -234,9 +234,8 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
     those factors.  Its run resumes inside the pass, from the pass's live
     factors there, those factors reduced (see
     :func:`~iotrisk.inference._run`), and checks its own total, so the pass
-    keeps no table it has consumed.  A candidate at the first position, a
-    lone one included, resumes before any step; the pass runs only if some
-    candidate starts later.
+    keeps no table it has consumed.  The pass stops at the last candidate's
+    start, which it visits after its last step.
 
     Raises :class:`InvalidArgument` (a ``ValueError``) for candidates or
     service nodes that are not a collection, no candidates, a candidate that
@@ -314,16 +313,14 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
         starts: dict = {}  # position -> the candidates that resume there
         for i, scope in enumerate(touched):
             if errors[i] is None:
-                # A lone candidate's run would be the pass's only user.
-                start = 0 if len(runs) == 1 else min(
-                    [position[v] for v in scope if v != var], default=0)
+                start = min([position[v] for v in scope if v != var], default=0)
                 starts.setdefault(start, []).append(i)
 
         def visit(at: int, live: list) -> None:
             for i in starts.pop(at, ()):
                 evidence, observed = runs[i]
                 try:
-                    marg = eliminate_marginal(model, s, evidence, _pass=(
+                    marg = eliminate_marginal(model, s, lambda: evidence, _pass=(
                         observed, order[at:], [_reduce_factor(f, observed) for f in live],
                         broadcasts))
                 except ImpossibleEvidence as exc:
@@ -331,9 +328,8 @@ def rank_criticality(model: BayesianModel, candidates, service_nodes=None,
                     continue
                 per_service[i].append(sum(marg.p(d) for d in degraded_states[s]))
 
-        visit(0, compiled.factors)  # the pass has no visit at the service node's position
-        if starts:
-            _eliminate(compiled.factors, order, (var,), visit, broadcasts)
+        plan = _plan(compiled.factors, order[:max(starts, default=0)], (var,), broadcasts)
+        _run(plan._replace(live=()), compiled.factors, visit)
 
     entries = []
     for (node_id, state), ps, error in zip(candidates, per_service, errors):

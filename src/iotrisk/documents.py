@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 from .errors import (
     InvalidArgument,
     InvalidDistribution,
+    IotRiskError,
     ModelSyntaxError,
     SchemaVersionMismatch,
     UnknownNode,
@@ -137,6 +138,28 @@ def _take(obj, key, kind, path, issues, default=None, required=False):
     return value
 
 
+def _probabilities(value) -> bool:
+    """True for a list of JSON numbers.  ``true`` and ``false`` are not
+    numbers here, by the rule :func:`~iotrisk.model._is_int` applies to counts."""
+    return isinstance(value, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+
+
+def _expect(value, kind: type, path: str):
+    """``value`` if it is a ``kind``, else ValidationFailed locating it at ``path``."""
+    if not isinstance(value, kind):
+        raise ValidationFailed([(path, f"expected {kind.__name__}, got {type(value).__name__}")])
+    return value
+
+
+def _objects(obj: dict, key: str, path: str) -> list:
+    """``(path, entry)`` for each entry of the list ``obj[key]``, none if
+    ``key`` is missing, each checked by :func:`_expect` to be a dict."""
+    path = f"{path}.{key}"
+    return [(f"{path}[{i}]", _expect(entry, dict, f"{path}[{i}]"))
+            for i, entry in enumerate(_expect(obj.get(key, []), list, path))]
+
+
 def _parse_cpt(node_id, raw, path, issues) -> Cpt | None:
     if not isinstance(raw, dict):
         issues.append((path, f"expected object, got {type(raw).__name__}"))
@@ -159,7 +182,7 @@ def _parse_cpt(node_id, raw, path, issues) -> Cpt | None:
         if not isinstance(given, list) or not all(isinstance(s, str) for s in given):
             issues.append((f"{row_path}.given", "expected a list of state labels"))
             return None
-        if not isinstance(p, list) or not all(isinstance(x, (int, float)) for x in p):
+        if not _probabilities(p):
             issues.append((f"{row_path}.p", "expected a list of probabilities"))
             return None
         key = tuple(given)
@@ -186,33 +209,36 @@ def _parse_cpts(obj, key, path, issues) -> dict:
 
 
 def _parse_roadmap(raw, path, issues) -> RoadmapModel | None:
+    """The roadmap of the section ``raw``, or None with its issue recorded: a
+    mistyped entry or ``measurable`` flag at its own path, else at ``path``."""
     # Imported here: only a document with a roadmap needs the module.
     from .roadmap import ControlElement, ControlGoal, ControlObjective, Epistemic, build_roadmap
 
-    goals = []
-    raw_goals = _take(raw, "goals", list, path, issues, default=None, required=True)
-    if raw_goals is None:
+    if _take(raw, "goals", list, path, issues, required=True) is None:
         return None
     try:
-        for gi, g in enumerate(raw_goals):
+        goals = []
+        for goal_path, g in _objects(raw, "goals", path):
             objectives = []
-            for oi, o in enumerate(g.get("objectives", [])):
+            for objective_path, o in _objects(g, "objectives", goal_path):
                 elements = []
-                for ei, e in enumerate(o.get("elements", [])):
+                for element_path, e in _objects(o, "elements", objective_path):
+                    measurable = _expect(e.get("measurable", False), bool,
+                                         f"{element_path}.measurable")
                     elements.append(ControlElement(
-                        id=e["id"], title=e.get("title", ""),
-                        measurable=bool(e.get("measurable", False)),
+                        id=e["id"], title=e.get("title", ""), measurable=measurable,
                         epistemic=Epistemic(e.get("epistemic", "understanding")),
                         notes=e.get("notes", "")))
                 objectives.append(ControlObjective(o["id"], o.get("title", ""), elements))
             goals.append(ControlGoal(g["id"], g.get("title", ""), objectives))
         return build_roadmap(goals)
+    except ValidationFailed as exc:
+        issues.extend(exc.issues)
     except (KeyError, TypeError, ValueError) as exc:
         issues.append((path, f"malformed roadmap: {exc!r}"))
-        return None
-    except Exception as exc:  # DuplicateId, EmptyGoal, NotMeasurable
+    except IotRiskError as exc:  # DuplicateId, EmptyGoal, NotMeasurable
         issues.append((path, str(exc)))
-        return None
+    return None
 
 
 def _json_object(text: str, prefix: str = "", not_object: str | None = None) -> dict:
@@ -272,11 +298,12 @@ def parse_model(text: str) -> ModelDocument:
         if not isinstance(layer, str) or not isinstance(description, str):
             issues.append((path, "layer and description must be strings"))
             continue
+        service_goal = _take(n, "service_goal", bool, path, issues, default=False)
         try:
             nodes.append(ComponentNode(
                 id=nid, layer=layer,
                 domain=StateDomain(states),
-                is_service_goal=bool(n.get("service_goal", False)),
+                is_service_goal=service_goal,
                 description=description))
         except ValueError as exc:
             issues.append((path, str(exc)))
@@ -319,7 +346,7 @@ def parse_model(text: str) -> ModelDocument:
                                  "for uncontrollable nodes"))
             continue
         prior = raw_cat.get("prior") if isinstance(raw_cat, dict) else None
-        if not isinstance(prior, list) or not all(isinstance(x, (int, float)) for x in prior):
+        if not _probabilities(prior):
             issues.append((f"{path}.prior", "expected a list of probabilities"))
             continue
         if len(prior) != len(graph.node(node_id).domain):

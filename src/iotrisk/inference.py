@@ -27,9 +27,9 @@ P(node | parents), and every query here evaluates that product exactly:
   hence the same bits, at about half the steps.  Criticality ranking
   resumes each candidate's elimination the same way, inside one
   evidence-free pass per service node, before the first step over a factor
-  the candidate's evidence reduces.  A point answer leaves out the tables
-  that are not requisite, so it may differ from these in its last bits,
-  within ``ORACLE_TOL``.
+  the candidate's evidence reduces; that pass ends at the last such step.
+  A point answer leaves out the tables that are not requisite, so it may
+  differ from these in its last bits, within ``ORACLE_TOL``.
 
 The numeric queries, and the Monte Carlo sampler, read one
 :class:`CompiledModel`: integer node ids, one read-only table per CPT, the
@@ -66,8 +66,9 @@ same order, so the same bits.  The memo holds plans and tables keyed by
 the observed set, never by states, and no answer: each call checks its
 total and builds its own :class:`Marginal`, so it cannot return one made
 under other evidence.  Every other caller plans on each call, ranking's
-plans sharing their bucket shapes, and runs every step.  Every plan has one
-step per variable summed out, even one that no live factor holds.
+plans sharing their bucket shapes, and runs every step.  A plan has one
+step per position of its order, and a pass is visited before each step
+and after the last.
 
 Evidence with zero probability raises :class:`ImpossibleEvidence` rather than
 returning NaNs: it means the model and the observation contradict each other.
@@ -330,14 +331,14 @@ class _Plan(NamedTuple):
     """A symbolic elimination, built from factor scopes and axis lengths
     alone.  Immutable.
 
-    Each step is a tuple ``(var, operands, shapes, axis, scope, position)``,
-    one per variable summed out: multiply the factors in the ``operands``
-    slots, ascending, each reshaped as ``shapes`` says (see
-    :func:`_broadcast`), sum ``var`` out of the product's axis ``axis``, and
-    file the result, a factor over ``scope``, in the next slot; with no
-    operands, make nothing.  ``position`` is ``var``'s position in the
-    order.  After the steps comes the product of the factors in ``live``,
-    broadcast to ``scope`` by ``shapes``.
+    Each step is a tuple ``(var, operands, shapes, axis, scope)``: multiply
+    the factors in the ``operands`` slots, ascending, each reshaped as
+    ``shapes`` says (see :func:`_broadcast`), sum ``var`` out of the
+    product's axis ``axis``, and file the result, a factor over ``scope``,
+    in the next slot; with no operands, make nothing.  A plan from
+    :func:`_plan` has one step per position of its order, so a step's index
+    is its variable's position.  After the steps comes the product of the
+    factors in ``live``, broadcast to ``scope`` by ``shapes``.
     """
 
     steps: tuple
@@ -358,8 +359,8 @@ def _plan(factors, order, keep, broadcasts: dict | None = None) -> _Plan:
     multiplies them in slot order, sums the variable out and files the
     result under the next slot.  So the products and sums are those of
     rescanning a factor list that keeps its order and appends each step's
-    result.  Every variable summed out has a step, one with no operands if
-    no live factor holds it, so that :func:`_run`'s ``visit`` sees each.
+    result.  Each position of ``order`` has a step, with no operands for a
+    kept variable or one no live factor holds: :func:`_run` visits each.
 
     ``broadcasts``, if given, maps a bucket's operand scopes to their
     :func:`_broadcast`, for plans whose variables have the same axis
@@ -376,13 +377,12 @@ def _plan(factors, order, keep, broadcasts: dict | None = None) -> _Plan:
             cards[v] = card
     live = dict.fromkeys(range(len(scopes)), True)  # the live slots, ascending
     steps = []
-    for i, var in enumerate(order):
-        if var in keep:
-            continue
+    for var in order:
         # A slot whose factor an earlier step consumed is no longer live.
-        bucket = tuple([slot for slot in buckets.pop(var, ()) if live.pop(slot, False)])
+        bucket = () if var in keep else tuple(
+            [slot for slot in buckets.pop(var, ()) if live.pop(slot, False)])
         if not bucket:
-            steps.append((var, (), None, None, None, i))
+            steps.append((var, (), None, None, None))
             continue
         if len(bucket) == 1:
             product, shapes = scopes[bucket[0]], None
@@ -401,7 +401,7 @@ def _plan(factors, order, keep, broadcasts: dict | None = None) -> _Plan:
             buckets[v].append(slot)
         live[slot] = True
         scopes.append(scope)
-        steps.append((var, bucket, shapes, axis, scope, i))
+        steps.append((var, bucket, shapes, axis, scope))
     rest = tuple(live)
     scope, shapes = _broadcast([scopes[slot] for slot in rest], cards) if rest else ((), None)
     return _Plan(tuple(steps), rest, shapes, scope)
@@ -415,22 +415,22 @@ def _run(plan: _Plan, factors: list, visit=None) -> _Factor:
 
     Only the order of the slots matters, so the live factors in slot order
     are a pass's whole state.  ``visit(i, live)``, if given, is called with
-    that list before the step of ``order[i]``.  A run that keeps ``other``,
-    which agrees with ``keep`` on ``order[:i]``, over factors that differ
-    only in ones over no variable of ``order[:i]``, makes this pass's steps
-    before ``i``.  So ``_eliminate(live, order[i:], other)``, those factors
-    swapped into ``live``, returns that run's result bit for bit.
-    :func:`_all_marginals` resumes each node this way inside the visit, and
-    ranking each candidate, so a pass holds no table beyond its live ones.
+    that list before step ``i`` and, ``i`` the step count, after the last.
+    A run that keeps ``other``, which agrees with ``keep`` on ``order[:i]``,
+    over factors that differ only in ones over no variable of ``order[:i]``,
+    makes this pass's steps before ``i``.  So ``_eliminate(live, order[i:],
+    other)``, those factors swapped into ``live``, returns that run's result
+    bit for bit.  :func:`_all_marginals` resumes each node this way inside
+    the visit, and ranking each candidate: a pass holds only live tables.
     """
     import numpy as np
 
     values = [f.values for f in factors]
     if visit is not None:
         live = dict(enumerate(factors))  # the live slots, ascending
-    for step in plan.steps:
+    for i, step in enumerate(plan.steps):
         if visit is not None:
-            visit(step[5], list(live.values()))
+            visit(i, list(live.values()))
         if not step[1]:
             continue
         values.append(_apply(step, values))
@@ -440,22 +440,24 @@ def _run(plan: _Plan, factors: list, visit=None) -> _Factor:
             for slot in step[1]:
                 del live[slot]
             live[len(values) - 1] = _Factor(step[4], values[-1])
+    if visit is not None:
+        visit(len(plan.steps), list(live.values()))
     if not plan.live:
         return _Factor((), np.float64(1.0))
     return _Factor(plan.scope, _multiply(values, plan.live, plan.shapes))
 
 
-def _eliminate(factors: list, order, keep, visit=None, broadcasts=None) -> _Factor:
+def _eliminate(factors: list, order, keep, broadcasts=None) -> _Factor:
     """Sum the variables in ``order`` but those in ``keep`` out of the factor
-    product, one at a time: :func:`_plan` over the factors' scopes, then
-    :func:`_run` (see both for ``visit`` and ``broadcasts``).
+    product, one at a time: :func:`_plan` over the factors' scopes (see there
+    for ``broadcasts``), then :func:`_run` with no visit.
 
-    Shared by every pass and every run that resumes one, each of which
-    passes its compiled form's one order or a tail of it.
+    Every run that resumes a pass, and each slice of a temporal sweep, comes
+    through here with its compiled form's one order or a tail of it.
     Returns the product of what is left, over ``keep`` and every variable
     not in ``order``.
     """
-    return _run(_plan(factors, order, keep, broadcasts), factors, visit)
+    return _run(_plan(factors, order, keep, broadcasts), factors)
 
 
 def _observed(model: BayesianModel, evidence) -> tuple[dict, dict]:
@@ -559,8 +561,8 @@ def _point_plan(model: BayesianModel, var: int, evidence: dict, observed: dict) 
     folded = [slot for slot in reads if values[slot] is not None]
     reduce = [slot for slot in reads if slot < len(kept) and values[slot] is None]
     renumber = {slot: k for k, slot in enumerate(folded + reduce + [made for _, made in replayed])}
-    steps = tuple([(v, tuple([renumber[slot] for slot in operands]), shapes, axis, scope, i)
-                   for (v, operands, shapes, axis, scope, i), _ in replayed])
+    steps = tuple([(v, tuple([renumber[slot] for slot in operands]), shapes, axis, scope)
+                   for (v, operands, shapes, axis, scope), _ in replayed])
     replay = _Plan(steps, tuple([renumber[slot] for slot in plan.live]), plan.shapes, plan.scope)
     ids = compiled.ids
     logger.debug("point plan for %r given %r observed: keeps %r, folds %r, replays %r",
@@ -600,12 +602,12 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
 
     ``_pass`` is private to the visits of :func:`_all_marginals` and
     :func:`~iotrisk.cascade.rank_criticality`: ``(observed, rest, live,
-    broadcasts)``, a pass's factors before it sums out ``rest``, reduced by
-    ``observed``.  The answer is the rest of the query's own elimination,
-    bit for bit the whole (see :func:`_run`), its plan sharing
-    ``broadcasts`` (see :func:`_plan`); ``evidence`` only names the
-    evidence in an error.  With no ``live``, the observed query's indicator
-    needs no plan or run: the pass checks the total.
+    broadcasts)``, a pass's factors at a visit, before it sums out ``rest``,
+    reduced by ``observed``.  The answer is the rest of the query's own
+    elimination, bit for bit the whole (see :func:`_run`), its plan sharing
+    ``broadcasts`` (see :func:`_plan`); ``evidence()`` names the evidence
+    in an error.  With no ``live``, the observed query's indicator needs no
+    plan or run: the pass checks the total.
     """
     compiled = model.compiled
     if _pass is not None:
@@ -614,7 +616,7 @@ def eliminate_marginal(model: BayesianModel, query: str, evidence=None, *,
         if not live:
             return compiled.indicators[var][observed[var]]
         return _marginal(compiled, var, observed,
-                         _eliminate(live, rest, (var,), broadcasts=broadcasts), lambda: evidence)
+                         _eliminate(live, rest, (var,), broadcasts), evidence)
     model.graph.node(query)  # raises UnknownNode
     var = compiled.index[query]
     evidence, observed = _observed(model, evidence)
@@ -668,28 +670,28 @@ def posterior_update(model: BayesianModel, evidence=None) -> dict:
     """
     order = model.compiled.elimination  # the check for every CPT comes first
     evidence, observed, factors = _reduced(model, evidence)
-    return _all_marginals(model, factors, order, evidence, observed)
+    return _all_marginals(model, factors, order, lambda: evidence, observed)
 
 
 def _all_marginals(model: BayesianModel, factors: list, order, evidence, observed: dict) -> dict:
     """Node id -> answer for every node of ``model``, the one all-node engine.
 
     One pass sums ``order`` out of ``factors``, reduced by ``observed``
-    (variable -> state index).  Before the step of each node ``q =
-    order[i]``, :func:`eliminate_marginal` resumes q inside the pass, from
-    its live factors there (see ``_pass``).  The pass checks the total, so
-    an observed node gets its indicator with no live factors: the rest of
-    its own elimination is the rest of the pass.  Ids beyond the nodes, the
-    previous-slice copies, get no answer.  An error names ``evidence``.
+    (variable -> state index).  At its visit before the step of each node
+    ``q = order[i]``, :func:`eliminate_marginal` resumes q inside the pass
+    (see ``_pass``).  The pass checks the total, so an observed node gets
+    its indicator with no live factors: the rest of its own elimination is
+    the rest of the pass.  Ids beyond the nodes, the previous-slice copies,
+    and the final visit get no answer.  An error names ``evidence()``.
     """
     ids = model.compiled.ids
     answers = {}
 
     def visit(i: int, live: list) -> None:
-        q = order[i]
-        if q < len(ids):
+        if i < len(order) and order[i] < len(ids):
+            q = order[i]
             answers[q] = eliminate_marginal(model, ids[q], evidence, _pass=(
                 observed, order[i:], [] if q in observed else live, None))
 
-    _total(_eliminate(factors, order, (), visit), lambda: evidence)
+    _total(_run(_plan(factors, order, ()), factors, visit), evidence)
     return {nid: answers[q] for q, nid in enumerate(ids)}

@@ -418,7 +418,7 @@ def _posteriors(model: TemporalModel, obs: ObservationSeries, evidence: dict,
     beta = _sweep(slices, evidence, obs, range(last, k, -1), slices.previous, -slices.size)
     return _all_marginals(model.template.model,
                           _slice_factors(slices, evidence, k, [alpha, beta]),
-                          slices.order, obs.unrolled_evidence(), evidence.get(k, {}))
+                          slices.order, obs.unrolled_evidence, evidence.get(k, {}))
 
 
 def filter_marginals(model: TemporalModel, obs: ObservationSeries, t: int) -> dict:

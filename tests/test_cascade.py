@@ -44,6 +44,26 @@ def graph_of(ids, edges, service=()):
         [InfluenceEdge(a, b) for a, b in edges])
 
 
+def _resume_position(compiled, nid: str, s: str) -> int:
+    """The position in ``compiled.elimination`` at which ranking resumes the
+    pair of candidate ``nid`` and service node ``s``: that of the first
+    variable, but ``s``, of a factor that holds ``nid``."""
+    position = {v: i for i, v in enumerate(compiled.elimination)}
+    v, var = compiled.index[nid], compiled.index[s]
+    touched = {u for f in compiled.factors if v in f.vars for u in f.vars}
+    return min([position[u] for u in touched if u != var], default=0)
+
+
+def _resumed_steps(model, nid: str, s: str, steps: list) -> int:
+    """The steps that ``nid`` impaired, ``s`` queried, makes at or after its
+    resume position, as the ``steps`` fixture's list counts them."""
+    compiled = model.compiled
+    position = {v: i for i, v in enumerate(compiled.elimination)}
+    start = _resume_position(compiled, nid, s)
+    full_elimination(model, s, {nid: "impaired"})
+    return sum(1 for u in steps if position[u] >= start)
+
+
 @pytest.fixture(scope="module")
 def layered():
     return load_bundled_model("layered_iot")
@@ -419,10 +439,10 @@ class TestRankCriticality:
         # resumed run must still check the total.
         model = make_chain3().with_cpts({"A": Cpt.prior("A", (1.0, 0.0))})
         yield model, ["A"], {}, [("A", "F"), ("B", "T"), ("C", "F")], {"A": 1.0}
-        # The service node S comes first in the elimination order, so a pass
-        # has no visit at position 0: candidates whose evidence touches only
-        # S's own factor resume before any step, with a pass for the others
-        # or with none.
+        # The service node S comes first in the elimination order, so the
+        # pass's first step is S's, with no operands: candidates whose
+        # evidence touches only S's own factor resume at the visit before
+        # it, and with no other candidate that visit is the pass's last.
         model = BayesianModel(graph_of("S", []), {"S": Cpt.prior("S", (0.4, 0.6))})
         yield model, ["S"], {}, [("S", "T"), ("S", "F")], {"S": 1.0}
         model = BayesianModel(graph_of("ABS", [("A", "B")]), {
@@ -452,7 +472,7 @@ class TestRankCriticality:
                 got = {(e.node, e.impaired_state): e for e in rank_criticality(
                     model, candidates, service, degraded, aggregate, weights)}
                 assert len(got) == len(set(candidates))
-                # A lone candidate, which makes no evidence-free pass, too.
+                # A lone candidate, whose pass ends where its run resumes, too.
                 lone = candidates[0]
                 assert rank_criticality(model, [lone], service, degraded, aggregate,
                                         weights) == (got[lone],)
@@ -503,10 +523,8 @@ class TestRankCriticality:
         # steps and each pair's own from its resume position on: fewer than
         # one full elimination per pair.
         model = layered.model
-        compiled = model.compiled
         ids = model.graph.node_ids
         service = ("a1", "a2", "a3", "a4")
-        position = {v: i for i, v in enumerate(compiled.elimination)}
 
         def count(call, *args) -> int:
             steps.clear()
@@ -519,13 +537,8 @@ class TestRankCriticality:
                     full_elimination(model, s, {nid: state})
 
         def resumed(nid: str, s: str) -> int:
-            # The pair's own steps at or after its resume position.
-            v, var = compiled.index[nid], compiled.index[s]
-            touched = {u for f in compiled.factors if v in f.vars for u in f.vars}
-            start = min([position[u] for u in touched if u != var], default=0)
             steps.clear()
-            full_elimination(model, s, {nid: "impaired"})
-            return sum(1 for u in steps if position[u] >= start)
+            return _resumed_steps(model, nid, s, steps)
 
         candidates = [(nid, "impaired") for nid in ids]
         shared = count(rank_criticality, model, candidates, service)
@@ -535,10 +548,32 @@ class TestRankCriticality:
             sum(resumed(nid, s) for nid, _ in candidates for s in service)
         assert shared <= bound, (shared, bound)
         assert shared < single, (shared, single)
-        # A lone candidate makes no pass: its runs are the per-pair ones.
+        # A lone candidate's pass and resumed runs make the per-pair steps.
         candidates = [("a14", "impaired")]
         assert count(rank_criticality, model, candidates, service) == \
             count(per_pair, candidates, service)
+
+    def test_ranking_pass_ends_at_its_last_resume(self, layered, steps):
+        # Per service node, the pass makes its steps before the latest
+        # resume position and none after; each pair then makes its own from
+        # its resume position on.  So ranking makes exactly those steps.
+        model = layered.model
+        compiled = model.compiled
+        service = ("a1", "a2", "a3", "a4")
+        candidates = [(nid, "impaired") for nid in model.graph.node_ids]
+        want = 0
+        for s in service:
+            plan = inference._plan(compiled.factors, compiled.elimination,
+                                   (compiled.index[s],))
+            last = max(_resume_position(compiled, nid, s) for nid, _ in candidates)
+            assert any(step[1] for step in plan.steps[last:])  # a whole pass makes more
+            want += sum(1 for step in plan.steps[:last] if step[1])
+            for nid, _ in candidates:
+                steps.clear()
+                want += _resumed_steps(model, nid, s, steps)
+        steps.clear()
+        rank_criticality(model, candidates, service)
+        assert len(steps) == want
 
     def test_empty_scenario_is_an_invalid_argument(self):
         with pytest.raises(InvalidArgument) as err:

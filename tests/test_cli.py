@@ -84,6 +84,16 @@ class TestValidate:
         assert result["ok"] is False
         assert any("a14" in issue["path"] for issue in result["issues"])
 
+    def test_flag_that_is_not_a_boolean_exits_one(self, capsys, tmp_path, model_files):
+        raw = json.loads(Path(model_files["layered_iot"]).read_text())
+        raw["nodes"][0]["service_goal"] = "no"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        code, out = run(capsys, "validate", "--model", str(bad))
+        assert code == 1
+        assert [issue["path"] for issue in json.loads(out)["result"]["issues"]] == \
+            ["$.nodes[0].service_goal"]
+
     def test_unreadable_file_exits_one(self, capsys):
         code, _ = run(capsys, "validate", "--model", "/nonexistent/model.json")
         assert code == 1

@@ -138,6 +138,17 @@ class TestParseModel:
         (lambda raw: raw["nodes"][1].update({"description": []}), "$.nodes[1]"),
         (lambda raw: raw.update({"roadmap": {"goals": [{"id": 7, "objectives": [
             {"id": "o1", "elements": [{"id": "e1"}]}]}]}}), "$.roadmap"),
+        # Flags are JSON booleans, and booleans are not probabilities.
+        (lambda raw: raw["nodes"][0].update({"service_goal": "no"}), "$.nodes[0].service_goal"),
+        (lambda raw: raw["nodes"][1].update({"service_goal": 1}), "$.nodes[1].service_goal"),
+        (lambda raw: raw.update({"roadmap": {"goals": [{"id": "g1", "objectives": [
+            {"id": "o1", "elements": [{"id": "e1", "measurable": "yes"}]}]}]}}),
+         "$.roadmap.goals[0].objectives[0].elements[0].measurable"),
+        (lambda raw: raw["cpts"]["A"]["rows"][0].update({"p": [True, False]}),
+         "$.cpts.A.rows[0].p"),
+        (lambda raw: raw.update({"cpts": {"B": raw["cpts"]["B"]},
+                                 "catalogues": {"A": {"prior": [False, True]}}}),
+         "$.catalogues.A.prior"),
     ])
     def test_mistyped_ids_and_labels_are_located_issues(self, patch, where):
         raw = json.loads(doc_text())
@@ -145,6 +156,56 @@ class TestParseModel:
         with pytest.raises(ValidationFailed) as err:
             parse_model(json.dumps(raw))
         assert [path for path, _ in err.value.issues] == [where]
+
+    def test_integers_are_probabilities(self):
+        # JSON true and false are not (see the mistyped cases above), but
+        # the integers 0 and 1 are.
+        raw = json.loads(doc_text())
+        raw["cpts"]["A"]["rows"][0]["p"] = [1, 0]
+        raw["catalogues"] = {"B": {"prior": [0, 1]}}
+        raw["cpts"].pop("B")
+        doc = parse_model(json.dumps(raw))
+        assert doc.cpts["A"].rows[()] == (1.0, 0.0)
+        assert doc.catalogues["B"].prior == (0.0, 1.0)
+
+    @pytest.mark.parametrize("roadmap,issue", [
+        ({"goals": [["g1"]]}, ("$.roadmap.goals[0]", "expected dict, got list")),
+        ({"goals": [{"id": "g1", "objectives": "o1"}]},
+         ("$.roadmap.goals[0].objectives", "expected list, got str")),
+        ({"goals": [{"id": "g1", "objectives": [{"id": "o1", "elements": [{"id": "e1"}]},
+                                                7]}]},
+         ("$.roadmap.goals[0].objectives[1]", "expected dict, got int")),
+        ({"goals": [{"id": "g1", "objectives": [{"id": "o1", "elements": ["e1"]}]}]},
+         ("$.roadmap.goals[0].objectives[0].elements[0]", "expected dict, got str")),
+    ], ids=["goal", "objectives", "objective", "element"])
+    def test_malformed_roadmap_entries_are_located(self, roadmap, issue):
+        raw = json.loads(doc_text())
+        raw["roadmap"] = roadmap
+        with pytest.raises(ValidationFailed) as err:
+            parse_model(json.dumps(raw))
+        assert err.value.issues == [issue]
+        text = json.dumps({"schema_version": 1, "sections": [{"key": "k", **roadmap}]})
+        with pytest.raises(ValidationFailed) as err:
+            parse_roadmap_document(text, "k")
+        assert err.value.issues == [(issue[0].replace("$.roadmap", "$.sections[k]"), issue[1])]
+
+    def test_malformed_roadmap_section_is_located(self):
+        with pytest.raises(ValidationFailed) as err:
+            parse_roadmap_document('{"schema_version": 1, "sections": [{"key": "k"}, 7]}', "k")
+        assert err.value.issues == [("$.sections[1]", "expected dict, got int")]
+
+    def test_a_fault_in_the_library_is_not_a_document_issue(self, monkeypatch):
+        from iotrisk import roadmap
+
+        def broken(goals):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(roadmap, "build_roadmap", broken)
+        raw = json.loads(doc_text())
+        raw["roadmap"] = {"goals": [{"id": "g1", "objectives": [
+            {"id": "o1", "elements": [{"id": "e1"}]}]}]}
+        with pytest.raises(RuntimeError, match="broken"):
+            parse_model(json.dumps(raw))
 
     def test_temporal_target_without_transition_table_rejected(self):
         raw = json.loads(doc_text())

@@ -614,7 +614,7 @@ class TestRunMemory:
         sizes = [f.values.size for f in factors]
         live = set(range(len(factors)))
         largest = made = 0
-        for _, operands, shapes, _, scope, _ in plan.steps:
+        for _, operands, shapes, _, scope in plan.steps:
             product = 2 ** (len(scope) + 1) if shapes else 0
             sizes.append(2 ** len(scope))
             largest = max(largest, sum(sizes[s] for s in live) + product + sizes[-1])
@@ -640,16 +640,18 @@ class TestRunMemory:
 
 
 class TestPlanShape:
-    """Every plan has one step per variable it sums out, whoever asks."""
+    """Every plan has one step per position of its order, whoever asks."""
 
     @staticmethod
     def _check(plan, order, keep, factors):
-        summed = [i for i, v in enumerate(order) if v not in keep]
-        assert [step[5] for step in plan.steps] == summed
-        assert [step[0] for step in plan.steps] == [order[i] for i in summed]
-        # A visit that does nothing changes no bit of the result.
+        assert [step[0] for step in plan.steps] == list(order)
+        assert all(not step[1] for step in plan.steps if step[0] in keep)
+        # A visit sees every position, then the state after the last step,
+        # and one that does nothing changes no bit of the result.
         plain = inference._run(plan, factors)
-        visited = inference._run(plan, factors, lambda i, live: None)
+        seen = []
+        visited = inference._run(plan, factors, lambda i, live: seen.append(i))
+        assert seen == list(range(len(order) + 1))
         assert visited.vars == plain.vars
         assert visited.values.tobytes() == plain.values.tobytes()
 
@@ -800,16 +802,16 @@ class TestPosteriorUpdate:
         keeps, steps = [], []
         eliminate, apply, sweep = inference._eliminate, inference._apply, temporal._sweep
 
-        def tracked(factors, order, keep, visit=None, broadcasts=None):
+        def tracked(factors, order, keep, broadcasts=None):
             keeps.append(tuple(keep))
             try:
-                return eliminate(factors, order, keep, visit, broadcasts)
+                return eliminate(factors, order, keep, broadcasts)
             finally:
                 keeps.pop()
 
         def counted(step, values):
-            # A sweep runs its plans outside _eliminate; uncounted_sweep
-            # drops its steps.
+            # uncounted_sweep drops the steps of the sweeps; the shared
+            # pass runs outside _eliminate, so its steps keep None.
             steps.append(keeps[-1] if keeps else None)
             return apply(step, values)
 

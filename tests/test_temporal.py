@@ -517,6 +517,30 @@ class TestInterfacePasses:
         with pytest.raises(ImpossibleEvidence):
             smooth_marginals(tm, obs, 0, 2)    # backward message
 
+    def test_unrolled_evidence_is_built_only_to_raise(self, monkeypatch):
+        # The unrolled evidence only names the observations in an error, so
+        # a query that raises nothing never builds it.
+        calls = []
+        unrolled = ObservationSeries.unrolled_evidence
+
+        def spy(series):
+            calls.append(series)
+            return unrolled(series)
+
+        monkeypatch.setattr(ObservationSeries, "unrolled_evidence", spy)
+        smart_home = load_bundled_model("smart_home").temporal_model()
+        obs = ObservationSeries([(0, {"wifi_gateway": "down"}), (2, {"motion_sensor": "faulty"})])
+        filter_marginals(smart_home, obs, 2)
+        smooth_marginals(smart_home, obs, 1, 2)
+        predict_marginals(smart_home, obs, 2, 2)
+        assert calls == []
+        identity = Cpt("X", ("X",), {("ok",): (1.0, 0.0), ("fail",): (0.0, 1.0)})
+        impossible = ObservationSeries([(0, {"X": "ok"}), (2, {"X": "fail"})])
+        with pytest.raises(ImpossibleEvidence) as err:
+            filter_marginals(single_node_dbn(transition=identity), impossible, 2)
+        assert str(err.value) == "evidence {'X@0': 'ok', 'X@2': 'fail'} has probability 0"
+        assert calls == [impossible]
+
 
 def _random_observations(rng: random.Random, tm: TemporalModel, t: int) -> ObservationSeries:
     graph = tm.template.model.graph
