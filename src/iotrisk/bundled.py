@@ -20,7 +20,7 @@ from importlib import resources
 from typing import TYPE_CHECKING
 
 from . import documents
-from .errors import SchemaVersionMismatch, ValidationFailed
+from .errors import ValidationFailed
 
 if TYPE_CHECKING:
     from .documents import ModelDocument
@@ -55,31 +55,29 @@ def load_bundled_model(name: str) -> ModelDocument:
 def parse_roadmap_document(text: str, section: str | None = DEFAULT_ROADMAP_SECTION) -> RoadmapModel:
     """Parse a standalone roadmap document (sections of control goals).
 
-    ``section`` selects one section by key; pass None to combine all sections
-    into a single roadmap.
+    Each section is an object with a string ``key``.  ``section`` selects one
+    section by key; pass None to combine all sections into a single roadmap.
     """
     from .roadmap import build_roadmap
 
-    raw = documents._json_object(text)
-    if raw.get("schema_version") != documents.SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"schema_version {raw.get('schema_version')!r} is not supported")
-    if not isinstance(raw.get("sections"), list):
-        raise ValidationFailed([("$.sections", "expected a list of sections")])
-    sections = [s for _, s in documents._objects(raw, "sections", "$")]
-    by_key = {s["key"]: s for s in sections if isinstance(s.get("key"), str)}
+    raw = documents._versioned_root(text)
+    issues: list[tuple[str, str]] = []
+    sections = [(documents._take(s, "key", str, path, issues, required=True), s)
+                for path, s in documents._entries(raw, "sections", "$", issues, required=True)]
+    if issues:
+        raise ValidationFailed(issues)
+    by_key = dict(sections)
     if section is not None:
         if section not in by_key:
             raise ValidationFailed(
                 [("$.sections", f"no section {section!r}; available: {sorted(by_key)}")])
-        chosen = [by_key[section]]
+        chosen = [(section, by_key[section])]
     else:
         chosen = sections
 
-    issues: list[tuple[str, str]] = []
     goals = []
-    for s in chosen:
-        parsed = documents._parse_roadmap(s, f"$.sections[{s.get('key')}]", issues)
+    for key, s in chosen:
+        parsed = documents._parse_roadmap(s, f"$.sections[{key}]", issues)
         if parsed is not None:
             goals.extend(parsed.goals)
     if issues:

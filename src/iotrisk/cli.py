@@ -51,6 +51,19 @@ def _parse_observation(text: str) -> tuple[str, str]:
     return node, state
 
 
+class _Assignments(argparse.Action):
+    """Collects a repeatable NODE=STATE flag into one dict.  Naming a node
+    again with another state is a usage error; the same pair again is not."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        node, state = values
+        chosen = dict(getattr(namespace, self.dest) or {})
+        if chosen.setdefault(node, state) != state:
+            raise argparse.ArgumentError(
+                self, f"node {node!r} given as both {chosen[node]!r} and {state!r}")
+        setattr(namespace, self.dest, chosen)
+
+
 def _int_at_least(minimum: int):
     """An argparse type: an integer no smaller than ``minimum``."""
     def parse(text: str) -> int:
@@ -86,14 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="marginal/posterior queries")
     _add_common(p)
     p.add_argument("--query", metavar="NODE", help="single node to query (default: all)")
-    p.add_argument("--observe", metavar="NODE=STATE", action="append", default=[],
+    p.add_argument("--observe", metavar="NODE=STATE", action=_Assignments, default={},
                    type=_parse_observation, help="evidence; repeatable")
     p.add_argument("--evidence", metavar="PATH",
                    help="evidence stream; each node's latest record becomes evidence")
 
     p = sub.add_parser("cascade", help="incident-scenario impact analysis")
     _add_common(p)
-    p.add_argument("--origin", metavar="NODE=STATE", action="append", required=True,
+    p.add_argument("--origin", metavar="NODE=STATE", action=_Assignments, required=True,
                    type=_parse_observation, help="impaired origin; repeatable")
     p.add_argument("--rank", action="store_true",
                    help="also rank the origins by service degradation")
@@ -116,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "states from observed dependents")
     _add_common(p)
     p.add_argument("--resolve", metavar="NODE", help="uncontrollable node to resolve")
-    p.add_argument("--observe", metavar="NODE=STATE", action="append", default=[],
+    p.add_argument("--observe", metavar="NODE=STATE", action=_Assignments, default={},
                    type=_parse_observation, help="evidence; repeatable")
 
     p = sub.add_parser("cvss", help="score a CVSS v2 vector and derive a prior")
@@ -150,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-dot", help="Graphviz export, optionally impact-annotated")
     p.add_argument("--model", required=True, metavar="PATH", help="model document (JSON)")
     p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
-    p.add_argument("--origin", metavar="NODE=STATE", action="append", default=[],
+    p.add_argument("--origin", metavar="NODE=STATE", action=_Assignments, default={},
                    type=_parse_observation,
                    help="annotate with the posterior impact of this scenario")
 
@@ -265,7 +278,7 @@ def _cmd_infer(args) -> int:
     if args.evidence is not None:
         records, digest = _read_evidence(args, model, model_raw)
         evidence = {r.node: r.state for r in sorted(records, key=lambda r: r.timestamp_ms)}
-    evidence.update(dict(args.observe))
+    evidence.update(args.observe)
     if args.query is not None:
         result = {"query": args.query,
                   "evidence": evidence,
@@ -283,7 +296,7 @@ def _cmd_infer(args) -> int:
 def _cmd_cascade(args) -> int:
     doc, digest, _ = _load_document(args)
     model = doc.completed_model()
-    scenario = IncidentScenario(dict(args.origin))
+    scenario = IncidentScenario(args.origin)
     report = impact_probabilities(model, scenario)
     if args.rank:
         ranking = rank_criticality(model, list(scenario.origins.items()))
@@ -333,10 +346,10 @@ def _cmd_iotmm(args) -> int:
     catalogues = {nid: doc.catalogues.get(nid) or catalogue(model, nid)
                   for nid in uncontrollable}
     if args.resolve is not None:
-        marginal = resolve_uncontrollable(model, args.resolve, dict(args.observe),
+        marginal = resolve_uncontrollable(model, args.resolve, args.observe,
                                           doc.catalogues)
         result = {"resolved": args.resolve,
-                  "evidence": dict(args.observe),
+                  "evidence": args.observe,
                   "posterior": marginal,
                   "catalogue": catalogues[args.resolve]}
     else:
@@ -420,7 +433,7 @@ def _cmd_export_dot(args) -> int:
     report = None
     if args.origin:
         report = impact_probabilities(doc.completed_model(),
-                                      IncidentScenario(dict(args.origin)))
+                                      IncidentScenario(args.origin))
     _write(args, export_dot(doc.model, report))
     return 0
 

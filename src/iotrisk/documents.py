@@ -3,10 +3,10 @@
 One document carries everything an analysis needs: the dependency graph, the
 CPTs, state catalogues for uncontrollable nodes, optional temporal structure,
 an optional roadmap, and element->node bindings.  The format is versioned
-(``schema_version``) and strict: unknown versions are rejected, and semantic
+(``schema_version``) and strict: unknown versions are rejected, and other
 problems are aggregated into a single :class:`ValidationFailed` whose issues
-carry JSON-pointer-ish paths (``$.cpts.B.rows[0]``) so a bad file can be fixed
-in one pass.
+carry JSON-pointer-ish paths naming the field (``$.nodes[0].layer``), or the
+entry its constructor refuses (``$.cpts.B``), so a bad file is fixed in one pass.
 
 ``parse_model(serialize_model(doc)) == doc`` holds for every valid document;
 serialization is canonical (sorted keys, fixed float repr), so equal documents
@@ -26,10 +26,12 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import (
+    DuplicateId,
+    EmptyGoal,
     InvalidArgument,
     InvalidDistribution,
-    IotRiskError,
     ModelSyntaxError,
+    NotMeasurable,
     SchemaVersionMismatch,
     UnknownNode,
     UnknownState,
@@ -125,120 +127,150 @@ def _untabled_target_issues(edges, transition_cpts: dict) -> list:
 # -------------------------------------------------------------------- parsing
 
 def _take(obj, key, kind, path, issues, default=None, required=False):
+    """``obj[key]`` if it is a ``kind``, else ``default`` with its issue
+    recorded: ``missing required key 'k'`` at ``path`` when a ``required``
+    key is absent, ``expected <kind>, got <type>`` at ``{path}.{key}``."""
     if key not in obj:
         if required:
             issues.append((path, f"missing required key {key!r}"))
         return default
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
-        names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-        issues.append((f"{path}.{key}" if path else f"$.{key}",
-                       f"expected {names}, got {type(value).__name__}"))
+    if not isinstance(value, kind):
+        issues.append((f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}"))
         return default
     return value
 
 
-def _probabilities(value) -> bool:
-    """True for a list of JSON numbers.  ``true`` and ``false`` are not
+def _entries(obj, key, path, issues, required=False):
+    """``(path, entry)`` for each object of the list ``obj[key]``, read by
+    :func:`_take`.  An entry that is not an object is recorded at
+    ``{path}.{key}[i]`` and skipped."""
+    for i, entry in enumerate(_take(obj, key, list, path, issues, [], required)):
+        at = f"{path}.{key}[{i}]"
+        if isinstance(entry, dict):
+            yield at, entry
+        else:
+            issues.append((at, f"expected dict, got {type(entry).__name__}"))
+
+
+def _build(make, path, issues, mark, *args, **kwargs):
+    """``make(*args, **kwargs)``, or None: when an issue was recorded after
+    ``mark`` (a part of the entry is malformed), or when ``make`` refuses the
+    entry, whose error is then recorded at ``path``."""
+    if len(issues) > mark:
+        return None
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, InvalidDistribution, EmptyGoal, NotMeasurable, DuplicateId) as exc:
+        issues.append((path, str(exc)))
+        return None
+
+
+def _probabilities(values: list) -> bool:
+    """True if every entry is a JSON number.  ``true`` and ``false`` are not
     numbers here, by the rule :func:`~iotrisk.model._is_int` applies to counts."""
-    return isinstance(value, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+    return all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
 
 
-def _expect(value, kind: type, path: str):
-    """``value`` if it is a ``kind``, else ValidationFailed locating it at ``path``."""
-    if not isinstance(value, kind):
-        raise ValidationFailed([(path, f"expected {kind.__name__}, got {type(value).__name__}")])
-    return value
+def _parse_node(path, raw, issues) -> ComponentNode | None:
+    """The node ``raw``, or None with its issues recorded."""
+    mark = len(issues)
+    node_id = _take(raw, "id", str, path, issues, required=True)
+    states = _take(raw, "states", list, path, issues, required=True)
+    # Checked before StateDomain, whose set() cannot hash a list label.
+    if states is not None and not (states and all(isinstance(s, str) for s in states)):
+        issues.append((f"{path}.states", "expected a non-empty list of state labels"))
+    domain = _build(StateDomain, path, issues, mark, states)
+    return _build(ComponentNode, path, issues, mark, node_id, domain=domain,
+                  layer=_take(raw, "layer", str, path, issues, "custom"),
+                  description=_take(raw, "description", str, path, issues, ""),
+                  is_service_goal=_take(raw, "service_goal", bool, path, issues, False))
 
 
-def _objects(obj: dict, key: str, path: str) -> list:
-    """``(path, entry)`` for each entry of the list ``obj[key]``, none if
-    ``key`` is missing, each checked by :func:`_expect` to be a dict."""
-    path = f"{path}.{key}"
-    return [(f"{path}[{i}]", _expect(entry, dict, f"{path}[{i}]"))
-            for i, entry in enumerate(_expect(obj.get(key, []), list, path))]
+def _edges(obj, path, issues):
+    """``(path, source, target)`` for each entry of ``obj["edges"]`` whose
+    ``from`` and ``to`` are strings."""
+    for at, raw in _entries(obj, "edges", path, issues):
+        source = _take(raw, "from", str, at, issues, required=True)
+        target = _take(raw, "to", str, at, issues, required=True)
+        if source is not None and target is not None:
+            yield at, source, target
 
 
 def _parse_cpt(node_id, raw, path, issues) -> Cpt | None:
-    if not isinstance(raw, dict):
-        issues.append((path, f"expected object, got {type(raw).__name__}"))
-        return None
-    parents = raw.get("parents", [])
-    rows_raw = raw.get("rows")
-    if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
+    """The table ``raw`` of ``node_id``, or None with every row's issues recorded."""
+    mark = len(issues)
+    parents = _take(raw, "parents", list, path, issues, [])
+    if not all(isinstance(p, str) for p in parents):
         issues.append((f"{path}.parents", "expected a list of node ids"))
-        return None
-    if not isinstance(rows_raw, list):
-        issues.append((f"{path}.rows", "expected a list of row objects"))
-        return None
     rows = {}
-    for i, row in enumerate(rows_raw):
-        row_path = f"{path}.rows[{i}]"
-        if not isinstance(row, dict) or "given" not in row or "p" not in row:
-            issues.append((row_path, 'rows need "given" (parent states) and "p" (distribution)'))
-            return None
-        given, p = row["given"], row["p"]
-        if not isinstance(given, list) or not all(isinstance(s, str) for s in given):
+    for row_path, row in _entries(raw, "rows", path, issues, required=True):
+        row_mark = len(issues)
+        given = _take(row, "given", list, row_path, issues, required=True)
+        p = _take(row, "p", list, row_path, issues, required=True)
+        if given is not None and not all(isinstance(s, str) for s in given):
             issues.append((f"{row_path}.given", "expected a list of state labels"))
-            return None
-        if not _probabilities(p):
+        if p is not None and not _probabilities(p):
             issues.append((f"{row_path}.p", "expected a list of probabilities"))
-            return None
+        if len(issues) > row_mark:
+            continue
         key = tuple(given)
         if key in rows:
             issues.append((row_path, f"duplicate row for parent states {key!r}"))
-            return None
         rows[key] = tuple(float(x) for x in p)
-    try:
-        return Cpt(node_id, tuple(parents), rows)
-    except InvalidDistribution as exc:
-        issues.append((path, str(exc)))
-        return None
+    return _build(Cpt, path, issues, mark, node_id, tuple(parents), rows)
 
 
 def _parse_cpts(obj, key, path, issues) -> dict:
     """The CPTs of section ``obj[key]`` by node id; each bad one is left out
     and its issues recorded at ``{path}.{key}.<node id>``."""
+    section = _take(obj, key, dict, path, issues, {})
+    path = f"{path}.{key}"
     cpts = {}
-    for node_id, raw_cpt in sorted(_take(obj, key, dict, path, issues, default={}).items()):
-        cpt = _parse_cpt(node_id, raw_cpt, f"{path}.{key}.{node_id}", issues)
+    for node_id in sorted(section):
+        raw = _take(section, node_id, dict, path, issues)
+        cpt = None if raw is None else _parse_cpt(node_id, raw, f"{path}.{node_id}", issues)
         if cpt is not None:
             cpts[node_id] = cpt
     return cpts
 
 
 def _parse_roadmap(raw, path, issues) -> RoadmapModel | None:
-    """The roadmap of the section ``raw``, or None with its issue recorded: a
-    mistyped entry or ``measurable`` flag at its own path, else at ``path``."""
+    """The roadmap of the section ``raw``, or None with its issues recorded.
+    An entry with an issue is not built, nor is any entry that holds it, so
+    one fault gives one issue."""
     # Imported here: only a document with a roadmap needs the module.
     from .roadmap import ControlElement, ControlGoal, ControlObjective, Epistemic, build_roadmap
 
-    if _take(raw, "goals", list, path, issues, required=True) is None:
-        return None
-    try:
-        goals = []
-        for goal_path, g in _objects(raw, "goals", path):
-            objectives = []
-            for objective_path, o in _objects(g, "objectives", goal_path):
-                elements = []
-                for element_path, e in _objects(o, "elements", objective_path):
-                    measurable = _expect(e.get("measurable", False), bool,
-                                         f"{element_path}.measurable")
-                    elements.append(ControlElement(
-                        id=e["id"], title=e.get("title", ""), measurable=measurable,
-                        epistemic=Epistemic(e.get("epistemic", "understanding")),
-                        notes=e.get("notes", "")))
-                objectives.append(ControlObjective(o["id"], o.get("title", ""), elements))
-            goals.append(ControlGoal(g["id"], g.get("title", ""), objectives))
-        return build_roadmap(goals)
-    except ValidationFailed as exc:
-        issues.extend(exc.issues)
-    except (KeyError, TypeError, ValueError) as exc:
-        issues.append((path, f"malformed roadmap: {exc!r}"))
-    except IotRiskError as exc:  # DuplicateId, EmptyGoal, NotMeasurable
-        issues.append((path, str(exc)))
-    return None
+    def entry(make, obj, at, mark, *args, **kwargs):
+        """``make(id, title, *args, **kwargs)`` for the entry ``obj``."""
+        return _build(make, at, issues, mark, _take(obj, "id", str, at, issues, required=True),
+                      _take(obj, "title", str, at, issues, ""), *args, **kwargs)
+
+    mark = len(issues)
+    goals = []
+    for goal_path, g in _entries(raw, "goals", path, issues, required=True):
+        goal_mark = len(issues)
+        objectives = []
+        for objective_path, o in _entries(g, "objectives", goal_path, issues):
+            objective_mark = len(issues)
+            elements = []
+            for element_path, e in _entries(o, "elements", objective_path, issues):
+                element_mark = len(issues)
+                epistemic = _take(e, "epistemic", str, element_path, issues, "understanding")
+                try:
+                    epistemic = Epistemic(epistemic)
+                except ValueError:
+                    issues.append((f"{element_path}.epistemic",
+                                   f"unknown epistemic status {epistemic!r}"))
+                elements.append(entry(
+                    ControlElement, e, element_path, element_mark, epistemic=epistemic,
+                    measurable=_take(e, "measurable", bool, element_path, issues, False),
+                    notes=_take(e, "notes", str, element_path, issues, "")))
+            objectives.append(entry(ControlObjective, o, objective_path, objective_mark,
+                                    elements))
+        goals.append(entry(ControlGoal, g, goal_path, goal_mark, objectives))
+    return _build(build_roadmap, path, issues, mark, goals)
 
 
 def _json_object(text: str, prefix: str = "", not_object: str | None = None) -> dict:
@@ -259,6 +291,17 @@ def _json_object(text: str, prefix: str = "", not_object: str | None = None) -> 
     return value
 
 
+def _versioned_root(text: str) -> dict:
+    """The root object of a model or roadmap document of this build's version."""
+    raw = _json_object(text)
+    version = raw.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(
+            f"schema_version {version!r} is not supported (this build reads "
+            f"{SCHEMA_VERSION})")
+    return raw
+
+
 def parse_model(text: str) -> ModelDocument:
     """Parse and fully validate a model document.
 
@@ -269,60 +312,16 @@ def parse_model(text: str) -> ModelDocument:
     :meth:`~iotrisk.roadmap.RoadmapModel.element`; one the roadmap lacks is
     the issue that lookup's :class:`UnknownNode` names.
     """
-    raw = _json_object(text)
-    version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"schema_version {version!r} is not supported (this build reads "
-            f"{SCHEMA_VERSION})")
-
+    raw = _versioned_root(text)
     issues: list[tuple[str, str]] = []
 
     # ---- nodes & edges
-    nodes = []
-    for i, n in enumerate(_take(raw, "nodes", list, "$", issues, default=[], required=True) or []):
-        path = f"$.nodes[{i}]"
-        if not isinstance(n, dict):
-            issues.append((path, "expected a node object"))
-            continue
-        nid = n.get("id")
-        states = n.get("states")
-        if not isinstance(nid, str) or not nid:
-            issues.append((path, "node needs a non-empty string id"))
-            continue
-        if (not isinstance(states, list) or not states
-                or not all(isinstance(s, str) for s in states)):
-            issues.append((f"{path}.states", "expected a non-empty list of state labels"))
-            continue
-        layer, description = n.get("layer", "custom"), n.get("description", "")
-        if not isinstance(layer, str) or not isinstance(description, str):
-            issues.append((path, "layer and description must be strings"))
-            continue
-        service_goal = _take(n, "service_goal", bool, path, issues, default=False)
-        try:
-            nodes.append(ComponentNode(
-                id=nid, layer=layer,
-                domain=StateDomain(states),
-                is_service_goal=service_goal,
-                description=description))
-        except ValueError as exc:
-            issues.append((path, str(exc)))
-
-    edges = []
-    for i, e in enumerate(_take(raw, "edges", list, "$", issues, default=[]) or []):
-        path = f"$.edges[{i}]"
-        if not isinstance(e, dict) or "from" not in e or "to" not in e:
-            issues.append((path, 'expected {"from": ..., "to": ...}'))
-            continue
-        if not isinstance(e["from"], str) or not isinstance(e["to"], str):
-            issues.append((path, "edge endpoints must be node id strings"))
-            continue
-        try:
-            edges.append(InfluenceEdge(e["from"], e["to"]))
-        except ValueError as exc:
-            issues.append((path, str(exc)))
-
-    graph = DependencyGraph(nodes, edges)
+    nodes = [_parse_node(path, n, issues)
+             for path, n in _entries(raw, "nodes", "$", issues, required=True)]
+    edges = [_build(InfluenceEdge, path, issues, len(issues), source, target)
+             for path, source, target in _edges(raw, "$", issues)]
+    graph = DependencyGraph([n for n in nodes if n is not None],
+                            [e for e in edges if e is not None])
 
     # ---- CPTs
     cpts = _parse_cpts(raw, "cpts", "$", issues)
@@ -336,7 +335,8 @@ def parse_model(text: str) -> ModelDocument:
 
     # ---- catalogues
     catalogues = {}
-    for node_id, raw_cat in sorted((_take(raw, "catalogues", dict, "$", issues, default={}) or {}).items()):
+    raw_catalogues = _take(raw, "catalogues", dict, "$", issues, {})
+    for node_id in sorted(raw_catalogues):
         path = f"$.catalogues.{node_id}"
         if node_id not in graph:
             issues.append((path, f"catalogue for unknown node {node_id!r}"))
@@ -345,38 +345,34 @@ def parse_model(text: str) -> ModelDocument:
             issues.append((path, f"node {node_id!r} has a CPT; a catalogue is only "
                                  "for uncontrollable nodes"))
             continue
-        prior = raw_cat.get("prior") if isinstance(raw_cat, dict) else None
+        raw_catalogue = _take(raw_catalogues, node_id, dict, "$.catalogues", issues)
+        if raw_catalogue is None:
+            continue
+        prior = _take(raw_catalogue, "prior", list, path, issues, required=True)
+        source = _take(raw_catalogue, "source", str, path, issues, "declared")
+        if prior is None:
+            continue
+        size = len(graph.node(node_id).domain)
         if not _probabilities(prior):
             issues.append((f"{path}.prior", "expected a list of probabilities"))
             continue
-        if len(prior) != len(graph.node(node_id).domain):
-            issues.append((f"{path}.prior",
-                           f"{len(prior)} entries for a "
-                           f"{len(graph.node(node_id).domain)}-state domain"))
+        if len(prior) != size:
+            issues.append((f"{path}.prior", f"{len(prior)} entries for a {size}-state domain"))
             continue
         try:
-            source = CatalogueSource(raw_cat.get("source", "declared"))
             catalogues[node_id] = StateCatalogue(node_id, tuple(float(x) for x in prior),
-                                                 source)
+                                                 CatalogueSource(source))
         except InvalidDistribution as exc:
             issues.append((path, str(exc)))
         except ValueError:
-            issues.append((f"{path}.source",
-                           f"unknown catalogue source {raw_cat.get('source')!r}"))
+            issues.append((f"{path}.source", f"unknown catalogue source {source!r}"))
 
     # ---- temporal
     temporal = None
-    raw_temporal = _take(raw, "temporal", dict, "$", issues, default=None)
+    raw_temporal = _take(raw, "temporal", dict, "$", issues)
     if raw_temporal is not None:
-        tedges = []
-        for i, e in enumerate(_take(raw_temporal, "edges", list, "$.temporal", issues,
-                                    default=[])):
-            path = f"$.temporal.edges[{i}]"
-            if not isinstance(e, dict) or not isinstance(e.get("from"), str) \
-                    or not isinstance(e.get("to"), str):
-                issues.append((path, 'expected {"from": ..., "to": ...}'))
-                continue
-            tedges.append((e["from"], e["to"]))
+        tedges = [(source, target) for _, source, target in _edges(raw_temporal, "$.temporal",
+                                                                   issues)]
         transition_cpts = _parse_cpts(raw_temporal, "transition_cpts", "$.temporal", issues)
         initial_cpts = _parse_cpts(raw_temporal, "initial_cpts", "$.temporal", issues)
         issues.extend(_untabled_target_issues(tedges, transition_cpts))
@@ -386,13 +382,11 @@ def parse_model(text: str) -> ModelDocument:
                                 max_horizon)
 
     # ---- roadmap & bindings
-    roadmap = None
-    raw_roadmap = _take(raw, "roadmap", dict, "$", issues, default=None)
-    if raw_roadmap is not None:
-        roadmap = _parse_roadmap(raw_roadmap, "$.roadmap", issues)
+    raw_roadmap = _take(raw, "roadmap", dict, "$", issues)
+    roadmap = None if raw_roadmap is None else _parse_roadmap(raw_roadmap, "$.roadmap", issues)
 
     bindings = {}
-    for element_id, node_id in sorted((_take(raw, "bindings", dict, "$", issues, default={}) or {}).items()):
+    for element_id, node_id in sorted(_take(raw, "bindings", dict, "$", issues, {}).items()):
         path = f"$.bindings.{element_id}"
         if roadmap is None:
             issues.append((path, "bindings given but the document has no roadmap"))

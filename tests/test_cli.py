@@ -403,6 +403,29 @@ class TestUsage:
             main(["infer", "--model", model_files["layered_iot"], "--observe", "nope"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("verb,flag,node", [
+        ("infer", "--observe", "a14"),
+        ("cascade", "--origin", "a14"),
+        ("iotmm", "--observe", "scada_link"),
+        ("export-dot", "--origin", "a14"),
+    ])
+    def test_node_given_two_states_exits_two(self, capsys, verb, flag, node):
+        # Refused before the model is read: the path names no file.
+        with pytest.raises(SystemExit) as err:
+            main([verb, "--model", "/nonexistent/model.json",
+                  flag, f"{node}=impaired", flag, f"{node}=operational"])
+        assert err.value.code == 2
+        assert (f"argument {flag}: node {node!r} given as both 'impaired' and "
+                "'operational'") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb,flag", [("infer", "--observe"), ("cascade", "--origin")])
+    def test_same_pair_given_twice_is_one_assignment(self, capsys, model_files, verb, flag):
+        once = run(capsys, verb, "--model", model_files["layered_iot"], flag, "a14=impaired")
+        twice = run(capsys, verb, "--model", model_files["layered_iot"],
+                    flag, "a14=impaired", flag, "a14=impaired")
+        assert once[0] == 0
+        assert twice == once
+
     @pytest.mark.parametrize("args,flag,mode", [
         (("--mode", "filter", "--slice", "3", "--at", "1"), "--slice", "smooth"),
         (("--mode", "predict", "--slice", "0"), "--slice", "smooth"),

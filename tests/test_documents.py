@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from iotrisk.documents import (
     serialize_model,
 )
 from iotrisk.errors import (
+    DocumentError,
     InvalidArgument,
     ModelSyntaxError,
     SchemaVersionMismatch,
@@ -51,6 +53,15 @@ def doc_text(**overrides) -> str:
     raw = json.loads(json.dumps(MINIMAL))
     raw.update(overrides)
     return json.dumps(raw)
+
+
+def json_paths(value, at=()):
+    """The path of ``value`` and of every value inside it, as key tuples."""
+    yield at
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from json_paths(child, at + (key,))
 
 
 class TestParseModel:
@@ -85,6 +96,12 @@ class TestParseModel:
     def test_unknown_schema_version_rejected(self):
         with pytest.raises(SchemaVersionMismatch):
             parse_model(doc_text(schema_version=99))
+
+    @pytest.mark.parametrize("parse", [parse_model, parse_roadmap_document])
+    def test_unknown_schema_version_reads_alike(self, parse):
+        with pytest.raises(SchemaVersionMismatch) as err:
+            parse('{"schema_version": 2}')
+        assert str(err.value) == "schema_version 2 is not supported (this build reads 1)"
 
     def test_bad_row_sum_names_node_and_row(self):
         raw = json.loads(doc_text())
@@ -132,12 +149,14 @@ class TestParseModel:
         assert err.value.issues == [("$.bindings.e9", "no control element 'e9' in the roadmap")]
 
     @pytest.mark.parametrize("patch,where", [
-        (lambda raw: raw["edges"][0].update({"from": ["A"]}), "$.edges[0]"),
-        (lambda raw: raw["edges"][0].update({"to": True}), "$.edges[0]"),
-        (lambda raw: raw["nodes"][0].update({"layer": 3}), "$.nodes[0]"),
-        (lambda raw: raw["nodes"][1].update({"description": []}), "$.nodes[1]"),
+        (lambda raw: raw["edges"][0].update({"from": ["A"]}), "$.edges[0].from"),
+        (lambda raw: raw["edges"][0].update({"to": True}), "$.edges[0].to"),
+        (lambda raw: raw["nodes"][0].update({"layer": 3}), "$.nodes[0].layer"),
+        (lambda raw: raw["nodes"][1].update({"description": []}), "$.nodes[1].description"),
         (lambda raw: raw.update({"roadmap": {"goals": [{"id": 7, "objectives": [
-            {"id": "o1", "elements": [{"id": "e1"}]}]}]}}), "$.roadmap"),
+            {"id": "o1", "elements": [{"id": "e1"}]}]}]}}), "$.roadmap.goals[0].id"),
+        # A list label would reach StateDomain, whose set() cannot hash it.
+        (lambda raw: raw["nodes"][0].update({"states": ["a", ["b"]]}), "$.nodes[0].states"),
         # Flags are JSON booleans, and booleans are not probabilities.
         (lambda raw: raw["nodes"][0].update({"service_goal": "no"}), "$.nodes[0].service_goal"),
         (lambda raw: raw["nodes"][1].update({"service_goal": 1}), "$.nodes[1].service_goal"),
@@ -177,7 +196,22 @@ class TestParseModel:
          ("$.roadmap.goals[0].objectives[1]", "expected dict, got int")),
         ({"goals": [{"id": "g1", "objectives": [{"id": "o1", "elements": ["e1"]}]}]},
          ("$.roadmap.goals[0].objectives[0].elements[0]", "expected dict, got str")),
-    ], ids=["goal", "objectives", "objective", "element"])
+        ({"goals": [{"objectives": [{"id": "o1", "elements": [{"id": "e1"}]}]}]},
+         ("$.roadmap.goals[0]", "missing required key 'id'")),
+        ({"goals": [{"id": "g1", "objectives": [{"id": "o1", "elements": [
+            {"id": "e1", "title": 7}]}]}]},
+         ("$.roadmap.goals[0].objectives[0].elements[0].title", "expected str, got int")),
+        ({"goals": [{"id": "g1", "objectives": [{"id": "o1", "elements": [
+            {"id": "e1", "epistemic": "nope"}]}]}]},
+         ("$.roadmap.goals[0].objectives[0].elements[0].epistemic",
+          "unknown epistemic status 'nope'")),
+        ({"goals": [{"id": "g1", "objectives": [{"id": "o1", "elements": [
+            {"id": "e1", "notes": []}]}]}]},
+         ("$.roadmap.goals[0].objectives[0].elements[0].notes", "expected str, got list")),
+        ({"goals": [{"id": "g1", "objectives": [{"id": "o1", "elements": []}]}]},
+         ("$.roadmap.goals[0].objectives[0]", "objective 'o1' has no control elements")),
+    ], ids=["goal", "objectives", "objective", "element", "goal id", "element title",
+            "element epistemic", "element notes", "objective elements"])
     def test_malformed_roadmap_entries_are_located(self, roadmap, issue):
         raw = json.loads(doc_text())
         raw["roadmap"] = roadmap
@@ -194,6 +228,11 @@ class TestParseModel:
             parse_roadmap_document('{"schema_version": 1, "sections": [{"key": "k"}, 7]}', "k")
         assert err.value.issues == [("$.sections[1]", "expected dict, got int")]
 
+    def test_roadmap_sections_that_are_not_a_list_are_located(self):
+        with pytest.raises(ValidationFailed) as err:
+            parse_roadmap_document('{"schema_version": 1, "sections": 7}', "k")
+        assert err.value.issues == [("$.sections", "expected list, got int")]
+
     def test_a_fault_in_the_library_is_not_a_document_issue(self, monkeypatch):
         from iotrisk import roadmap
 
@@ -206,6 +245,31 @@ class TestParseModel:
             {"id": "o1", "elements": [{"id": "e1"}]}]}]}
         with pytest.raises(RuntimeError, match="broken"):
             parse_model(json.dumps(raw))
+
+    @pytest.mark.parametrize("name", ["smart_home", "uncontrolled_sensor"])
+    def test_any_one_value_replaced_is_a_document_error(self, name):
+        # Between them the two documents hold every section.  Each value, the
+        # root too, is replaced in turn by each of a few JSON values.
+        holder = [json.loads(resources.files("iotrisk.data").joinpath(f"{name}.json")
+                             .read_text(encoding="utf-8"))]
+        escaped, reprs = [], []
+        for at in list(json_paths(holder[0], (0,))):
+            parent = holder
+            for key in at[:-1]:
+                parent = parent[key]
+            original = parent[at[-1]]
+            for value in (None, True, 7, "x", [], {}, ["x"]):
+                parent[at[-1]] = value
+                try:
+                    parse_model(json.dumps(holder[0]))
+                except ValidationFailed as exc:
+                    reprs += [(at, value, issue) for issue in exc.issues if "Error(" in issue[1]]
+                except DocumentError:
+                    pass
+                except Exception as exc:
+                    escaped.append((at, value, repr(exc)))
+            parent[at[-1]] = original
+        assert (escaped, reprs) == ([], [])
 
     def test_temporal_target_without_transition_table_rejected(self):
         raw = json.loads(doc_text())
