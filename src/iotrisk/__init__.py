@@ -9,9 +9,9 @@ CVSS v2-derived compromise priors.  A transformation-roadmap layer tracks
 control goals against maturity tiers and binds measurable controls to model
 nodes so their achievement is read as a posterior instead of asserted.
 
-``import iotrisk`` loads neither numpy nor the ``cvss``, ``roadmap`` and
-``bundled`` modules: numpy loads on the first numeric query, and each of
-those modules on first use of one of its names.
+``import iotrisk`` loads only the ``errors`` module, whose exceptions it
+binds at once.  Every other module loads on first use of one of its names,
+and numpy on the first numeric query.
 """
 
 from .errors import (
@@ -41,85 +41,34 @@ from .errors import (
     UnresolvableNode,
     ValidationFailed,
 )
-from .graph import (
-    APPLICATION,
-    BUILTIN_LAYERS,
-    NETWORK,
-    PERCEPTION,
-    ComponentNode,
-    DependencyGraph,
-    InfluenceEdge,
-    StateDomain,
-    ValidationReport,
-    Violation,
-    ancestors,
-    dependency_order,
-    descendants,
-    topological_order,
-    validate,
-)
-from .model import BayesianModel, Cpt, Marginal, ROW_SUM_TOL
-from .inference import (
-    ORACLE_TOL,
-    eliminate_marginal,
-    enumerate_marginal,
-    enumerate_posteriors,
-    joint_probability,
-    posterior_update,
-)
-from .temporal import (
-    DEFAULT_MAX_HORIZON,
-    ObservationSeries,
-    SliceTemplate,
-    TemporalEdge,
-    TemporalModel,
-    filter_marginals,
-    predict_marginals,
-    slice_id,
-    smooth_marginals,
-    unroll,
-    unrolled_marginals,
-)
-from .cascade import (
-    CriticalityEntry,
-    EventLevel,
-    ImpactReport,
-    IncidentScenario,
-    LevelClassification,
-    NodeImpact,
-    NodeRelation,
-    classify_levels,
-    impact_probabilities,
-    impact_set,
-    rank_criticality,
-)
-from .uncontrollable import (
-    CatalogueSource,
-    StateCatalogue,
-    and_cpt,
-    catalogue,
-    complete_model,
-    detect_uncontrollable,
-    logic_gate_cpt,
-    or_cpt,
-    resolve_uncontrollable,
-)
-from .documents import (
-    SCHEMA_VERSION,
-    EvidenceRecord,
-    ModelDocument,
-    TemporalSpec,
-    ingest_evidence,
-    parse_model,
-    read_evidence,
-    serialize_model,
-)
-from .sampling import monte_carlo_sample
-from .reporting import emit_report, export_dot, input_digest, to_jsonable
 
-# Modules that load on first use, so a verb that never scores a vector or
-# reads a roadmap does not pay for them: each public name -> its module.
+# Every public name outside ``errors`` -> the module that defines it.  Each
+# module loads on first use of one of its names (PEP 562), so a verb pays
+# only for the modules it runs.
 _LAZY = {
+    **dict.fromkeys(("APPLICATION", "BUILTIN_LAYERS", "NETWORK", "PERCEPTION", "ComponentNode",
+                     "DependencyGraph", "InfluenceEdge", "StateDomain", "ValidationReport",
+                     "Violation", "ancestors", "dependency_order", "descendants",
+                     "topological_order", "validate"), "graph"),
+    **dict.fromkeys(("BayesianModel", "Cpt", "DEFAULT_MAX_HORIZON", "Marginal",
+                     "ROW_SUM_TOL"), "model"),
+    **dict.fromkeys(("ORACLE_TOL", "eliminate_marginal", "enumerate_marginal",
+                     "enumerate_posteriors", "joint_probability", "posterior_update"),
+                    "inference"),
+    **dict.fromkeys(("ObservationSeries", "SliceTemplate", "TemporalEdge", "TemporalModel",
+                     "filter_marginals", "predict_marginals", "slice_id", "smooth_marginals",
+                     "unroll", "unrolled_marginals"), "temporal"),
+    **dict.fromkeys(("CriticalityEntry", "EventLevel", "ImpactReport", "IncidentScenario",
+                     "LevelClassification", "NodeImpact", "NodeRelation", "classify_levels",
+                     "impact_probabilities", "impact_set", "rank_criticality"), "cascade"),
+    **dict.fromkeys(("CatalogueSource", "StateCatalogue", "and_cpt", "catalogue",
+                     "complete_model", "detect_uncontrollable", "logic_gate_cpt", "or_cpt",
+                     "resolve_uncontrollable"), "uncontrollable"),
+    **dict.fromkeys(("SCHEMA_VERSION", "EvidenceRecord", "ModelDocument", "TemporalSpec",
+                     "ingest_evidence", "parse_model", "read_evidence", "serialize_model"),
+                    "documents"),
+    **dict.fromkeys(("monte_carlo_sample",), "sampling"),
+    **dict.fromkeys(("emit_report", "export_dot", "input_digest", "to_jsonable"), "reporting"),
     **dict.fromkeys(("CvssVector", "LinearPriorMapping", "LogisticPriorMapping",
                      "base_score", "environmental_score", "prior_cpt_from_score",
                      "score_summary", "score_to_prior", "temporal_score"), "cvss"),
@@ -135,7 +84,7 @@ _LAZY_MODULES = frozenset(_LAZY.values())
 
 
 def __getattr__(name):
-    """Load a deferred module on first use (PEP 562)."""
+    """A module, or a name of one, loaded on first use (PEP 562)."""
     # Imported here, so the package gains no public name.
     from importlib import import_module
 

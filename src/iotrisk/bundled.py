@@ -75,14 +75,18 @@ def parse_roadmap_document(text: str, section: str | None = DEFAULT_ROADMAP_SECT
     else:
         chosen = sections
 
-    goals = []
+    roadmap = build_roadmap(())
     for key, s in chosen:
-        parsed = documents._parse_roadmap(s, f"$.sections[{key}]", issues)
+        at = f"$.sections[{key}]"
+        parsed = documents._parse_roadmap(s, at, issues)
         if parsed is not None:
-            goals.extend(parsed.goals)
+            # Built onto the sections before it, so an id one of them holds
+            # is located at this section.
+            roadmap = documents._build(build_roadmap, at, issues, len(issues),
+                                       roadmap.goals + parsed.goals) or roadmap
     if issues:
         raise ValidationFailed(issues)
-    return build_roadmap(goals)
+    return roadmap
 
 
 def roadmap_section_keys() -> tuple[str, ...]:

@@ -20,24 +20,15 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .cascade import (
-    IncidentScenario,
-    impact_probabilities,
-    rank_criticality,
-)
-from .documents import _json_object, ingest_evidence, parse_model, read_evidence
 from .errors import DocumentError, IotRiskError, ValidationFailed
+
+# Every other module a verb needs is imported in that verb, on first use.
+# These load with the CLI: the benchmark's span tracer reads them from
+# ``sys.modules`` once it has imported this module, and wraps
+# ``graph.validate`` under the name bound here (``perfbench/spans.py``).
 from .graph import validate as validate_graph
-from .inference import eliminate_marginal, posterior_update
 from .reporting import emit_report, export_dot, input_digest, to_jsonable
 from .sampling import monte_carlo_sample
-from .temporal import (
-    ObservationSeries,
-    filter_marginals,
-    predict_marginals,
-    smooth_marginals,
-)
-from .uncontrollable import catalogue, detect_uncontrollable, resolve_uncontrollable
 
 USAGE_ERROR = 2
 INPUT_ERROR = 1
@@ -238,12 +229,16 @@ def _read(path: str) -> tuple[bytes, str]:
 
 def _load_document(args):
     """The ``--model`` document, its report digest and its raw bytes."""
+    from .documents import parse_model
+
     raw, text = _read(args.model)
     return parse_model(text), input_digest(raw), raw
 
 
 def _read_evidence(args, model, model_raw: bytes):
     """The ``--evidence`` records, checked against ``model``, and the digest."""
+    from .documents import read_evidence
+
     raw, text = _read(args.evidence)
     return read_evidence(text, model), input_digest(model_raw, raw)
 
@@ -251,6 +246,9 @@ def _read_evidence(args, model, model_raw: bytes):
 # ------------------------------------------------------------------- commands
 
 def _cmd_validate(args) -> int:
+    from .documents import parse_model
+    from .uncontrollable import detect_uncontrollable
+
     raw, text = _read(args.model)
     digest = input_digest(raw)
     try:
@@ -272,6 +270,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    from .inference import eliminate_marginal, posterior_update
+    from .uncontrollable import detect_uncontrollable
+
     doc, digest, model_raw = _load_document(args)
     model = doc.completed_model()
     evidence = {}
@@ -294,6 +295,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
+    from .cascade import IncidentScenario, impact_probabilities, rank_criticality
+
     doc, digest, _ = _load_document(args)
     model = doc.completed_model()
     scenario = IncidentScenario(args.origin)
@@ -306,6 +309,9 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_dbn(args) -> int:
+    from .documents import ingest_evidence
+    from .temporal import ObservationSeries, filter_marginals, predict_marginals, smooth_marginals
+
     if args.past_slice is not None and args.mode != "smooth":
         raise UsageError("--slice applies only to --mode smooth")
     if args.horizon is not None and args.mode != "predict":
@@ -340,6 +346,8 @@ def _cmd_dbn(args) -> int:
 
 
 def _cmd_iotmm(args) -> int:
+    from .uncontrollable import catalogue, detect_uncontrollable, resolve_uncontrollable
+
     doc, digest, _ = _load_document(args)
     model = doc.model
     uncontrollable = sorted(detect_uncontrollable(model))
@@ -382,6 +390,8 @@ def _cmd_cvss(args) -> int:
 
 def _read_tiers(path: str) -> dict:
     """A JSON file holding one object: control element id -> tier label."""
+    from .documents import _json_object
+
     return _json_object(_read(path)[1], f"{path}: ",
                         "expected an object mapping element ids to tiers")
 
@@ -432,6 +442,8 @@ def _cmd_export_dot(args) -> int:
     doc, digest, _ = _load_document(args)
     report = None
     if args.origin:
+        from .cascade import IncidentScenario, impact_probabilities
+
         report = impact_probabilities(doc.completed_model(),
                                       IncidentScenario(args.origin))
     _write(args, export_dot(doc.model, report))

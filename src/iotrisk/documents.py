@@ -38,19 +38,12 @@ from .errors import (
     ValidationFailed,
 )
 from .graph import ComponentNode, DependencyGraph, InfluenceEdge, StateDomain, _check_states
-from .model import BayesianModel, Cpt, _check_int, _is_int
-from .temporal import (
-    DEFAULT_MAX_HORIZON,
-    ObservationSeries,
-    SliceTemplate,
-    TemporalEdge,
-    TemporalModel,
-    _max_horizon_issues,
-)
+from .model import DEFAULT_MAX_HORIZON, BayesianModel, Cpt, _check_int, _is_int
 from .uncontrollable import CatalogueSource, StateCatalogue, complete_model
 
 if TYPE_CHECKING:
     from .roadmap import RoadmapModel
+    from .temporal import ObservationSeries, TemporalModel
 
 logger = logging.getLogger(__name__)
 
@@ -105,6 +98,10 @@ class ModelDocument:
 
     @cached_property
     def _temporal_model(self) -> TemporalModel:
+        # Imported here, as in the temporal-section check and ingest_evidence:
+        # only a temporal query needs the module.
+        from .temporal import SliceTemplate, TemporalEdge, TemporalModel
+
         if self.temporal is None:
             raise ValidationFailed([("$.temporal", "document has no temporal section")])
         issues = _untabled_target_issues(self.temporal.edges, self.temporal.transition_cpts)
@@ -166,10 +163,17 @@ def _build(make, path, issues, mark, *args, **kwargs):
         return None
 
 
-def _probabilities(values: list) -> bool:
-    """True if every entry is a JSON number.  ``true`` and ``false`` are not
-    numbers here, by the rule :func:`~iotrisk.model._is_int` applies to counts."""
-    return all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
+def _probabilities(values: list) -> tuple | None:
+    """``values`` as floats, or None unless every entry is a JSON number a
+    float holds.  ``true`` and ``false`` are not numbers here, by the rule
+    :func:`~iotrisk.model._is_int` applies to counts, nor is an integer past
+    the float range, such as ``10**400``."""
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
+        return None
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        return None
 
 
 def _parse_node(path, raw, issues) -> ComponentNode | None:
@@ -210,14 +214,14 @@ def _parse_cpt(node_id, raw, path, issues) -> Cpt | None:
         p = _take(row, "p", list, row_path, issues, required=True)
         if given is not None and not all(isinstance(s, str) for s in given):
             issues.append((f"{row_path}.given", "expected a list of state labels"))
-        if p is not None and not _probabilities(p):
+        if p is not None and (p := _probabilities(p)) is None:
             issues.append((f"{row_path}.p", "expected a list of probabilities"))
         if len(issues) > row_mark:
             continue
         key = tuple(given)
         if key in rows:
             issues.append((row_path, f"duplicate row for parent states {key!r}"))
-        rows[key] = tuple(float(x) for x in p)
+        rows[key] = p
     return _build(Cpt, path, issues, mark, node_id, tuple(parents), rows)
 
 
@@ -295,7 +299,7 @@ def _versioned_root(text: str) -> dict:
     """The root object of a model or roadmap document of this build's version."""
     raw = _json_object(text)
     version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"schema_version {version!r} is not supported (this build reads "
             f"{SCHEMA_VERSION})")
@@ -353,15 +357,15 @@ def parse_model(text: str) -> ModelDocument:
         if prior is None:
             continue
         size = len(graph.node(node_id).domain)
-        if not _probabilities(prior):
+        prior = _probabilities(prior)
+        if prior is None:
             issues.append((f"{path}.prior", "expected a list of probabilities"))
             continue
         if len(prior) != size:
             issues.append((f"{path}.prior", f"{len(prior)} entries for a {size}-state domain"))
             continue
         try:
-            catalogues[node_id] = StateCatalogue(node_id, tuple(float(x) for x in prior),
-                                                 CatalogueSource(source))
+            catalogues[node_id] = StateCatalogue(node_id, prior, CatalogueSource(source))
         except InvalidDistribution as exc:
             issues.append((path, str(exc)))
         except ValueError:
@@ -371,6 +375,8 @@ def parse_model(text: str) -> ModelDocument:
     temporal = None
     raw_temporal = _take(raw, "temporal", dict, "$", issues)
     if raw_temporal is not None:
+        from .temporal import _max_horizon_issues
+
         tedges = [(source, target) for _, source, target in _edges(raw_temporal, "$.temporal",
                                                                    issues)]
         transition_cpts = _parse_cpts(raw_temporal, "transition_cpts", "$.temporal", issues)
@@ -524,6 +530,8 @@ def ingest_evidence(records, bucket_ms: int, t0: int | None = None) -> Observati
     be an integer >= ``t0``, else :class:`InvalidArgument`, as is a record
     that is not an :class:`EvidenceRecord`.
     """
+    from .temporal import ObservationSeries
+
     bucket_ms = _check_int(bucket_ms, "bucket_ms", 1)
     if t0 is not None:
         t0 = _check_int(t0, "t0")

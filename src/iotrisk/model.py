@@ -30,6 +30,12 @@ from .graph import DependencyGraph, _check_states, validate
 # Tolerance for CPT row sums and reported distributions.
 ROW_SUM_TOL = 1e-12
 
+# Longest time axis a temporal query may span (slices 0 .. max_horizon - 1).
+# Queries cost O(t) by interface passes; the guard still bounds every query
+# and the ``temporal.unroll`` oracle, whose VE cost can grow exponentially
+# with slice count.  Kept here, so a document's default needs no temporal code.
+DEFAULT_MAX_HORIZON = 64
+
 
 @dataclass(frozen=True)
 class Cpt:

@@ -16,10 +16,13 @@ import enum
 import json
 import sys
 from dataclasses import fields, is_dataclass
+from typing import TYPE_CHECKING
 
-from .cascade import ImpactReport, NodeImpact
 from .graph import ValidationReport
 from .model import BayesianModel, Marginal
+
+if TYPE_CHECKING:
+    from .cascade import ImpactReport
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -48,24 +51,27 @@ def to_jsonable(obj):
         return {"ok": obj.ok,
                 "violations": to_jsonable(obj.violations),
                 "warnings": to_jsonable(obj.warnings)}
-    if isinstance(obj, ImpactReport):
-        return {
-            "origins": dict(sorted(obj.scenario.origins.items())),
-            "impact_set": sorted(obj.impact_set),
-            "nodes": {nid: to_jsonable(entry)
-                      for nid, entry in sorted(obj.per_node.items())},
-            "ranking": [to_jsonable(e) for e in obj.ranking] if obj.ranking else None,
-        }
-    if isinstance(obj, NodeImpact):
-        return {"distribution": to_jsonable(obj.distribution)["distribution"],
-                "dependency_order": obj.dependency_order,
-                "level": to_jsonable(obj.level), "relation": to_jsonable(obj.relation)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
         return [to_jsonable(v) for v in items]
-    # A roadmap result exists only once its module has loaded on first use.
+    # A cascade or roadmap result exists only once its module has loaded on
+    # first use.
+    cascade = sys.modules.get(f"{__package__}.cascade")
+    if cascade is not None:
+        if isinstance(obj, cascade.ImpactReport):
+            return {
+                "origins": dict(sorted(obj.scenario.origins.items())),
+                "impact_set": sorted(obj.impact_set),
+                "nodes": {nid: to_jsonable(entry)
+                          for nid, entry in sorted(obj.per_node.items())},
+                "ranking": [to_jsonable(e) for e in obj.ranking] if obj.ranking else None,
+            }
+        if isinstance(obj, cascade.NodeImpact):
+            return {"distribution": to_jsonable(obj.distribution)["distribution"],
+                    "dependency_order": obj.dependency_order,
+                    "level": to_jsonable(obj.level), "relation": to_jsonable(obj.relation)}
     roadmap = sys.modules.get(f"{__package__}.roadmap")
     if roadmap is not None:
         if isinstance(obj, roadmap.TierGap):

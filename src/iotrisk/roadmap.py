@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from . import inference
 from .errors import (
     DuplicateId,
     EmptyGoal,
@@ -260,9 +259,10 @@ def achievement_states(bound: BoundRoadmap, model: BayesianModel,
     This is how a bound element's achievement is *read* rather than asserted:
     the node's posterior under current evidence is the element's state.
     """
-    # Looked up per call: this module loads on first use, possibly while a
-    # tracer has ``inference.posterior_update`` patched.
-    posteriors = inference.posterior_update(model, evidence or {})
+    # Imported here: only this query needs the inference engine.
+    from .inference import posterior_update
+
+    posteriors = posterior_update(model, evidence or {})
     out: dict[str, Marginal] = {}
     for element in bound.roadmap.elements():
         if element.binding is not None:

@@ -56,14 +56,10 @@ from .inference import (
     _reduce_factor,
     _total,
 )
-from .model import BayesianModel, Cpt, Marginal, _check_int, _is_int, _table_issues
+from .model import (DEFAULT_MAX_HORIZON, BayesianModel, Cpt, Marginal, _check_int, _is_int,
+                     _table_issues)
 
 SLICE_SEP = "@"
-
-# Longest time axis a query may span (slices 0 .. max_horizon - 1).  Queries
-# cost O(t) by interface passes; the guard still bounds every query and the
-# :func:`unroll` oracle, whose VE cost can grow exponentially with slice count.
-DEFAULT_MAX_HORIZON = 64
 
 
 def slice_id(node_id: str, t: int) -> str:

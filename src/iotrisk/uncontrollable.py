@@ -33,7 +33,6 @@ from .errors import (
     UnresolvableNode,
 )
 from .graph import StateDomain
-from .inference import eliminate_marginal
 from .model import BayesianModel, Cpt, Marginal, check_distribution
 
 # Most parent-state combinations a catalogue-backed table may have, one row
@@ -128,6 +127,9 @@ def resolve_uncontrollable(model: BayesianModel, node_id: str, evidence=None,
     if blocked:
         raise UnresolvableNode(
             f"cannot resolve {node_id!r}: dependent(s) {blocked} also lack CPTs")
+    # Imported here: completing or gating a model runs no inference.
+    from .inference import eliminate_marginal
+
     completed = complete_model(model, catalogues)
     return eliminate_marginal(completed, node_id, evidence or {})
 

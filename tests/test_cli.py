@@ -639,6 +639,19 @@ class TestBoundary:
         assert "$.temporal.max_horizon" in proc.stderr
         assert f"expected an integer, got {max_horizon!r}" in proc.stderr
 
+    @pytest.mark.parametrize("verb, stream", [("validate", "stdout"), ("infer", "stderr")])
+    def test_integer_beyond_the_float_range_exits_one(self, tmp_path, model_files,
+                                                      verb, stream):
+        raw = json.loads(Path(model_files["layered_iot"]).read_text())
+        raw["cpts"]["a14"]["rows"][0]["p"][0] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        proc = run_process(verb, "--model", str(bad))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "$.cpts.a14.rows[0].p" in getattr(proc, stream)
+        assert "expected a list of probabilities" in getattr(proc, stream)
+
     @pytest.mark.parametrize("temporal_patch", [
         {"edges": [{"from": ["wifi_gateway"], "to": "wifi_gateway"}]},
         {"transition_cpts": []},
@@ -916,6 +929,27 @@ class TestStartUp:
         assert [code for code, _ in got["runs"]] == [0]
         assert got["numpy"] is True
         assert not DEFERRED & set(got["modules"])
+
+    def test_import_iotrisk_loads_only_errors(self):
+        got = run_in_fresh_interpreter([], prelude="import iotrisk")
+        assert got["modules"] == ["iotrisk.errors"]
+
+    # Each verb loads the modules it runs, on first use of their names, and
+    # none of the ones it does not.
+    @pytest.mark.parametrize("argv, loaded, unloaded", [
+        (CVSS_ARGV, {"cvss"}, {"documents", "inference", "temporal", "cascade"}),
+        (("validate", "--model", "layered_iot"), {"documents"},
+         {"inference", "temporal", "cascade"}),
+        (("export-dot", "--model", "layered_iot"), {"documents"},
+         {"inference", "temporal", "cascade"}),
+        (("infer", "--model", "layered_iot"), {"inference"}, {"temporal", "cascade"}),
+        (("dbn", "--model", "smart_home"), {"temporal"}, {"cascade"}),
+    ], ids=["cvss", "validate", "export-dot", "infer", "dbn"])
+    def test_each_verb_loads_only_what_it_runs(self, model_files, argv, loaded, unloaded):
+        got = run_in_fresh_interpreter([with_paths(argv, model_files)])
+        assert [code for code, _ in got["runs"]] == [0]
+        modules = {m.removeprefix("iotrisk.") for m in got["modules"]}
+        assert (loaded - modules, unloaded & modules) == (set(), set())
 
     def test_cvss_loads_neither_numpy_nor_roadmap(self):
         got = run_in_fresh_interpreter([CVSS_ARGV])

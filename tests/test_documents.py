@@ -103,6 +103,23 @@ class TestParseModel:
             parse('{"schema_version": 2}')
         assert str(err.value) == "schema_version 2 is not supported (this build reads 1)"
 
+    # A version is an integer, by the rule counts follow: JSON true and 1.0
+    # are not version 1.
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+    @pytest.mark.parametrize("parse, text", [
+        (parse_model, doc_text),
+        (parse_roadmap_document,
+         lambda schema_version: json.dumps({"schema_version": schema_version, "sections": [
+             {"key": "training-and-awareness", "goals": [{"id": "g1", "objectives": [
+                 {"id": "o1", "elements": [{"id": "e1"}]}]}]}]})),
+    ], ids=["model", "roadmap"])
+    def test_schema_version_must_be_an_integer(self, parse, text, version):
+        assert parse(text(schema_version=1)) is not None
+        with pytest.raises(SchemaVersionMismatch) as err:
+            parse(text(schema_version=version))
+        assert str(err.value) == (f"schema_version {version!r} is not supported "
+                                  "(this build reads 1)")
+
     def test_bad_row_sum_names_node_and_row(self):
         raw = json.loads(doc_text())
         raw["cpts"]["B"]["rows"][0]["p"] = [0.9, 0.09]
@@ -168,6 +185,13 @@ class TestParseModel:
         (lambda raw: raw.update({"cpts": {"B": raw["cpts"]["B"]},
                                  "catalogues": {"A": {"prior": [False, True]}}}),
          "$.catalogues.A.prior"),
+        # Nor is an integer a float cannot hold, which must not escape as an
+        # OverflowError.
+        (lambda raw: raw["cpts"]["B"]["rows"][1].update({"p": [10**400, 0]}),
+         "$.cpts.B.rows[1].p"),
+        (lambda raw: raw.update({"cpts": {"A": raw["cpts"]["A"]},
+                                 "catalogues": {"B": {"prior": [0, -10**400]}}}),
+         "$.catalogues.B.prior"),
     ])
     def test_mistyped_ids_and_labels_are_located_issues(self, patch, where):
         raw = json.loads(doc_text())
@@ -227,6 +251,22 @@ class TestParseModel:
         with pytest.raises(ValidationFailed) as err:
             parse_roadmap_document('{"schema_version": 1, "sections": [{"key": "k"}, 7]}', "k")
         assert err.value.issues == [("$.sections[1]", "expected dict, got int")]
+
+    def test_id_repeated_across_sections_is_located_at_the_later_one(self):
+        def section(key, objective):
+            return {"key": key, "goals": [{"id": "g1", "objectives": [
+                {"id": objective, "elements": [{"id": f"{objective}e"}]}]}]}
+
+        text = json.dumps({"schema_version": 1, "sections": [
+            section("a", "o1"), section("b", "o2"), section("c", "o3")]})
+        with pytest.raises(ValidationFailed) as err:
+            parse_roadmap_document(text, None)
+        assert err.value.issues == [("$.sections[b]",
+                                     "id 'g1' appears more than once in the roadmap"),
+                                    ("$.sections[c]",
+                                     "id 'g1' appears more than once in the roadmap")]
+        for key in "abc":
+            assert [g.id for g in parse_roadmap_document(text, key).goals] == ["g1"]
 
     def test_roadmap_sections_that_are_not_a_list_are_located(self):
         with pytest.raises(ValidationFailed) as err:
